@@ -9,13 +9,15 @@ one code index per depth. Trained with teacher-forced cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import checkpoint
-from .nn import (Conv1d, Dense, Module, Parameter, TransformerBlock, adam_step)
+from .codec import rvq_recursion, sample_categorical
+from .nn import (Conv1d, Dense, Module, Parameter, TransformerBlock, conv_stack,
+                 fit)
 from .tensor import ShapeError, Tensor, concat, cross_entropy, log_softmax
 
 
@@ -48,6 +50,10 @@ class ARConfig:
 
     def __post_init__(self):
         self.temporal_dilations = tuple(self.temporal_dilations)
+        if self.temporal not in ("conv", "transformer"):
+            raise ValueError(f"unknown temporal model {self.temporal!r}")
+        if self.style_mode not in ("depth", "temporal"):
+            raise ValueError(f"unknown style mode {self.style_mode!r}")
 
 
 class ARModel(Module):
@@ -82,12 +88,10 @@ class ARModel(Module):
         if c.temporal == "conv":
             self.temporal_convs = [Conv1d(H, H, 2, rng, dilation=d, mode="causal")
                                    for d in c.temporal_dilations]
-        elif c.temporal == "transformer":
+        else:
             self.temporal_pos = Parameter(rng.normal(0.0, 0.05, (c.max_frames, H)))
             self.temporal_blocks = [TransformerBlock(H, c.heads, rng, causal=True)
                                     for _ in range(c.temporal_layers)]
-        else:
-            raise ValueError(f"unknown temporal model {c.temporal!r}")
         # depth model
         self.depth_pos = Parameter(rng.normal(0.0, 0.05, (c.depth + 1, H)))
         self.prefix_proj = Dense(c.code_dim, H, rng)
@@ -104,12 +108,6 @@ class ARModel(Module):
         """Frames of past/future driving signal visible at each frame."""
         return sum(conv.radius for conv in self.audio_convs)
 
-    def temporal_receptive_field(self) -> int:
-        """Total frames (current included) visible to the causal conv stack."""
-        return 1 + sum(d * (conv.kernel - 1)
-                       for conv, d in zip(self.temporal_convs,
-                                          self.config.temporal_dilations))
-
     def frame_embedding(self, grid_rows: np.ndarray) -> np.ndarray:
         """Depth-summed code embedding e~(j_t) for rows of indices (..., D')."""
         return self.codebook.data[grid_rows].sum(axis=-2)
@@ -123,23 +121,13 @@ class ARModel(Module):
         if y.shape[-1] != self.config.audio_dim:
             raise ShapeError(f"audio features must have dim "
                              f"{self.config.audio_dim}, got {y.shape}")
-        h = y
-        for i, conv in enumerate(self.audio_convs):
-            h = conv(h)
-            if i < len(self.audio_convs) - 1:
-                h = h.leaky_relu(0.1)
-        return h
+        return conv_stack(y, self.audio_convs)
 
     def encode_style(self, s: Tensor) -> Tensor:
         """Mean-pooled embedding of a (B, T_s, 3V) style reference."""
         if s.ndim != 3 or s.shape[1] < 1:
             raise ShapeError("style reference needs at least one frame")
-        h = s
-        for i, conv in enumerate(self.style_convs):
-            h = conv(h)
-            if i < len(self.style_convs) - 1:
-                h = h.leaky_relu(0.1)
-        return h.mean(axis=1)
+        return conv_stack(s, self.style_convs).mean(axis=1)
 
     def temporal_context(self, audio_feats: Tensor, frame_embs: np.ndarray,
                          style_emb: Optional[Tensor] = None) -> Tensor:
@@ -301,21 +289,9 @@ class ARModel(Module):
 def stochastic_grid(z: np.ndarray, codebook: np.ndarray, depth: int,
                     tau: float, rng: np.random.Generator) -> np.ndarray:
     """Boltzmann-sample quantizer indices instead of the argmin at each depth."""
-    T = z.shape[0]
-    residual = z.copy()
-    grid = np.zeros((T, depth), dtype=np.int64)
-    for d in range(depth):
-        d2 = ((residual[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
-        logits = -d2 / max(tau, 1e-9)
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(p, axis=1)
-        u = rng.random((T, 1))
-        idx = (u > cdf).sum(axis=1)
-        grid[:, d] = idx
-        residual = residual - codebook[idx]
-    return grid
+    return rvq_recursion(
+        z, codebook, depth,
+        lambda d, d2: sample_categorical(-d2, max(tau, 1e-9), rng)).grid
 
 
 def soft_target_distributions(z: np.ndarray, grid: np.ndarray,
@@ -325,20 +301,20 @@ def soft_target_distributions(z: np.ndarray, grid: np.ndarray,
     T, D = grid.shape
     C = codebook.shape[0]
     out = np.zeros((T, D, C))
-    residual = z.copy()
-    for d in range(D):
-        dist = np.sqrt(((residual[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2))
+
+    def smooth(d, d2):
+        dist = np.sqrt(d2)
         sel = grid[:, d]
         dmin = dist[np.arange(T), sel]
         near = dist <= (1.0 + eps) * dmin[:, None]
         near[np.arange(T), sel] = False
         counts = near.sum(axis=1)
-        tgt = np.zeros((T, C))
-        tgt[np.arange(T), sel] = np.where(counts > 0, 1.0 - alpha, 1.0)
+        out[np.arange(T), d, sel] = np.where(counts > 0, 1.0 - alpha, 1.0)
         spread = np.where(counts > 0, alpha / np.maximum(counts, 1), 0.0)
-        tgt += near * spread[:, None]
-        out[:, d] = tgt
-        residual = residual - codebook[sel]
+        out[:, d] += near * spread[:, None]
+        return sel
+
+    rvq_recursion(z, codebook, D, smooth)
     return out
 
 
@@ -376,11 +352,10 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
     if not records:
         raise ValueError("corpus has no training sequences")
     prepared = prepare_sequences(codec, corpus, records, rng)
-    params = model.trainable_parameters()
-    history = []
-    for epoch in range(config.epochs):
+    C = config.codebook_size
+
+    def batches():
         order = rng.permutation(len(prepared))
-        total, n_batches = 0.0, 0
         for start in range(0, len(prepared), config.batch):
             batch = [prepared[i] for i in order[start:start + config.batch]]
             if config.stochastic_targets:
@@ -390,28 +365,24 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
                                   for p in batch])
             else:
                 grids = np.stack([p.grid for p in batch])
-            y = np.stack([p.audio for p in batch])
-            s = np.stack([p.style for p in batch])
-            model.zero_grad()
-            logits = model.forward_logits(y, s, grids)
-            C = config.codebook_size
-            if config.soft_targets:
-                tgt = np.stack([soft_target_distributions(
-                    p.latents, g, model.codebook.data,
-                    config.soft_eps, config.soft_alpha)
-                    for p, g in zip(batch, grids)])
-                loss = cross_entropy(logits.reshape(-1, C),
-                                     tgt.reshape(-1, C))
-            else:
-                loss = cross_entropy(logits.reshape(-1, C), grids.reshape(-1))
-            loss.backward()
-            adam_step(params.values(), config.lr)
-            total += float(loss.data)
-            n_batches += 1
-        row = {"epoch": epoch, "loss": total / n_batches}
-        history.append(row)
-        if log is not None:
-            log(row)
+            yield batch, grids
+
+    def step(batch_grids):
+        batch, grids = batch_grids
+        y = np.stack([p.audio for p in batch])
+        s = np.stack([p.style for p in batch])
+        logits = model.forward_logits(y, s, grids)
+        if config.soft_targets:
+            tgt = np.stack([soft_target_distributions(
+                p.latents, g, model.codebook.data,
+                config.soft_eps, config.soft_alpha)
+                for p, g in zip(batch, grids)])
+            return {"loss": cross_entropy(logits.reshape(-1, C),
+                                          tgt.reshape(-1, C))}
+        return {"loss": cross_entropy(logits.reshape(-1, C), grids.reshape(-1))}
+
+    history = fit(model.trainable_parameters(), config.epochs, config.lr,
+                  batches, step, log)
     return model, history
 
 

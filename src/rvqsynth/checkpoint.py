@@ -16,6 +16,7 @@ import numpy as np
 
 MAGIC = b"RVQC"
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("arch", "seed", "extra", "steps", "tensors")
 
 
 class ContainerError(ValueError):
@@ -58,7 +59,14 @@ def load_container(path):
     hlen = struct.unpack("<Q", raw[8:16])[0]
     if len(raw) < 16 + hlen:
         raise ContainerError(f"truncated header in {path}")
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ContainerError(f"malformed header in {path}: {exc}") from exc
+    missing = [k for k in _HEADER_KEYS
+               if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise ContainerError(f"header in {path} lacks {', '.join(missing)}")
     arrays = {}
     offset = 16 + hlen
     for entry in header["tensors"]:

@@ -179,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, opts in OPTIONS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (1 = fully deterministic)")
         for key, (_, default, help_text) in opts.items():
             p.add_argument(f"--{key}", default=None,
                            help=f"{help_text} (default {default})")
@@ -244,13 +242,10 @@ def _load_ar(path, codec_path) -> ARModel:
 
 
 def _sampling_config(r: dict) -> SamplingConfig:
-    try:
-        return SamplingConfig(
-            strategy=r["strategy"], n=r["n"], k=r["k"],
-            keep_fraction=r["keep-fraction"], depth_limit=r["depth-limit"],
-            temperature=r["temperature"], seed=r["seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return SamplingConfig(
+        strategy=r["strategy"], n=r["n"], k=r["k"],
+        keep_fraction=r["keep-fraction"], depth_limit=r["depth-limit"],
+        temperature=r["temperature"], seed=r["seed"])
 
 
 def _maybe_sync(r: dict):
@@ -269,10 +264,7 @@ def cmd_gen_data(r: dict) -> int:
                        frames=r["frames"], vertices=r["vertices"],
                        audio_dim=r["audio-dim"], upper_noise=r["upper-noise"],
                        seed=r["seed"])
-    try:
-        corpus = generate_corpus(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    corpus = generate_corpus(cfg)
     save_corpus(corpus, r["out"])
     _snapshot(r["out"], r)
     log(event="gen-data", records=len(corpus.records),
@@ -309,10 +301,6 @@ def cmd_train_ar(r: dict) -> int:
                    batch=r["batch"], seed=r["seed"],
                    stochastic_targets=r["stochastic-targets"],
                    soft_targets=r["soft-targets"])
-    if cfg.temporal not in ("conv", "transformer"):
-        raise ConfigError(f"unknown temporal model {cfg.temporal!r}")
-    if cfg.style_mode not in ("depth", "temporal"):
-        raise ConfigError(f"unknown style mode {cfg.style_mode!r}")
     model, _ = train_ar(codec, corpus, cfg,
                         log=lambda row: log(event="train-ar", **row),
                         codec_checksum=file_checksum(r["codec"]))
@@ -324,8 +312,6 @@ def cmd_train_ar(r: dict) -> int:
 
 def cmd_train_sync(r: dict) -> int:
     corpus = _load_corpus(r["data"])
-    if r["variant"] not in (1, 2):
-        raise ConfigError("variant must be 1 or 2")
     epochs = r["epochs"] if r["epochs"] is not None \
         else (6 if r["variant"] == 1 else 12)
     cfg = metrics.SyncConfig(variant=r["variant"],
@@ -350,11 +336,8 @@ def cmd_train_style(r: dict) -> int:
                               margin=r["margin"], scale=r["scale"],
                               lr=r["lr"], epochs=r["epochs"],
                               batch=r["batch"], seed=r["seed"])
-    try:
-        net, speakers, _ = metrics.train_style_net(
-            corpus, cfg, log=lambda row: log(event="train-style", **row))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    net, speakers, _ = metrics.train_style_net(
+        corpus, cfg, log=lambda row: log(event="train-style", **row))
     net.save(r["out"], speakers, seed=cfg.seed)
     _snapshot(r["out"], r)
     log(event="train-style", status="saved", out=r["out"])

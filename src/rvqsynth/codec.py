@@ -10,13 +10,13 @@ commitment and codebook losses at every depth.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint
-from .nn import Conv1d, DivergenceError, Module, Parameter, adam_step
+from .nn import Conv1d, Module, Parameter, conv_stack, fit
 from .tensor import ShapeError, Tensor, straight_through
 
 GRID_MAGIC = b"RVQJ"
@@ -48,6 +48,46 @@ class CodecConfig:
             self.hidden = 4 * self.code_dim
 
 
+def squared_distances(x: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (N, |C|) from each row of x to each code."""
+    return ((x[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
+
+
+def sample_categorical(logits: np.ndarray, temperature: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per row from softmax(logits / temperature);
+    temperature 0 takes the argmax (lowest index on ties)."""
+    if temperature == 0.0:
+        return np.argmin(-logits, axis=-1)
+    z = logits / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(p, axis=-1)
+    u = rng.random(logits.shape[:-1] + (1,))
+    return (u > cdf).sum(axis=-1)
+
+
+def rvq_recursion(z: np.ndarray, codebook: np.ndarray, depth: int,
+                  choose) -> QuantizationResult:
+    """Residual quantization of (T, N_C) frames to ``depth`` codes, where
+    ``choose(d, d2)`` picks one code per frame at depth ``d`` from the
+    squared distances ``d2`` (T, |C|) of the residuals to every code."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    T = z.shape[0]
+    indices = np.zeros((T, depth), dtype=np.int64)
+    norms = np.zeros((T, depth))
+    residual = z.copy()
+    quantized = np.zeros_like(z)
+    for d in range(depth):
+        idx = choose(d, squared_distances(residual, codebook))
+        indices[:, d] = idx
+        residual = residual - codebook[idx]
+        quantized = quantized + codebook[idx]
+        norms[:, d] = np.sqrt((residual ** 2).sum(axis=1))
+    return QuantizationResult(indices, quantized, norms)
+
+
 def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray,
                         depth_limit: int) -> QuantizationResult:
     """Quantize a (T, N_C) batch of latent frames to ``depth_limit`` codes.
@@ -57,26 +97,8 @@ def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray,
     """
     if not 1 <= depth_limit:
         raise ValueError("depth_limit must be >= 1")
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    T = z.shape[0]
-    indices = np.zeros((T, depth_limit), dtype=np.int64)
-    norms = np.zeros((T, depth_limit))
-    residual = z.copy()
-    quantized = np.zeros_like(z)
-    for d in range(depth_limit):
-        d2 = ((residual[:, None, :] - codebook[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)
-        indices[:, d] = idx
-        residual = residual - codebook[idx]
-        quantized = quantized + codebook[idx]
-        norms[:, d] = np.sqrt((residual ** 2).sum(axis=1))
-    return QuantizationResult(indices, quantized, norms)
-
-
-def rvq_quantize(z: np.ndarray, codebook: np.ndarray, depth_limit: int):
-    """Single-vector form: returns (indices, quantized vector, residual norms)."""
-    res = rvq_quantize_frames(np.asarray(z)[None, :], codebook, depth_limit)
-    return res.grid[0], res.quantized[0], res.residual_norms[0]
+    return rvq_recursion(z, codebook, depth_limit,
+                         lambda d, d2: np.argmin(d2, axis=1))
 
 
 class Codec(Module):
@@ -99,20 +121,10 @@ class Codec(Module):
     # -- forward ----------------------------------------------------------
 
     def encode_tape(self, x: Tensor) -> Tensor:
-        h = x
-        for i, layer in enumerate(self.enc_layers):
-            h = layer(h)
-            if i < len(self.enc_layers) - 1:
-                h = h.leaky_relu(0.1)
-        return h
+        return conv_stack(x, self.enc_layers)
 
     def decode_tape(self, zq: Tensor) -> Tensor:
-        h = zq
-        for i, layer in enumerate(self.dec_layers):
-            h = layer(h)
-            if i < len(self.dec_layers) - 1:
-                h = h.leaky_relu(0.1)
-        return h
+        return conv_stack(zq, self.dec_layers)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Map one (T, 3V) sequence to (T, N_C) latents."""
@@ -185,75 +197,63 @@ def train_codec(corpus, config: CodecConfig, log=None):
     rng = np.random.default_rng(config.seed)
     codec = Codec(config, rng)
     init_codebook(codec, records, rng)
-    params = codec.parameters()
-    history = []
-    snapshot = {k: p.data.copy() for k, p in params.items()}
     D = config.depth
-    for epoch in range(config.epochs):
+    usage = np.zeros(config.codebook_size, dtype=np.int64)
+
+    def batches():
         order = rng.permutation(len(records))
-        usage = np.zeros(config.codebook_size, dtype=np.int64)
-        totals = {"loss": 0.0, "recon": 0.0, "commit": 0.0, "codebook": 0.0}
-        n_batches = 0
         for start in range(0, len(records), config.batch):
-            batch = [records[i] for i in order[start:start + config.batch]]
-            x = Tensor(np.stack([r.motion for r in batch]))
-            codec.zero_grad()
-            z = codec.encode_tape(x)
-            B, T, NC = z.shape
-            flat = z.data.reshape(B * T, NC)
-            res = rvq_quantize_frames(flat, codec.codebook.data, D)
-            np.add.at(usage, res.grid.reshape(-1), 1)
-            partials = np.cumsum(codec.codebook.data[res.grid], axis=1)  # (BT, D, NC)
+            yield np.stack([records[i].motion
+                            for i in order[start:start + config.batch]])
 
-            def recon_at(d):
-                zq = partials[:, d - 1].reshape(B, T, NC)
-                xhat = codec.decode_tape(straight_through(Tensor(zq), z))
-                return ((xhat - x) ** 2.0).mean()
+    def step(motion):
+        x = Tensor(motion)
+        z = codec.encode_tape(x)
+        B, T, NC = z.shape
+        flat = z.data.reshape(B * T, NC)
+        res = rvq_quantize_frames(flat, codec.codebook.data, D)
+        np.add.at(usage, res.grid.reshape(-1), 1)
+        partials = np.cumsum(codec.codebook.data[res.grid], axis=1)  # (BT, D, NC)
 
-            recon = recon_at(D)
-            if config.recon_all_depths and D > 1:
-                d_rand = int(rng.integers(1, D))
-                recon = recon * 0.5 + recon_at(d_rand) * 0.5
+        def recon_at(d):
+            zq = partials[:, d - 1].reshape(B, T, NC)
+            xhat = codec.decode_tape(straight_through(Tensor(zq), z))
+            return ((xhat - x) ** 2.0).mean()
 
-            commit = None
-            cbloss = None
-            zflat = z.reshape(B * T, NC)
-            residual = flat.copy()
-            for d in range(D):
-                gathered = codec.codebook[res.grid[:, d]]
-                term_cb = ((gathered - Tensor(residual)) ** 2.0).mean()
-                cbloss = term_cb if cbloss is None else cbloss + term_cb
-                residual = residual - codec.codebook.data[res.grid[:, d]]
-                term_c = ((zflat - Tensor(partials[:, d])) ** 2.0).mean()
-                commit = term_c if commit is None else commit + term_c
-            commit = commit * (1.0 / D)
-            cbloss = cbloss * (1.0 / D)
-            loss = recon + config.beta * commit + cbloss
-            if not np.isfinite(loss.data):
-                for k, p in params.items():
-                    p.data = snapshot[k]
-                raise DivergenceError(
-                    f"non-finite codec loss at epoch {epoch}; rolled back")
-            loss.backward()
-            adam_step(params.values(), config.lr)
-            totals["loss"] += float(loss.data)
-            totals["recon"] += float(recon.data)
-            totals["commit"] += float(commit.data)
-            totals["codebook"] += float(cbloss.data)
-            n_batches += 1
-        # reseed codes unused for the whole epoch
+        recon = recon_at(D)
+        if config.recon_all_depths and D > 1:
+            d_rand = int(rng.integers(1, D))
+            recon = recon * 0.5 + recon_at(d_rand) * 0.5
+
+        commit = None
+        cbloss = None
+        zflat = z.reshape(B * T, NC)
+        residual = flat.copy()
+        for d in range(D):
+            gathered = codec.codebook[res.grid[:, d]]
+            term_cb = ((gathered - Tensor(residual)) ** 2.0).mean()
+            cbloss = term_cb if cbloss is None else cbloss + term_cb
+            residual = residual - codec.codebook.data[res.grid[:, d]]
+            term_c = ((zflat - Tensor(partials[:, d])) ** 2.0).mean()
+            commit = term_c if commit is None else commit + term_c
+        commit = commit * (1.0 / D)
+        cbloss = cbloss * (1.0 / D)
+        return {"loss": recon + config.beta * commit + cbloss, "recon": recon,
+                "commit": commit, "codebook": cbloss}
+
+    def reseed_dead_codes(epoch):
+        """Reseed codes unused for the whole epoch from encoder outputs."""
         dead = np.flatnonzero(usage == 0)
         if dead.size:
             seed_rec = records[int(rng.integers(len(records)))]
             lat = codec.encode(seed_rec.motion)
             pick = rng.integers(lat.shape[0], size=dead.size)
-            codec.codebook.data[dead] = lat[pick] + rng.normal(0.0, 1e-3,
-                                                               (dead.size, NC))
-        snapshot = {k: p.data.copy() for k, p in params.items()}
-        row = {"epoch": epoch, **{k: v / n_batches for k, v in totals.items()}}
-        history.append(row)
-        if log is not None:
-            log(row)
+            codec.codebook.data[dead] = lat[pick] + rng.normal(
+                0.0, 1e-3, (dead.size, config.code_dim))
+        usage[:] = 0
+
+    history = fit(codec.parameters(), config.epochs, config.lr, batches, step,
+                  log, reseed_dead_codes)
     return codec, history
 
 
@@ -264,15 +264,6 @@ def reconstruction_mse(codec: Codec, records, depth_limit: int | None = None) ->
         xhat = codec.encode_decode(rec.motion, depth_limit)
         out.append(float(((xhat - rec.motion) ** 2).mean()))
     return np.array(out)
-
-
-def quantize_corpus(codec: Codec, records) -> list:
-    """Pre-quantize motion sequences to CodeGrids (and cache latents)."""
-    grids = []
-    for rec in records:
-        z = codec.encode(rec.motion)
-        grids.append((codec.quantize(z).grid, z))
-    return grids
 
 
 # -- CodeGrid file format -------------------------------------------------------
@@ -292,6 +283,8 @@ def read_grid(path):
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != GRID_MAGIC:
         raise BadMagicError(f"bad magic in {path}")
+    if len(raw) < 16:
+        raise TruncatedPayloadError(f"truncated header in {path}")
     T, D, csize = struct.unpack("<III", raw[4:16])
     end = 16 + 2 * T * D
     if len(raw) < end:

@@ -3,13 +3,13 @@ Fréchet distances over embeddings, and style recognition."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import checkpoint
-from .nn import Conv1d, Dense, Module, Parameter, adam_step
-from .tensor import ShapeError, Tensor, concat, cross_entropy, log_softmax
+from .nn import Conv1d, Dense, Module, Parameter, conv_stack, fit
+from .tensor import ShapeError, Tensor, concat, cross_entropy
 
 
 # -- lip vertex errors ---------------------------------------------------------
@@ -91,15 +91,6 @@ def _normalize_rows(t: Tensor, eps: float = 1e-12) -> Tensor:
     return t * (sumsq + eps) ** -0.5
 
 
-def _conv_stack(x: Tensor, convs, slope: float = 0.1) -> Tensor:
-    h = x
-    for i, conv in enumerate(convs):
-        h = conv(h)
-        if i < len(convs) - 1:
-            h = h.leaky_relu(slope)
-    return h
-
-
 # -- synchronization networks ----------------------------------------------------
 
 
@@ -158,10 +149,10 @@ class SyncNet(Module):
             self.score_head = Dense(c.width, 1, rng)
 
     def mesh_frames(self, x: Tensor) -> Tensor:
-        return _conv_stack(x, self.mesh_convs)
+        return conv_stack(x, self.mesh_convs)
 
     def audio_frames(self, y: Tensor) -> Tensor:
-        return _conv_stack(y, self.audio_convs)
+        return conv_stack(y, self.audio_convs)
 
     def _window_embed(self, frames: Tensor, proj: Dense) -> Tensor:
         B, W, E = frames.shape
@@ -268,29 +259,23 @@ def infonce_loss(net: SyncNet, meshes: np.ndarray, audios: np.ndarray) -> Tensor
 def train_sync_net(corpus, variant: int, config: SyncConfig | None = None,
                    log=None):
     """InfoNCE training of the selected variant on the corpus train split."""
-    cfg = config if config is not None else SyncConfig()
-    cfg.variant = variant
+    cfg = replace(config if config is not None else SyncConfig(),
+                  variant=variant)
     records = corpus.split("train")
     if len(records) < cfg.clips_per_batch:
         raise ValueError("batch larger than corpus")
     rng = np.random.default_rng(cfg.seed)
     net = SyncNet(cfg, rng)
-    params = net.parameters()
     steps_per_epoch = max(1, len(records) // cfg.clips_per_batch)
-    history = []
-    for epoch in range(cfg.epochs):
-        total = 0.0
+
+    def batches():
         for _ in range(steps_per_epoch):
-            meshes, audios = infonce_batch(corpus, records, cfg, rng)
-            net.zero_grad()
-            loss = infonce_loss(net, meshes, audios)
-            loss.backward()
-            adam_step(params.values(), cfg.lr)
-            total += float(loss.data)
-        row = {"epoch": epoch, "loss": total / steps_per_epoch}
-        history.append(row)
-        if log is not None:
-            log(row)
+            yield infonce_batch(corpus, records, cfg, rng)
+
+    def step(batch):
+        return {"loss": infonce_loss(net, *batch)}
+
+    history = fit(net.parameters(), cfg.epochs, cfg.lr, batches, step, log)
     return net, history
 
 
@@ -321,7 +306,7 @@ class StyleConfig:
     epochs: int = 10
     batch: int = 32
     seed: int = 0
-    num_classes: int = 0  # filled in by training
+    num_classes: int = 0  # set on the trained net's copy of the config
 
 
 class StyleNet(Module):
@@ -343,7 +328,7 @@ class StyleNet(Module):
         self.class_weights = Parameter(rng.normal(0.0, 0.1, (n, c.emb_dim)))
 
     def embed_tape(self, x: Tensor) -> Tensor:
-        return _conv_stack(x, self.convs).mean(axis=1)
+        return conv_stack(x, self.convs).mean(axis=1)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Embedding of one (T, 3V) motion sequence."""
@@ -380,35 +365,29 @@ class StyleNet(Module):
 
 def train_style_net(corpus, config: StyleConfig | None = None, log=None):
     """Angular-margin training over the train-split speakers."""
-    cfg = config if config is not None else StyleConfig()
     records = corpus.split("train")
     speakers = sorted({r.speaker_id for r in records})
     if len(speakers) < 2:
         raise ValueError("style training needs at least 2 speakers")
-    cfg.num_classes = len(speakers)
+    cfg = replace(config if config is not None else StyleConfig(),
+                  num_classes=len(speakers))
     class_of = {sid: i for i, sid in enumerate(speakers)}
     rng = np.random.default_rng(cfg.seed)
     net = StyleNet(cfg, rng)
-    params = net.parameters()
-    history = []
-    for epoch in range(cfg.epochs):
+
+    def batches():
         order = rng.permutation(len(records))
-        total, n_batches = 0.0, 0
         for start in range(0, len(records), cfg.batch):
             batch = [records[i] for i in order[start:start + cfg.batch]]
-            x = np.stack([r.motion for r in batch])
-            labels = np.array([class_of[r.speaker_id] for r in batch])
-            net.zero_grad()
-            emb = net.embed_tape(Tensor(x))
-            loss = cross_entropy(net.margin_logits(emb, labels), labels)
-            loss.backward()
-            adam_step(params.values(), cfg.lr)
-            total += float(loss.data)
-            n_batches += 1
-        row = {"epoch": epoch, "loss": total / n_batches}
-        history.append(row)
-        if log is not None:
-            log(row)
+            yield (np.stack([r.motion for r in batch]),
+                   np.array([class_of[r.speaker_id] for r in batch]))
+
+    def step(batch):
+        x, labels = batch
+        emb = net.embed_tape(Tensor(x))
+        return {"loss": cross_entropy(net.margin_logits(emb, labels), labels)}
+
+    history = fit(net.parameters(), cfg.epochs, cfg.lr, batches, step, log)
     return net, speakers, history
 
 

@@ -1,15 +1,15 @@
-"""Layers, parameters, and the Adam optimizer.
+"""Layers, parameters, the Adam optimizer and the shared training loop.
 
-Layer hyperparameters are plain data (see ``Layer.spec``) so checkpoints can
-describe their own architecture. All layers operate on batched sequences of
-shape (B, T, C); Dense also accepts (N, C).
+Each layer reports its hyperparameters as plain data through ``spec``;
+checkpoints store the model's config dict instead. All layers operate on
+batched sequences of shape (B, T, C); Dense also accepts (N, C).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, pad_axis, softmax
+from .tensor import ShapeError, Tensor, pad_axis, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -213,26 +213,56 @@ class TransformerBlock(Module):
         return x + self.ff2(self.ff1(x).leaky_relu(0.1))
 
 
-def build_layer(spec: dict, rng: np.random.Generator):
-    """Construct a layer from its data description."""
-    kind = spec["kind"]
-    if kind == "dense":
-        return Dense(spec["in_dim"], spec["out_dim"], rng, bias=spec.get("bias", True))
-    if kind == "conv1d":
-        return Conv1d(spec["in_dim"], spec["out_dim"], spec["kernel"], rng,
-                      dilation=spec.get("dilation", 1), mode=spec.get("mode", "causal"),
-                      bias=spec.get("bias", True))
-    if kind == "attention":
-        return SelfAttention(spec["width"], spec["heads"], rng,
-                             causal=spec.get("causal", True))
-    raise ValueError(f"unknown layer kind {kind!r}")
+def conv_stack(x: Tensor, convs) -> Tensor:
+    """Apply ``convs`` in order with a leaky ReLU between consecutive layers."""
+    for i, conv in enumerate(convs):
+        if i:
+            x = x.leaky_relu(0.1)
+        x = conv(x)
+    return x
 
 
-def forward_layer(layer, x) -> Tensor:
-    """Apply a layer to an input array or Tensor."""
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    return layer(x)
+def fit(params, epochs: int, lr: float, batches, step, log=None,
+        end_epoch=None) -> list:
+    """The epoch/batch/Adam loop shared by every trainer.
+
+    ``params`` maps names to the Parameters to train. ``batches()`` yields
+    the batches of one epoch and ``step(batch)`` returns the batch's named
+    loss parts (Tensors), ``"loss"`` first; ``"loss"`` is minimized.
+    ``end_epoch(epoch)`` runs after the epoch's last step. Each history row
+    is ``{"epoch", *parts}`` with parts averaged over batches. A non-finite
+    loss restores the parameters from the start of the epoch and raises
+    ``DivergenceError``.
+    """
+    params = list(params.values())
+    history = []
+    for epoch in range(epochs):
+        snapshot = [p.data.copy() for p in params]
+        totals, n_batches = {}, 0
+        for batch in batches():
+            for p in params:
+                p.zero_grad()
+            parts = step(batch)
+            loss = parts["loss"]
+            if not np.isfinite(loss.data):
+                for p, data in zip(params, snapshot):
+                    p.data = data
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}; rolled back")
+            loss.backward()
+            # bind no loop variable to a part: it would keep this batch's
+            # graph and gradients alive through the next backward
+            for k in parts:
+                totals[k] = totals.get(k, 0.0) + float(parts[k].data)
+            adam_step(params, lr)
+            n_batches += 1
+        if end_epoch is not None:
+            end_epoch(epoch)
+        row = {"epoch": epoch, **{k: v / n_batches for k, v in totals.items()}}
+        history.append(row)
+        if log is not None:
+            log(row)
+    return history
 
 
 def finite_difference_grad(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

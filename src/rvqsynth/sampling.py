@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .armodel import ARConfig, ARModel, adam_step, prepare_sequences
-from .codec import rvq_quantize_frames
+from .armodel import ARConfig, ARModel, prepare_sequences
+from .codec import rvq_quantize_frames, sample_categorical
+from .nn import fit
 from .tensor import Tensor, cross_entropy
 
 STRATEGIES = ("default", "knn", "average", "syncnet-rejection")
@@ -29,7 +30,6 @@ class SamplingConfig:
     depth_limit: int | None = None
     temperature: float = 1.0
     seed: int = 0
-    keep_best_only: bool = False
 
     def validate(self, depth: int):
         if self.strategy not in STRATEGIES:
@@ -67,29 +67,45 @@ def knn_aggregate(embs: np.ndarray, anchor: np.ndarray, k: int) -> np.ndarray:
     return embs[dist <= radius].mean(axis=0)
 
 
-def syncnet_reject(embs: np.ndarray, scores: np.ndarray, keep_fraction: float,
-                   keep_best_only: bool = False) -> np.ndarray:
+def syncnet_reject(embs: np.ndarray, scores: np.ndarray,
+                   keep_fraction: float) -> np.ndarray:
     """Keep the top fraction of candidates by sync score (original order)."""
     embs = np.asarray(embs, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    if keep_best_only:
-        return embs[int(np.argmax(scores))][None, :]
     m = max(1, int(round(keep_fraction * embs.shape[0])))
     keep = np.argsort(-scores, kind="stable")[:m]
     return embs[np.sort(keep)]
 
 
-def _sample_indices(logits: np.ndarray, temperature: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    if temperature == 0.0:
-        return np.argmin(-logits, axis=-1)  # argmax, lowest index on ties
-    z = logits / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    cdf = np.cumsum(p, axis=-1)
-    u = rng.random(logits.shape[:-1] + (1,))
-    return (u > cdf).sum(axis=-1)
+def _sample_candidates(model: ARModel, h: np.ndarray, style: np.ndarray,
+                       n: int, d_star: int, temperature: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` code rows of ``d_star`` depths from the depth model for
+    each of the R context vectors ``h`` (R, H); returns (R, n, d_star)."""
+    h_rows = np.repeat(h, n, axis=0)  # (R*n, H)
+    rows = np.zeros((h_rows.shape[0], 0), dtype=np.int64)
+    for _ in range(d_star):
+        logits = model.depth_step(h_rows, style, rows)
+        idx = sample_categorical(logits, temperature, rng)
+        rows = np.concatenate([rows, idx[:, None]], axis=1)
+    return rows.reshape(h.shape[0], n, d_star)
+
+
+def _aggregate(cand_embs: np.ndarray, config: SamplingConfig,
+               codebook: np.ndarray, d_star: int, scores=None):
+    """Aggregate each of R candidate sets (R, N, N_C) with the configured
+    strategy and reproject the results onto the codebook. ``scores`` (R, N)
+    are the sync scores that syncnet-rejection needs."""
+    agg = np.zeros((cand_embs.shape[0], cand_embs.shape[2]))
+    for i, embs in enumerate(cand_embs):
+        if config.strategy == "knn":
+            agg[i] = knn_aggregate(embs, embs[0], config.k)
+        elif config.strategy == "syncnet-rejection":
+            agg[i] = average_aggregate(
+                syncnet_reject(embs, scores[i], config.keep_fraction))
+        else:
+            agg[i] = average_aggregate(embs)
+    return rvq_quantize_frames(agg, codebook, d_star)
 
 
 def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
@@ -118,33 +134,19 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
         h = model.temporal_context(
             Tensor(np.broadcast_to(audio[:t + 1], (S, t + 1, audio.shape[1]))),
             embs_hist, se).data[:, t]  # (S, H)
-        h_rows = np.repeat(h, N, axis=0)  # (S*N, H)
-        rows = np.zeros((S * N, 0), dtype=np.int64)
-        for d in range(d_star):
-            logits = model.depth_step(h_rows, style, rows)
-            idx = _sample_indices(logits, config.temperature, rng)
-            rows = np.concatenate([rows, idx[:, None]], axis=1)
-        cand_rows = rows.reshape(S, N, d_star)
+        cand_rows = _sample_candidates(model, h, style, N, d_star,
+                                       config.temperature, rng)
         cand_embs = model.frame_embedding(cand_rows)  # (S, N, NC)
         if config.strategy == "default":
             grids[:, t] = cand_rows[:, 0]
             committed[:, t] = cand_embs[:, 0]
             continue
-        agg = np.zeros((S, NC))
-        for i in range(S):
-            if config.strategy == "average":
-                agg[i] = average_aggregate(cand_embs[i])
-            elif config.strategy == "knn":
-                agg[i] = knn_aggregate(cand_embs[i], cand_embs[i, 0], config.k)
-            else:
-                scores = _candidate_sync_scores(
-                    model, codec, sync_model, y, grids[i], cand_rows[i],
-                    t, d_star, R)
-                survivors = syncnet_reject(cand_embs[i], scores,
-                                           config.keep_fraction,
-                                           config.keep_best_only)
-                agg[i] = average_aggregate(survivors)
-        res = rvq_quantize_frames(agg, codec.codebook.data, d_star)
+        scores = None
+        if config.strategy == "syncnet-rejection":
+            scores = np.stack([_candidate_sync_scores(
+                model, codec, sync_model, y, grids[i], cand_rows[i],
+                t, d_star, R) for i in range(S)])
+        res = _aggregate(cand_embs, config, codec.codebook.data, d_star, scores)
         grids[:, t] = res.grid
         committed[:, t] = res.quantized
     motions = np.stack([codec.decode(grids[i]) for i in range(S)])
@@ -180,35 +182,23 @@ def relabel_grids(teacher: ARModel, codec, prepared,
 
     Temporal context is computed teacher-forced on the ground-truth grid;
     depth-model candidates are sampled without teacher forcing, aggregated,
-    and reprojected to the codebook.
+    and reprojected to the codebook. There is no sync model here, so
+    syncnet-rejection is refused.
     """
-    from .tensor import Tensor
     d_star = config.validate(teacher.config.depth)
-    N = config.n
-    NC = teacher.config.code_dim
+    if config.strategy == "syncnet-rejection":
+        raise ValueError("distillation does not support syncnet-rejection")
     relabeled = []
     for p in prepared:
-        T = p.grid.shape[0]
         audio, style = teacher.context_features(p.audio, p.style)
         frame_embs = teacher.frame_embedding(p.grid)
         se = None if teacher.config.style_mode == "depth" else Tensor(style[None])
         h_av = teacher.temporal_context(Tensor(audio[None]), frame_embs[None],
                                         se).data[0]  # (T, H)
-        h_rows = np.repeat(h_av, N, axis=0)  # (T*N, H)
-        rows = np.zeros((T * N, 0), dtype=np.int64)
-        for d in range(d_star):
-            logits = teacher.depth_step(h_rows, style, rows)
-            idx = _sample_indices(logits, config.temperature, rng)
-            rows = np.concatenate([rows, idx[:, None]], axis=1)
-        cand_rows = rows.reshape(T, N, d_star)
-        cand_embs = teacher.frame_embedding(cand_rows)
-        agg = np.zeros((T, NC))
-        for t in range(T):
-            if config.strategy == "knn":
-                agg[t] = knn_aggregate(cand_embs[t], cand_embs[t, 0], config.k)
-            else:
-                agg[t] = average_aggregate(cand_embs[t])
-        res = rvq_quantize_frames(agg, codec.codebook.data, d_star)
+        cand_rows = _sample_candidates(teacher, h_av, style, config.n, d_star,
+                                       config.temperature, rng)
+        res = _aggregate(teacher.frame_embedding(cand_rows), config,
+                         codec.codebook.data, d_star)
         relabeled.append(res.grid)
     return relabeled
 
@@ -232,31 +222,25 @@ def distill(teacher: ARModel, codec, corpus, sampling_config: SamplingConfig,
     records = corpus.split("train")
     prepared = prepare_sequences(codec, corpus, records, rng)
     targets = relabel_grids(teacher, codec, prepared, sampling_config, rng)
-    params = student.trainable_parameters()
-    history = []
     C = cfg.codebook_size
+
+    def batches():
+        order = rng.permutation(len(prepared))
+        for start in range(0, len(prepared), cfg.batch):
+            yield order[start:start + cfg.batch]
+
+    def step(take):
+        y = np.stack([prepared[i].audio for i in take])
+        s = np.stack([prepared[i].style for i in take])
+        gt = np.stack([prepared[i].grid for i in take])
+        tgt = np.stack([targets[i] for i in take])
+        logits = student.forward_logits(y, s, tgt, temporal_grids=gt)
+        return {"loss": cross_entropy(logits.reshape(-1, C), tgt.reshape(-1))}
+
     if checkpoint_hook is not None:
         checkpoint_hook(0, student)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(prepared))
-        total, n_batches = 0.0, 0
-        for start in range(0, len(prepared), cfg.batch):
-            take = order[start:start + cfg.batch]
-            y = np.stack([prepared[i].audio for i in take])
-            s = np.stack([prepared[i].style for i in take])
-            gt = np.stack([prepared[i].grid for i in take])
-            tgt = np.stack([targets[i] for i in take])
-            student.zero_grad()
-            logits = student.forward_logits(y, s, tgt, temporal_grids=gt)
-            loss = cross_entropy(logits.reshape(-1, C), tgt.reshape(-1))
-            loss.backward()
-            adam_step(params.values(), cfg.lr)
-            total += float(loss.data)
-            n_batches += 1
-        row = {"epoch": epoch, "loss": total / n_batches}
-        history.append(row)
-        if log is not None:
-            log(row)
-        if checkpoint_hook is not None:
-            checkpoint_hook(epoch + 1, student)
+    history = fit(student.trainable_parameters(), cfg.epochs, cfg.lr,
+                  batches, step, log,
+                  end_epoch=None if checkpoint_hook is None
+                  else lambda epoch: checkpoint_hook(epoch + 1, student))
     return student, history

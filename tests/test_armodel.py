@@ -27,6 +27,13 @@ def random_inputs(config, T, seed=1):
     return y, s
 
 
+def test_config_rejects_unknown_temporal_and_style_mode():
+    with pytest.raises(ValueError, match="temporal"):
+        ARConfig(temporal="bogus")
+    with pytest.raises(ValueError, match="style mode"):
+        ARConfig(style_mode="bogus")
+
+
 def test_codebook_shape_validated():
     with pytest.raises(ShapeError):
         ARModel(TINY_AR, np.zeros((5, 9)))

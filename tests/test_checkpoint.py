@@ -61,6 +61,26 @@ def test_container_unsupported_version(tmp_path):
         load_container(path)
 
 
+def _with_header(path, header: bytes):
+    """Rewrite a checkpoint's JSON header, keeping the rest of the layout."""
+    path.write_bytes(b"RVQC" + (1).to_bytes(4, "little")
+                     + len(header).to_bytes(8, "little") + header)
+
+
+def test_container_malformed_header_json(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _with_header(path, b'{"arch": ')
+    with pytest.raises(ContainerError):
+        load_container(path)
+
+
+def test_container_header_without_tensors(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _with_header(path, b'{"arch": {}, "seed": 0, "extra": {}, "steps": {}}')
+    with pytest.raises(ContainerError, match="tensors"):
+        load_container(path)
+
+
 def test_restore_rejects_missing_and_mismatched(tmp_path):
     path = tmp_path / "model.ckpt"
     save_container(path, {"model": "demo"}, make_params(), seed=0)

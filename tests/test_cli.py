@@ -123,6 +123,14 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--out", str(tmp_path / "g"),
                  "--strategy", "bogus"]) == EXIT_CONFIG
+    # invalid AR config; distillation cannot use sync-score rejection
+    assert main(AR + ["--data", artifacts["corpus"],
+                      "--codec", artifacts["codec"], "--style-mode", "bogus",
+                      "--out", str(tmp_path / "a.ckpt")]) == EXIT_CONFIG
+    assert main(["distill", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--strategy", "syncnet-rejection", "--n", "4",
+                 "--out", str(tmp_path / "s.ckpt")]) == EXIT_CONFIG
     # rejection sampling without a sync checkpoint is a missing artifact
     assert main(["generate", "--data", artifacts["corpus"],
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
@@ -135,6 +143,13 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path):
                          "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
     assert main(AR + ["--data", artifacts["corpus"],
                       "--codec", str(tmp_path / "missing.ckpt"),
+                      "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
+    # a checkpoint whose JSON header is cut short
+    bad = tmp_path / "bad.ckpt"
+    header = b'{"arch": '
+    bad.write_bytes(b"RVQC" + (1).to_bytes(4, "little")
+                    + len(header).to_bytes(8, "little") + header)
+    assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
                       "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
 
 

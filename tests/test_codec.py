@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqsynth.codec import (Codec, CodecConfig, read_grid, reconstruction_mse,
-                            rvq_quantize, rvq_quantize_frames, train_codec,
-                            write_grid)
-from rvqsynth.data import CorpusConfig, generate_corpus
+                            rvq_quantize_frames, train_codec, write_grid)
+from rvqsynth.data import TruncatedPayloadError
 from rvqsynth.nn import DivergenceError
 from rvqsynth.tensor import ShapeError
 
@@ -33,16 +32,18 @@ def test_quantizer_matches_exhaustive_search():
         E = int(rng.integers(1, 8))
         D = int(rng.integers(1, 5))
         codebook = rng.normal(0.0, 1.0, (C, E))
-        z = rng.normal(0.0, 1.0, E)
-        idx, quantized, _ = rvq_quantize(z, codebook, D)
-        np.testing.assert_array_equal(idx, exhaustive_quantize(z, codebook, D))
-        np.testing.assert_allclose(quantized, codebook[idx].sum(axis=0),
-                                   atol=1e-12)
+        z = rng.normal(0.0, 1.0, (3, E))
+        res = rvq_quantize_frames(z, codebook, D)
+        for t in range(3):
+            np.testing.assert_array_equal(
+                res.grid[t], exhaustive_quantize(z[t], codebook, D))
+        np.testing.assert_allclose(res.quantized,
+                                   codebook[res.grid].sum(axis=1), atol=1e-12)
 
 
 def test_quantizer_tie_breaks_to_lowest_index():
     codebook = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    idx, _, _ = rvq_quantize(np.array([1.0, 0.0]), codebook, 2)
+    idx = rvq_quantize_frames(np.array([[1.0, 0.0]]), codebook, 2).grid[0]
     assert idx[0] == 0
     # after subtracting code 0 the residual is 0; codes 2 and the residual tie
     assert idx[1] == 2
@@ -157,3 +158,11 @@ def test_grid_file_roundtrip(tmp_path):
     back, csize = read_grid(path)
     np.testing.assert_array_equal(back, grid)
     assert csize == 8
+
+
+def test_grid_file_shorter_than_header_is_truncated(tmp_path):
+    path = tmp_path / "grid.rvqj"
+    write_grid(np.zeros((2, 3), dtype=np.int64), 8, path)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(TruncatedPayloadError):
+        read_grid(path)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,16 @@ def sync_cfg(variant):
 def test_sync_training_reduces_loss(tiny_corpus, variant):
     net, history = train_sync_net(tiny_corpus, variant, sync_cfg(variant))
     assert history[-1]["loss"] < history[0]["loss"]
+
+
+def test_trainers_leave_caller_config_unchanged(tiny_corpus):
+    sync = sync_cfg(2)
+    net, _ = train_sync_net(tiny_corpus, 1, sync)
+    assert sync == sync_cfg(2) and net.config.variant == 1
+    style = replace(style_cfg(), epochs=1)
+    net, speakers, _ = train_style_net(tiny_corpus, style)
+    assert style == replace(style_cfg(), epochs=1)
+    assert net.config.num_classes == len(speakers)
 
 
 def test_sync_variant2_score_is_cosine(tiny_corpus):

@@ -3,7 +3,7 @@ import pytest
 
 from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
-                         build_layer, finite_difference_grad, forward_layer)
+                         conv_stack, finite_difference_grad, fit)
 from rvqsynth.tensor import ShapeError, Tensor
 
 
@@ -119,24 +119,55 @@ def test_adam_aborts_on_nonfinite_grad_without_update():
     assert q.adam_step == 0
 
 
-def test_build_layer_roundtrip_specs():
-    layers = [Dense(3, 4, rng()),
-              Conv1d(3, 4, 3, rng(), dilation=2, mode="same"),
-              SelfAttention(8, 2, rng(), causal=False)]
-    for layer in layers:
-        rebuilt = build_layer(layer.spec, rng())
-        assert rebuilt.spec == layer.spec
+def test_conv_stack_puts_leaky_relu_between_layers():
+    convs = [Conv1d(2, 3, 1, rng(), mode="same"),
+             Conv1d(3, 2, 3, rng(), mode="causal")]
+    x = Tensor(rng().normal(0.0, 1.0, (1, 5, 2)))
+    want = convs[1](convs[0](x).leaky_relu(0.1)).data
+    np.testing.assert_array_equal(conv_stack(x, convs).data, want)
 
 
-def test_build_layer_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        build_layer({"kind": "pooling"}, rng())
+def quadratic_fit(**kwargs):
+    """Two epochs of two batches fitting p toward 0 on sum(p**2)."""
+    p = Parameter(np.array([1.0, -2.0]))
+
+    def step(batch):
+        loss = (p * p).sum()
+        return {"loss": loss, "half": loss * 0.5}
+
+    return fit({"p": p}, 2, 0.1, lambda: iter(range(2)), step, **kwargs)
 
 
-def test_forward_layer_accepts_arrays():
-    layer = Dense(2, 2, rng())
-    out = forward_layer(layer, np.ones((3, 2)))
-    assert isinstance(out, Tensor)
+def test_fit_rows_hold_epoch_then_parts_in_step_order():
+    history = quadratic_fit()
+    assert [list(row) for row in history] == [["epoch", "loss", "half"]] * 2
+    assert [row["epoch"] for row in history] == [0, 1]
+    for row in history:
+        assert row["half"] == pytest.approx(0.5 * row["loss"])
+    assert history[1]["loss"] < history[0]["loss"]
+
+
+def test_fit_end_epoch_runs_before_row_is_logged():
+    events = []
+    quadratic_fit(end_epoch=lambda e: events.append(("end", e)),
+                  log=lambda row: events.append(("log", row["epoch"])))
+    assert events == [("end", 0), ("log", 0), ("end", 1), ("log", 1)]
+
+
+def test_fit_nonfinite_loss_restores_epoch_start_and_raises():
+    p = Parameter(np.array([1.0, -2.0]))
+    losses = iter([1.0, 1.0, 1.0, float("nan")])
+    at_end, logged = {}, []
+
+    def step(batch):
+        return {"loss": (p * p).sum() * next(losses)}
+
+    with pytest.raises(DivergenceError):
+        fit({"p": p}, 2, 0.1, lambda: iter(range(2)), step, log=logged.append,
+            end_epoch=lambda epoch: at_end.setdefault(epoch, p.data.copy()))
+    assert [row["epoch"] for row in logged] == [0]
+    # epoch 1 took one finite step before the NaN; it is rolled back
+    np.testing.assert_array_equal(p.data, at_end[0])
 
 
 def test_finite_difference_matches_analytic():

@@ -64,7 +64,7 @@ def test_reject_keeps_top_scores_in_original_order():
     scores = np.array([0.1, 0.9, 0.5, 0.7])
     kept = syncnet_reject(embs, scores, keep_fraction=0.5)
     np.testing.assert_array_equal(kept, embs[[1, 3]])
-    best = syncnet_reject(embs, scores, 0.5, keep_best_only=True)
+    best = syncnet_reject(embs, scores, keep_fraction=0.1)
     np.testing.assert_array_equal(best, embs[[1]])
 
 
@@ -160,6 +160,13 @@ def test_distill_trains_student_with_checkpoints(stack, tiny_corpus):
     assert seen == list(range(TINY_AR.epochs + 1))
     assert len(history) == TINY_AR.epochs
     np.testing.assert_array_equal(student.codebook.data, model.codebook.data)
+
+
+def test_distill_rejects_syncnet_rejection(stack, tiny_corpus):
+    codec, model, _ = stack
+    with pytest.raises(ValueError, match="syncnet-rejection"):
+        distill(model, codec, tiny_corpus,
+                SamplingConfig(strategy="syncnet-rejection", n=4))
 
 
 def test_distill_rejects_codebook_mismatch(stack, tiny_corpus):
