@@ -18,7 +18,8 @@ from . import checkpoint
 from .codec import rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, Module, Parameter, TransformerBlock, conv_stack,
                  fit)
-from .tensor import ShapeError, Tensor, concat, cross_entropy, log_softmax
+from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
+                     log_softmax)
 
 
 @dataclass
@@ -135,7 +136,7 @@ class ARModel(Module):
         model reads it shifted by one so h_av[t] sees only rows < t."""
         B, T, H = audio_feats.shape
         code_in = self.code_proj(Tensor(frame_embs))
-        start = self.start_token.reshape(1, 1, H) + Tensor(np.zeros((B, 1, H)))
+        start = broadcast_to(self.start_token.reshape(1, 1, H), (B, 1, H))
         shifted = concat([start, code_in[:, :-1, :]], axis=1) if T > 1 else start
         h = audio_feats + shifted
         if self.config.style_mode == "temporal" and style_emb is not None:
@@ -144,7 +145,10 @@ class ARModel(Module):
             for conv in self.temporal_convs:
                 h = h + conv(h).leaky_relu(0.1)
         else:
-            h = h + self.temporal_pos[np.arange(T)]
+            if T > self.config.max_frames:
+                raise ShapeError(f"{T} frames exceed the transformer temporal "
+                                 f"model's max_frames={self.config.max_frames}")
+            h = h + self.temporal_pos[:T]
             for block in self.temporal_blocks:
                 h = block(h)
         return h
@@ -169,11 +173,10 @@ class ARModel(Module):
         prefix = np.cumsum(codes, axis=2)[:, :, :D - 1, :] if D > 1 else None
         if self.config.style_mode == "depth" and style_emb is not None:
             style_tok = self.style_proj(style_emb)           # (B, H)
-            style_flat = (style_tok.reshape(B, 1, H)
-                          + Tensor(np.zeros((B, T, H)))).reshape(B * T, H)
+            style_flat = broadcast_to(style_tok.reshape(B, 1, H),
+                                      (B, T, H)).reshape(B * T, H)
         else:
-            style_flat = (self.style_const.reshape(1, H)
-                          + Tensor(np.zeros((B * T, H))))
+            style_flat = broadcast_to(self.style_const.reshape(1, H), (B * T, H))
         h_flat = h_av.reshape(B * T, H)
         pref_flat = prefix.reshape(B * T, D - 1, -1) if D > 1 else None
         v = self._depth_tokens(h_flat, style_flat, pref_flat)

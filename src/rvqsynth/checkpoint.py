@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -48,6 +49,11 @@ def save_container(path, arch: dict, params: dict, seed: int, extra: dict | None
             f.write(blob)
 
 
+def _is_shape(shape) -> bool:
+    return isinstance(shape, list) and all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape)
+
+
 def load_container(path):
     """Read a checkpoint; returns (arch, arrays, steps, seed, extra)."""
     raw = Path(path).read_bytes()
@@ -69,9 +75,16 @@ def load_container(path):
         raise ContainerError(f"header in {path} lacks {', '.join(missing)}")
     arrays = {}
     offset = 16 + hlen
-    for entry in header["tensors"]:
-        n = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        end = offset + 8 * n
+    tensors = header["tensors"]
+    if not isinstance(tensors, list):
+        raise ContainerError(f"header in {path} has no tensor list")
+    for entry in tensors:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _is_shape(entry.get("shape"))):
+            raise ContainerError(
+                f"tensor entry {entry!r} in {path} needs a name and a shape "
+                f"of non-negative ints")
+        end = offset + 8 * math.prod(entry["shape"])
         if end > len(raw):
             raise ContainerError(f"truncated payload in {path}")
         arrays[entry["name"]] = np.frombuffer(
@@ -83,8 +96,9 @@ def load_container(path):
 def restore_params(params: dict, arrays: dict, steps: dict):
     """Load saved arrays into an existing parameter dict (shapes must match)."""
     for name, p in params.items():
-        if name not in arrays:
-            raise ContainerError(f"checkpoint missing parameter {name!r}")
+        for key in (name, name + ".adam_m", name + ".adam_v"):
+            if key not in arrays:
+                raise ContainerError(f"checkpoint missing tensor {key!r}")
         if arrays[name].shape != p.data.shape:
             raise ContainerError(
                 f"shape mismatch for {name!r}: "

@@ -279,7 +279,7 @@ def write_grid(grid: np.ndarray, codebook_size: int, path):
 
 
 def read_grid(path):
-    from .data import BadMagicError, TruncatedPayloadError
+    from .data import BadMagicError, SequenceFormatError, TruncatedPayloadError
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != GRID_MAGIC:
         raise BadMagicError(f"bad magic in {path}")
@@ -290,4 +290,8 @@ def read_grid(path):
     if len(raw) < end:
         raise TruncatedPayloadError(f"truncated payload in {path}")
     grid = np.frombuffer(raw[16:end], dtype="<u2").astype(np.int64).reshape(T, D)
+    if grid.size and grid.max() >= csize:
+        raise SequenceFormatError(
+            f"code index {grid.max()} in {path} is not below the codebook "
+            f"size {csize}")
     return grid, csize

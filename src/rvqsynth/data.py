@@ -335,6 +335,8 @@ def read_audio(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != AUDIO_MAGIC:
         raise BadMagicError(f"bad magic in {path}")
+    if len(raw) < 16:
+        raise TruncatedPayloadError(f"truncated header in {path}")
     version, T, dim = struct.unpack("<III", raw[4:16])
     if version != SEQ_VERSION:
         raise FormatVersionError(f"unsupported audio version {version}")

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint
-from .nn import Conv1d, Dense, Module, Parameter, conv_stack, fit
-from .tensor import ShapeError, Tensor, concat, cross_entropy
+from .nn import Conv1d, Dense, Module, Parameter, conv1d, conv_stack, fit
+from .tensor import ShapeError, Tensor, cross_entropy
 
 
 # -- lip vertex errors ---------------------------------------------------------
@@ -181,28 +181,36 @@ class SyncNet(Module):
         emb = self.mesh_embedding(Tensor(self._fit_window(x)[None]))
         return _normalize_rows(emb).data[0]
 
+    def _fused_scores(self, mesh_f: Tensor, audio_f: Tensor,
+                      pairwise: bool) -> Tensor:
+        """Variant-1 scores. ``fuse_conv`` is linear in the concatenated
+        (mesh, audio) channels, so each half is convolved once and the
+        halves are added: aligned pairs (B,) or all pairs (B, B)."""
+        B, W, E = mesh_f.shape
+        conv = self.fuse_conv
+        m = conv1d(mesh_f, conv.weight[:, :E], None, conv.dilation, conv.mode)
+        a = conv1d(audio_f, conv.weight[:, E:], conv.bias, conv.dilation,
+                   conv.mode)
+        if pairwise:
+            m, a = m.reshape(B, 1, W, -1), a.reshape(1, B, W, -1)
+        h = (m + a).leaky_relu(0.1).mean(axis=-2)
+        return self.score_head(h).reshape(h.shape[:-1])
+
     def score_pairs(self, mesh_f: Tensor, audio_f: Tensor) -> Tensor:
         """Aligned scores for (B, W, E) frame features, shape (B,)."""
         if self.config.variant == 1:
-            fused = concat([mesh_f, audio_f], axis=2)
-            h = self.fuse_conv(fused).leaky_relu(0.1).mean(axis=1)
-            return self.score_head(h).reshape(mesh_f.shape[0])
+            return self._fused_scores(mesh_f, audio_f, pairwise=False)
         m = _normalize_rows(self._window_embed(mesh_f, self.mesh_proj))
         a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
         return (m * a).sum(axis=-1)
 
     def score_matrix(self, mesh_f: Tensor, audio_f: Tensor) -> Tensor:
         """All-pairs scores, shape (B, B)."""
-        B, W, E = mesh_f.shape
-        if self.config.variant == 2:
-            m = _normalize_rows(self._window_embed(mesh_f, self.mesh_proj))
-            a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
-            return m @ a.swapaxes(0, 1)
-        mrep = (mesh_f.reshape(B, 1, W, E)
-                + Tensor(np.zeros((B, B, W, E)))).reshape(B * B, W, E)
-        arep = (audio_f.reshape(1, B, W, E)
-                + Tensor(np.zeros((B, B, W, E)))).reshape(B * B, W, E)
-        return self.score_pairs(mrep, arep).reshape(B, B)
+        if self.config.variant == 1:
+            return self._fused_scores(mesh_f, audio_f, pairwise=True)
+        m = _normalize_rows(self._window_embed(mesh_f, self.mesh_proj))
+        a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
+        return m @ a.swapaxes(0, 1)
 
     def score(self, x: np.ndarray, y: np.ndarray) -> float:
         """Synchronization score of one (motion, audio) pair."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, pad_axis, softmax
+from .tensor import ShapeError, Tensor, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -141,22 +141,55 @@ class Conv1d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"conv1d expects last dim {self.in_dim}, got {x.shape}")
-        T = x.shape[-2]
-        k, d = self.kernel, self.dilation
-        if self.mode == "causal":
-            before, after = (k - 1) * d, 0
-        else:
-            before = after = (k - 1) // 2 * d
-        padded = pad_axis(x, x.ndim - 2, before, after)
-        out = None
-        for tap in range(k):
-            idx = [slice(None)] * x.ndim
-            idx[-2] = slice(tap * d, tap * d + T)
-            term = padded[tuple(idx)] @ self.weight[tap]
-            out = term if out is None else out + term
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return conv1d(x, self.weight, self.bias, self.dilation, self.mode)
+
+
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+           dilation: int = 1, mode: str = "causal") -> Tensor:
+    """Convolve axis -2 of ``x`` (..., T, C) with ``weight`` (k, C, O); one
+    tape node.
+
+    The forward sums the per-tap matmuls in tap order and adds the bias
+    last. The backward lowers the taps to im2col columns (N*T, k*C): the
+    weight gradient is one GEMM over them, the input gradient one GEMM
+    followed by k slice-adds.
+    """
+    k, C, O = weight.shape
+    T = x.shape[-2]
+    d = dilation
+    if mode == "causal":
+        before, after = (k - 1) * d, 0
+    else:
+        before = after = (k - 1) // 2 * d
+    widths = [(0, 0)] * x.ndim
+    widths[-2] = (before, after)
+    padded = np.pad(x.data, widths)
+    taps = [padded[..., tap * d:tap * d + T, :] for tap in range(k)]
+    out = taps[0] @ weight.data[0]
+    for tap in range(1, k):
+        out = out + taps[tap] @ weight.data[tap]
+    if bias is not None:
+        out = out + bias.data
+
+    def backward(g):
+        g2 = g.reshape(-1, O)
+        if weight.requires_grad:
+            cols = np.empty(x.shape[:-1] + (k * C,))
+            for tap in range(k):
+                cols[..., tap * C:(tap + 1) * C] = taps[tap]
+            weight._accumulate((cols.reshape(-1, k * C).T @ g2).reshape(k, C, O))
+        if bias is not None:
+            bias._accumulate(g2.sum(axis=0))
+        if x.requires_grad:
+            gcols = (g2 @ weight.data.reshape(k * C, O).T).reshape(
+                x.shape[:-1] + (k * C,))
+            gpad = np.zeros(padded.shape)
+            for tap in range(k):
+                gpad[..., tap * d:tap * d + T, :] += gcols[..., tap * C:(tap + 1) * C]
+            x._accumulate(gpad[..., before:before + T, :])
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out, parents, backward)
 
 
 class SelfAttention(Module):

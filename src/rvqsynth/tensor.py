@@ -173,10 +173,18 @@ class Tensor:
                 gb = np.tensordot(g, a.data, axes=(range(g.ndim), range(g.ndim)))
                 b._accumulate(gb)
                 return
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            if a.requires_grad:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                a._accumulate(_unbroadcast(ga, a.data.shape))
+            if not b.requires_grad:
+                return
+            if b.data.ndim == 2 and a.data.ndim > 2:
+                # one GEMM over the folded leading axes, not one per batch
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                                  b.data.shape)
+            b._accumulate(gb)
 
         return Tensor._make(out, (a, b), backward)
 
@@ -265,10 +273,18 @@ class Tensor:
     def __getitem__(self, key):
         a = self
         out = a.data[key]
+        # basic indices select each element at most once, so the gradient
+        # can be assigned; advanced indices may repeat and need np.add.at
+        basic = all(k is None or k is Ellipsis or isinstance(k, (slice, np.integer))
+                    or (isinstance(k, int) and not isinstance(k, bool))
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             a._accumulate(full)
 
         return Tensor._make(np.array(out), (a,), backward)
@@ -292,19 +308,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(out, tensors, backward)
 
 
-def pad_axis(t: Tensor, axis: int, before: int, after: int) -> Tensor:
-    """Zero-pad along one axis."""
-    if before == 0 and after == 0:
-        return t
-    widths = [(0, 0)] * t.data.ndim
-    widths[axis] = (before, after)
-    out = np.pad(t.data, widths)
-    n = t.data.shape[axis]
+def broadcast_to(t: Tensor, shape) -> Tensor:
+    """Broadcast ``t`` to ``shape``; the gradient is summed back."""
+    out = np.broadcast_to(t.data, shape).copy()
 
     def backward(g):
-        idx = [slice(None)] * g.ndim
-        idx[axis] = slice(before, before + n)
-        t._accumulate(g[tuple(idx)])
+        t._accumulate(_unbroadcast(g, t.data.shape))
 
     return Tensor._make(out, (t,), backward)
 

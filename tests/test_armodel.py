@@ -188,6 +188,19 @@ def test_transformer_temporal_variant_runs():
     assert out.shape == (1, 4, 2, 3)
 
 
+def test_transformer_temporal_variant_rejects_too_many_frames():
+    cfg = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
+                   temporal="transformer", temporal_layers=1, max_frames=5)
+    model = make_model(cfg)
+    y, s = random_inputs(cfg, T=6)
+    grid = np.zeros((6, 2), dtype=np.int64)
+    with pytest.raises(ShapeError, match="max_frames=5"):
+        model.forward_logits(y[None], s[None], grid[None])
+    y, s = random_inputs(cfg, T=5)
+    assert model.forward_logits(y[None], s[None], grid[None, :5]).shape == (1, 5, 2, 3)
+
+
 def test_stochastic_grid_tends_to_argmin_at_low_tau():
     rng = np.random.default_rng(8)
     codebook = rng.normal(0.0, 1.0, (6, 4))

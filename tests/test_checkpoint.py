@@ -81,6 +81,21 @@ def test_container_header_without_tensors(tmp_path):
         load_container(path)
 
 
+@pytest.mark.parametrize("entry", [
+    b'{"shape": [2]}',                      # no name
+    b'{"name": "w"}',                       # no shape
+    b'{"name": "w", "shape": [2, -1]}',     # negative extent
+    b'{"name": "w", "shape": [2.5]}',       # not an int
+    b'{"name": "w", "shape": 3}',           # not a list
+])
+def test_container_malformed_tensor_entry(tmp_path, entry):
+    path = tmp_path / "model.ckpt"
+    _with_header(path, b'{"arch": {}, "seed": 0, "extra": {}, "steps": {}, '
+                       b'"tensors": [' + entry + b']}')
+    with pytest.raises(ContainerError, match="tensor entry"):
+        load_container(path)
+
+
 def test_restore_rejects_missing_and_mismatched(tmp_path):
     path = tmp_path / "model.ckpt"
     save_container(path, {"model": "demo"}, make_params(), seed=0)
@@ -89,6 +104,9 @@ def test_restore_rejects_missing_and_mismatched(tmp_path):
         restore_params({"missing": Parameter(np.zeros(3))}, arrays, steps)
     with pytest.raises(ContainerError):
         restore_params({"w": Parameter(np.zeros((5, 5)))}, arrays, steps)
+    del arrays["w.adam_v"]
+    with pytest.raises(ContainerError, match="adam_v"):
+        restore_params({"w": Parameter(np.zeros((2, 3)))}, arrays, steps)
 
 
 def test_file_checksum_detects_change(tmp_path):

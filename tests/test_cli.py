@@ -6,6 +6,7 @@ deliberately tiny models.
 """
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -131,6 +132,13 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--strategy", "syncnet-rejection", "--n", "4",
                  "--out", str(tmp_path / "s.ckpt")]) == EXIT_CONFIG
+    # a corpus audio file cut inside its header is a malformed sequence file
+    corpus = tmp_path / "cut_corpus"
+    shutil.copytree(artifacts["corpus"], corpus)
+    audio = sorted(corpus.glob("*.rvqa"))[0]
+    audio.write_bytes(audio.read_bytes()[:10])
+    assert main(CODEC + ["--data", str(corpus),
+                         "--out", str(tmp_path / "c.ckpt")]) == EXIT_CONFIG
     # rejection sampling without a sync checkpoint is a missing artifact
     assert main(["generate", "--data", artifacts["corpus"],
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
@@ -147,6 +155,13 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path):
     # a checkpoint whose JSON header is cut short
     bad = tmp_path / "bad.ckpt"
     header = b'{"arch": '
+    bad.write_bytes(b"RVQC" + (1).to_bytes(4, "little")
+                    + len(header).to_bytes(8, "little") + header)
+    assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
+                      "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
+    # a checkpoint whose tensor entry has no shape
+    header = (b'{"arch": {}, "seed": 0, "extra": {}, "steps": {}, '
+              b'"tensors": [{"name": "w"}]}')
     bad.write_bytes(b"RVQC" + (1).to_bytes(4, "little")
                     + len(header).to_bytes(8, "little") + header)
     assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rvqsynth.codec import (Codec, CodecConfig, read_grid, reconstruction_mse,
                             rvq_quantize_frames, train_codec, write_grid)
-from rvqsynth.data import TruncatedPayloadError
+from rvqsynth.data import SequenceFormatError, TruncatedPayloadError
 from rvqsynth.nn import DivergenceError
 from rvqsynth.tensor import ShapeError
 
@@ -165,4 +165,11 @@ def test_grid_file_shorter_than_header_is_truncated(tmp_path):
     write_grid(np.zeros((2, 3), dtype=np.int64), 8, path)
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(TruncatedPayloadError):
+        read_grid(path)
+
+
+def test_grid_file_rejects_index_beyond_codebook(tmp_path):
+    path = tmp_path / "grid.rvqj"
+    write_grid(np.array([[0, 7], [8, 1]], dtype=np.int64), 8, path)
+    with pytest.raises(SequenceFormatError, match="codebook size 8"):
         read_grid(path)

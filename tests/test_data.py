@@ -109,6 +109,14 @@ def test_audio_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(read_audio(path), feats)
 
 
+def test_audio_file_shorter_than_header_is_truncated(tmp_path):
+    path = tmp_path / "clip.rvqa"
+    write_audio(np.zeros((3, 2)), path)
+    path.write_bytes(path.read_bytes()[:10])
+    with pytest.raises(TruncatedPayloadError, match="header"):
+        read_audio(path)
+
+
 def test_sequence_file_error_taxonomy(tmp_path):
     seq = MotionSequence(np.zeros((4, 12)), 4, np.arange(2))
     path = tmp_path / "clip.rvqm"

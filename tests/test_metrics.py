@@ -12,7 +12,7 @@ from rvqsynth.metrics import (StyleConfig, StyleNet, SyncConfig, SyncNet,
                               mean_estimate_error, shift_detection_rate,
                               speaker_centroids, style_rank, style_similarity,
                               train_style_net, train_sync_net)
-from rvqsynth.tensor import ShapeError, Tensor
+from rvqsynth.tensor import ShapeError, Tensor, broadcast_to, concat
 
 
 # -- lip vertex errors -----------------------------------------------------------
@@ -137,6 +137,63 @@ def test_sync_variant2_score_is_cosine(tiny_corpus):
     a = _normalize_rows(net._window_embed(a_f, net.audio_proj)).data[0]
     assert abs(score - float(m @ a)) < 1e-12
     assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
+
+
+def sync1_net():
+    """A variant-1 net whose biases are nonzero, so the bias path is tested."""
+    net = SyncNet(sync_cfg(1))
+    rng = np.random.default_rng(5)
+    for p in (net.fuse_conv.bias, net.score_head.bias):
+        p.data = rng.normal(0.0, 1.0, p.data.shape)
+    return net
+
+
+def replicated_score_matrix(net, mesh_f, audio_f):
+    """All-pairs variant-1 scores by running fuse_conv on all B*B
+    concatenated (mesh, audio) windows."""
+    B, W, E = mesh_f.shape
+    mrep = broadcast_to(mesh_f.reshape(B, 1, W, E), (B, B, W, E))
+    arep = broadcast_to(audio_f.reshape(1, B, W, E), (B, B, W, E))
+    fused = concat([mrep.reshape(B * B, W, E), arep.reshape(B * B, W, E)], axis=2)
+    h = net.fuse_conv(fused).leaky_relu(0.1).mean(axis=1)
+    return net.score_head(h).reshape(B, B)
+
+
+def test_factored_score_matrix_matches_replicated_pairs():
+    net = sync1_net()
+    rng = np.random.default_rng(6)
+    mesh = rng.normal(0.0, 1.0, (5, 8, 6))
+    audio = rng.normal(0.0, 1.0, (5, 8, 6))
+    weights = rng.normal(0.0, 1.0, (5, 5))
+
+    def run(score_matrix):
+        net.zero_grad()
+        m, a = Tensor(mesh, requires_grad=True), Tensor(audio, requires_grad=True)
+        scores = score_matrix(m, a)
+        (scores * Tensor(weights)).sum().backward()
+        grads = {k: p.grad.copy() for k, p in net.parameters().items()}
+        return scores.data, m.grad, a.grad, grads
+
+    new = run(net.score_matrix)
+    ref = run(lambda m, a: replicated_score_matrix(net, m, a))
+    for a, b in zip(new[:3], ref[:3]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    assert new[3].keys() == ref[3].keys()
+    for name in new[3]:
+        np.testing.assert_allclose(new[3][name], ref[3][name],
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_sync_score_is_score_matrix_diagonal(tiny_corpus, variant):
+    net = sync1_net() if variant == 1 else SyncNet(sync_cfg(2))
+    recs = tiny_corpus.records[:4]
+    meshes = np.stack([net._fit_window(r.motion) for r in recs])
+    audios = np.stack([net._fit_window(r.audio) for r in recs])
+    matrix = net.score_matrix(net.mesh_frames(Tensor(meshes)),
+                              net.audio_frames(Tensor(audios))).data
+    scores = [net.score(r.motion, r.audio) for r in recs]
+    np.testing.assert_allclose(np.diag(matrix), scores, rtol=1e-12, atol=1e-12)
 
 
 def test_sync_score_requires_aligned_lengths(tiny_corpus):

@@ -4,7 +4,7 @@ import pytest
 from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
                          conv_stack, finite_difference_grad, fit)
-from rvqsynth.tensor import ShapeError, Tensor
+from rvqsynth.tensor import ShapeError, Tensor, concat
 
 
 def rng():
@@ -58,6 +58,55 @@ def test_conv1d_same_is_centered():
 def test_conv1d_same_rejects_even_kernel():
     with pytest.raises(ValueError):
         Conv1d(1, 1, kernel=2, rng=rng(), mode="same")
+
+
+def per_tap_conv(layer, x: Tensor) -> Tensor:
+    """The conv as a graph of zero-pad concat, per-tap getitem, matmul and add."""
+    B, T, C = x.shape
+    k, d = layer.kernel, layer.dilation
+    before = (k - 1) * d if layer.mode == "causal" else (k - 1) // 2 * d
+    after = 0 if layer.mode == "causal" else before
+    padded = concat([Tensor(np.zeros((B, before, C))), x,
+                     Tensor(np.zeros((B, after, C)))], axis=1)
+    out = None
+    for tap in range(k):
+        term = padded[:, tap * d:tap * d + T, :] @ layer.weight[tap]
+        out = term if out is None else out + term
+    return out + layer.bias
+
+
+CONV_CASES = [(mode, kernel, dilation)
+              for mode, kernels in (("causal", (1, 2, 3)), ("same", (1, 3)))
+              for kernel in kernels for dilation in (1, 2)]
+
+
+@pytest.mark.parametrize("mode,kernel,dilation", CONV_CASES)
+def test_conv1d_matches_per_tap_graph(mode, kernel, dilation):
+    layer = Conv1d(4, 3, kernel, rng(), dilation=dilation, mode=mode)
+    layer.bias.data = rng().normal(0.0, 1.0, 3)
+    x = np.random.default_rng(1).normal(0.0, 1.0, (2, 7, 4))
+    g = np.random.default_rng(2).normal(0.0, 1.0, (2, 7, 3))
+
+    def grads(forward):
+        layer.zero_grad()
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = forward(xt)
+        (out * Tensor(g)).sum().backward()
+        return out.data, xt.grad, layer.weight.grad.copy(), layer.bias.grad.copy()
+
+    new = grads(layer)
+    ref = grads(lambda xt: per_tap_conv(layer, xt))
+    np.testing.assert_array_equal(new[0], ref[0])   # forward keeps its bits
+    for a, b in zip(new[1:], ref[1:]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def loss(_):  # finite differences perturb x and the parameters in place
+        return float((layer(Tensor(x)).data * g).sum())
+
+    for array, grad in ((x, new[1]), (layer.weight.data, new[2]),
+                        (layer.bias.data, new[3])):
+        np.testing.assert_allclose(grad, finite_difference_grad(loss, array),
+                                   rtol=1e-6, atol=1e-6)
 
 
 def test_attention_causal_mask():

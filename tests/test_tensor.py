@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rvqsynth.tensor import (ShapeError, Tensor, concat, cross_entropy,
-                             log_softmax, pad_axis, softmax, straight_through)
+from rvqsynth.tensor import (ShapeError, Tensor, _unbroadcast, broadcast_to,
+                             concat, cross_entropy, log_softmax, softmax,
+                             straight_through)
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -109,7 +110,8 @@ def test_concat_and_pad_grads():
     x = rng.normal(0.0, 1.0, (2, 3))
     y = rng.normal(0.0, 1.0, (2, 2))
     check_grad(lambda t: (concat([t, Tensor(y)], axis=1) ** 2).sum(), x)
-    check_grad(lambda t: (pad_axis(t, 0, 1, 2) * 2.0).sum(), x)
+    check_grad(lambda t: (concat([Tensor(np.zeros((1, 3))), t,
+                                  Tensor(np.zeros((2, 3)))], axis=0) * 2.0).sum(), x)
 
 
 def test_straight_through_passes_grad_to_pre_quant():
@@ -139,6 +141,59 @@ def test_getitem_grad_with_repeated_writes():
     x = Tensor(np.arange(4.0), requires_grad=True)
     (x[1:] + x[:-1]).sum().backward()
     np.testing.assert_array_equal(x.grad, [1.0, 2.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), slice(1, None, 2)),
+    (Ellipsis, 2),
+    (1, None, slice(None, 2)),
+    (np.int64(2),),
+    slice(-2, None),
+])
+def test_getitem_basic_grad_matches_add_at(key):
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(0.0, 1.0, (3, 4, 5)), requires_grad=True)
+    out = x[key]
+    g = rng.normal(0.0, 1.0, out.shape)
+    (out * Tensor(g)).sum().backward()
+    want = np.zeros_like(x.data)
+    np.add.at(want, key, g)
+    np.testing.assert_array_equal(x.grad, want)
+
+
+def test_getitem_advanced_grad_accumulates_repeated_indices():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    x[np.array([0, 2, 0])].sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0, 0.0])
+
+
+def test_broadcast_to_grad():
+    rng = np.random.default_rng(12)
+    w = rng.normal(0.0, 1.0, (2, 3, 4))
+    check_grad(lambda t: (broadcast_to(t, (2, 3, 4)) * Tensor(w)).sum(),
+               rng.normal(0.0, 1.0, (1, 3, 1)))
+    check_grad(lambda t: (broadcast_to(t, (2, 3, 4)) * Tensor(w)).sum(),
+               rng.normal(0.0, 1.0, 4))
+    t = Tensor(np.arange(3.0).reshape(3, 1), requires_grad=True)
+    out = broadcast_to(t, (3, 5))
+    np.testing.assert_array_equal(out.data, np.repeat(t.data, 5, axis=1))
+    out.sum().backward()
+    np.testing.assert_array_equal(t.grad, np.full((3, 1), 5.0))
+
+
+def test_matmul_weight_grad_folds_leading_axes():
+    """(B, T, C) @ (C, O): the weight gradient is one GEMM over B*T rows."""
+    rng = np.random.default_rng(13)
+    x = rng.normal(0.0, 1.0, (3, 5, 4))
+    w = rng.normal(0.0, 1.0, (4, 2))
+    g = rng.normal(0.0, 1.0, (3, 5, 2))
+    wt = Tensor(w.copy(), requires_grad=True)
+    xt = Tensor(x, requires_grad=True)
+    ((xt @ wt) * Tensor(g)).sum().backward()
+    per_batch = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape)
+    np.testing.assert_allclose(wt.grad, per_batch, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(xt.grad, g @ w.T, rtol=1e-12, atol=1e-12)
+    check_grad(lambda t: ((Tensor(x) @ t) * Tensor(g)).sum(), w)
 
 
 def test_determinism_bit_exact():
