@@ -5,6 +5,9 @@ driving-signal features and the depth-summed code embeddings of previous
 frames. Stage two (depth model) is a masked self-attention stack over a
 length D+1 token sequence whose first token is the style embedding, predicting
 one code index per depth. Trained with teacher-forced cross-entropy.
+Inference runs off the tape: ``TemporalStream`` steps the temporal model one
+frame at a time and ``ARModel.depth_step`` one depth at a time over a K/V
+cache.
 """
 
 from __future__ import annotations
@@ -207,46 +210,42 @@ class ARModel(Module):
         style = self.encode_style(Tensor(s[None])).data[0]
         return audio, style
 
-    def h_av_at(self, audio_feats: np.ndarray, committed_embs: np.ndarray,
-                t: int, style_emb: np.ndarray | None = None) -> np.ndarray:
-        """Audio-visual context for frame ``t`` given committed frame
-        embeddings for frames < t."""
-        embs = np.zeros((t + 1, committed_embs.shape[-1] if committed_embs.size
-                         else self.config.code_dim))
-        if t > 0:
-            embs[:t] = committed_embs[:t]
-        se = Tensor(style_emb[None]) if style_emb is not None else None
-        h = self.temporal_context(Tensor(audio_feats[None, :t + 1]), embs[None], se)
-        return h.data[0, t]
+    def start_stream(self, audio_feats: np.ndarray, style_emb: np.ndarray,
+                     samples: int) -> "TemporalStream":
+        """A frame-by-frame temporal stage for ``samples`` sequences that
+        share the audio features (T, H) and the style embedding (H,)."""
+        return TemporalStream(self, audio_feats, style_emb, samples)
 
     def depth_step(self, h_av_t: np.ndarray, style_emb: np.ndarray,
-                   partial_rows: np.ndarray) -> np.ndarray:
+                   partial_rows: np.ndarray, cache: list) -> np.ndarray:
         """Logits for the next depth of N candidate rows; counts one depth
-        pass per candidate. ``partial_rows`` is (N, d) indices, d may be 0;
-        ``h_av_t`` is one context vector (H,) or one per row (N, H)."""
-        N = partial_rows.shape[0]
-        d = partial_rows.shape[1]
-        D, H = self.config.depth, self.config.width
+        pass per row. ``partial_rows`` (N, d) holds the depths drawn so far.
+
+        ``cache`` holds the rows' keys and values from the earlier steps of
+        the same frame. At d = 0 it is reset and the style and h_av tokens
+        are fed (``h_av_t`` is one context vector (H,) or one per row
+        (N, H)); each later step feeds only the token of the prefix through
+        depth d - 1 and ignores ``h_av_t`` and ``style_emb``.
+        """
+        N, d = partial_rows.shape
+        H = self.config.width
         self.depth_pass_count += N
-        if self.config.style_mode == "depth":
-            style_tok = self.style_proj(Tensor(style_emb[None])).data[0]
+        if d == 0:
+            cache[:] = [[] for _ in self.depth_blocks]
+            v = np.empty((N, 2, H))
+            if self.config.style_mode == "depth":
+                v[:, 0] = self.style_proj.infer(style_emb[None])[0]
+            else:
+                v[:, 0] = self.style_const.data
+            v[:, 1] = h_av_t
+            v = v + self.depth_pos.data[:2]
         else:
-            style_tok = self.style_const.data
-        h_av_t = np.asarray(h_av_t)
-        if h_av_t.ndim == 1:
-            h_av_t = np.broadcast_to(h_av_t, (N, h_av_t.shape[0]))
-        L = d + 2
-        v = np.zeros((N, L, H))
-        v[:, 0] = style_tok
-        v[:, 1] = h_av_t
-        if d > 0:
-            codes = self.codebook.data[partial_rows]      # (N, d, N_C)
-            prefix = np.cumsum(codes, axis=1)
-            v[:, 2:] = self.prefix_proj(Tensor(prefix)).data
-        v = Tensor(v + self.depth_pos.data[:L])
-        for block in self.depth_blocks:
-            v = block(v)
-        return self.head(v[:, L - 1:L, :]).data[:, 0, :]
+            prefix = self.codebook.data[partial_rows].cumsum(axis=1)[:, -1]
+            v = self.prefix_proj.infer(prefix) + self.depth_pos.data[d + 1]
+            v = v[:, None]
+        for block, kv in zip(self.depth_blocks, cache):
+            v = block.step(v, kv)
+        return self.head.infer(v[:, -1])
 
     # -- scoring -----------------------------------------------------------
 
@@ -284,6 +283,71 @@ class ARModel(Module):
                     codec_checksum=extra.get("codec_checksum", ""))
         checkpoint.restore_params(model.parameters(), arrays, steps)
         return model
+
+
+class TemporalStream:
+    """The temporal stage run one frame at a time, off the tape.
+
+    ``step`` returns h_av of the next frame for every sequence, given the
+    depth-summed code embedding each sequence committed for the frame before.
+    Each causal conv keeps the rows of its input seen so far, as in Fast
+    WaveNet generation, and computes one output row from them in the tap
+    order of ``conv1d``, so with convs a frame costs the same at any
+    position; the transformer variant keeps each temporal block's keys and
+    values.
+    """
+
+    def __init__(self, model: ARModel, audio_feats: np.ndarray,
+                 style_emb: np.ndarray, samples: int):
+        c = model.config
+        T, H = audio_feats.shape
+        if c.temporal == "transformer" and T > c.max_frames:
+            raise ShapeError(f"{T} frames exceed the transformer temporal "
+                             f"model's max_frames={c.max_frames}")
+        self.model = model
+        self.audio = audio_feats
+        self.samples = samples
+        self.t = 0
+        self.style_term = None
+        if c.style_mode == "temporal":
+            self.style_term = model.style_proj.infer(
+                np.broadcast_to(style_emb, (samples, H)))
+        if c.temporal == "conv":
+            # input rows, each behind the conv's causal zero padding
+            self.inputs = [np.zeros((samples, (conv.kernel - 1) * conv.dilation
+                                     + T, H)) for conv in model.temporal_convs]
+        else:
+            self.caches = [[] for _ in model.temporal_blocks]
+
+    def step(self, prev_emb: np.ndarray | None) -> np.ndarray:
+        """h_av (S, H) of the next frame; ``prev_emb`` (S, N_C) is the
+        embedding committed for the frame before, None at the first frame."""
+        m, t = self.model, self.t
+        if prev_emb is None:
+            shifted = np.broadcast_to(m.start_token.data,
+                                      (self.samples, m.config.width))
+        else:
+            shifted = m.code_proj.infer(prev_emb)
+        x = self.audio[t] + shifted
+        if self.style_term is not None:
+            x = x + self.style_term
+        if m.config.temporal == "conv":
+            for conv, rows in zip(m.temporal_convs, self.inputs):
+                k, d = conv.kernel, conv.dilation
+                rows[:, (k - 1) * d + t] = x
+                w = conv.weight.data
+                out = rows[:, t] @ w[0]
+                for tap in range(1, k):
+                    out = out + rows[:, t + tap * d] @ w[tap]
+                out = out + conv.bias.data
+                x = x + out * np.where(out > 0.0, 1.0, 0.1)
+        else:
+            x = (x + m.temporal_pos.data[t])[:, None]
+            for block, cache in zip(m.temporal_blocks, self.caches):
+                x = block.step(x, cache)
+            x = x[:, 0]
+        self.t = t + 1
+        return x
 
 
 # -- target construction ----------------------------------------------------

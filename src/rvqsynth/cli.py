@@ -4,7 +4,8 @@ Every subcommand accepts ``--config FILE`` (flat key=value, ``include``
 supported) plus direct flags; flags override config values. Each run writes a
 resolved-config snapshot next to its primary output. Progress is logged as
 line-oriented ``key=value`` records. Exit codes: 0 success, 2 config error,
-3 missing artifact or checksum mismatch, 4 numeric divergence.
+3 missing or malformed input artifact (checkpoint, sequence, audio or grid
+file) or checksum mismatch, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .codec import Codec, CodecConfig, train_codec, write_grid
 from .config import ConfigError, coerce, parse_bool, parse_config_file, \
     write_snapshot
 from .data import Corpus, MotionSequence, generate_corpus, load_corpus, \
-    save_corpus, style_reference, write_sequence, CorpusConfig
+    save_corpus, style_reference, write_sequence, CorpusConfig, \
+    SequenceFormatError
 from .nn import DivergenceError
 from .sampling import STRATEGIES, SamplingConfig, distill, generate_batch
 from .tensor import ShapeError
@@ -529,7 +531,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArtifactError, ContainerError, FileNotFoundError) as exc:
+    except (ArtifactError, ContainerError, SequenceFormatError,
+            FileNotFoundError) as exc:
         print(f"error: artifact: {exc}", file=sys.stderr)
         return EXIT_ARTIFACT
     except DivergenceError as exc:

@@ -319,6 +319,9 @@ def read_sequence(path) -> MotionSequence:
     if len(raw) < end:
         raise TruncatedPayloadError(f"truncated payload in {path}")
     lip = np.frombuffer(raw[20:off], dtype="<u4").astype(np.int64)
+    if lip.size and lip.max() >= V:
+        raise SequenceFormatError(
+            f"lip index {lip.max()} is not below the {V} vertices in {path}")
     data = np.frombuffer(raw[off:end], dtype="<f8").astype(np.float64)
     return MotionSequence(data.reshape(T, 3 * V), V, lip)
 
@@ -363,6 +366,10 @@ def save_corpus(corpus: Corpus, out_dir):
 
 
 def load_corpus(corpus_dir) -> Corpus:
+    """Read a corpus written by ``save_corpus``. Every clip must have the
+    vertex count and audio dim of the manifest header (or of the first clip)
+    and the frame count of the first clip, with as many audio frames as
+    motion frames; a clip that does not raises ``SequenceFormatError``."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -387,10 +394,21 @@ def load_corpus(corpus_dir) -> Corpus:
         sid, split, mname, aname = line.split("\t")
         seq = read_sequence(root / mname)
         audio = read_audio(root / aname)
+        if audio.shape[0] != seq.frames:
+            raise SequenceFormatError(
+                f"{root / aname} has {audio.shape[0]} frames but "
+                f"{root / mname} has {seq.frames}")
+        vertices = seq.num_vertices if vertices is None else vertices
+        audio_dim = audio.shape[1] if audio_dim is None else audio_dim
+        frames = seq.frames if frames is None else frames
+        for what, name, have, want in (
+                ("vertices", mname, seq.num_vertices, vertices),
+                ("audio dim", aname, audio.shape[1], audio_dim),
+                ("frames", mname, seq.frames, frames)):
+            if have != want:
+                raise SequenceFormatError(
+                    f"{root / name} has {what} {have}, the corpus {want}")
         records.append(SequenceRecord(int(sid), split, audio, seq.deformations))
-        vertices = seq.num_vertices
-        audio_dim = audio.shape[1]
-        frames = seq.frames
         speakers.add(int(sid))
     n_spk = max(speakers) + 1 if speakers else 0
     cfg = CorpusConfig(num_speakers=n_spk,

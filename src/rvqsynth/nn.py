@@ -104,6 +104,13 @@ class Dense(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``__call__`` on a plain array, off the tape; the same bits."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out
+
 
 class Conv1d(Module):
     """1-D convolution over the time axis of (B, T, C) input.
@@ -231,6 +238,34 @@ class SelfAttention(Module):
         out = (attn @ v).swapaxes(1, 2).reshape(B, L, W)
         return self.wo(out)
 
+    def step(self, x: np.ndarray, cache: list) -> np.ndarray:
+        """Causal attention, off the tape, for new rows ``x`` (B, L, W) that
+        follow the rows whose keys and values ``cache`` holds.
+
+        ``cache`` starts empty and is left holding ``[k, v]`` of every row so
+        far, each (B, heads, rows, W / heads). The new rows attend to all
+        cached rows and causally among themselves, whatever ``causal`` says.
+        """
+        B, L, W = x.shape
+        nh = self.heads
+        dh = W // nh
+
+        def split(t):
+            return t.reshape(B, L, nh, dh).swapaxes(1, 2)
+
+        q = split(self.wq.infer(x))
+        k, v = split(self.wk.infer(x)), split(self.wv.infer(x))
+        if cache:
+            k = np.concatenate([cache[0], k], axis=2)
+            v = np.concatenate([cache[1], v], axis=2)
+        cache[:] = [k, v]
+        P = k.shape[2] - L
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
+        if L > 1:  # a single new row may see every cached row
+            scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
+        attn = softmax(Tensor(scores), axis=-1).data
+        return self.wo.infer((attn @ v).swapaxes(1, 2).reshape(B, L, W))
+
 
 class TransformerBlock(Module):
     """Pre-activation attention + feedforward block with residuals."""
@@ -244,6 +279,12 @@ class TransformerBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(x)
         return x + self.ff2(self.ff1(x).leaky_relu(0.1))
+
+    def step(self, x: np.ndarray, cache: list) -> np.ndarray:
+        """``__call__`` off the tape for new rows; see ``SelfAttention.step``."""
+        x = x + self.attn.step(x, cache)
+        h = self.ff1.infer(x)
+        return x + self.ff2.infer(h * np.where(h > 0.0, 1.0, 0.1))
 
 
 def conv_stack(x: Tensor, convs) -> Tensor:

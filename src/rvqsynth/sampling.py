@@ -84,8 +84,9 @@ def _sample_candidates(model: ARModel, h: np.ndarray, style: np.ndarray,
     each of the R context vectors ``h`` (R, H); returns (R, n, d_star)."""
     h_rows = np.repeat(h, n, axis=0)  # (R*n, H)
     rows = np.zeros((h_rows.shape[0], 0), dtype=np.int64)
+    cache = []  # the depth stack's keys and values for this frame's rows
     for _ in range(d_star):
-        logits = model.depth_step(h_rows, style, rows)
+        logits = model.depth_step(h_rows, style, rows, cache)
         idx = sample_categorical(logits, temperature, rng)
         rows = np.concatenate([rows, idx[:, None]], axis=1)
     return rows.reshape(h.shape[0], n, d_star)
@@ -121,25 +122,19 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     S, N = n_samples, config.n
     T = y.shape[0]
-    NC = model.config.code_dim
     audio, style = model.context_features(y, s)
-    committed = np.zeros((S, T, NC))
+    stream = model.start_stream(audio, style, S)
     grids = np.zeros((S, T, d_star), dtype=np.int64)
-    zero_pad = np.zeros((S, 1, NC))
+    committed = None  # (S, NC) embeddings of the frame before
     R = model.audio_radius
     for t in range(T):
-        embs_hist = np.concatenate([committed[:, :t], zero_pad], axis=1)
-        se = None if model.config.style_mode == "depth" else Tensor(
-            np.broadcast_to(style, (S, style.shape[0])))
-        h = model.temporal_context(
-            Tensor(np.broadcast_to(audio[:t + 1], (S, t + 1, audio.shape[1]))),
-            embs_hist, se).data[:, t]  # (S, H)
+        h = stream.step(committed)  # (S, H)
         cand_rows = _sample_candidates(model, h, style, N, d_star,
                                        config.temperature, rng)
         cand_embs = model.frame_embedding(cand_rows)  # (S, N, NC)
         if config.strategy == "default":
             grids[:, t] = cand_rows[:, 0]
-            committed[:, t] = cand_embs[:, 0]
+            committed = cand_embs[:, 0]
             continue
         scores = None
         if config.strategy == "syncnet-rejection":
@@ -148,7 +143,7 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
                 t, d_star, R) for i in range(S)])
         res = _aggregate(cand_embs, config, codec.codebook.data, d_star, scores)
         grids[:, t] = res.grid
-        committed[:, t] = res.quantized
+        committed = res.quantized
     motions = np.stack([codec.decode(grids[i]) for i in range(S)])
     return motions, grids
 

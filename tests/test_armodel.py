@@ -96,20 +96,32 @@ def test_audio_outside_window_does_not_affect_logits():
     np.testing.assert_array_equal(out[:, :t + 1], base[:, :t + 1])
 
 
-def test_incremental_api_matches_teacher_forced_logits():
-    model = make_model()
-    T = 5
-    y, s = random_inputs(TINY_AR, T=T)
-    rng = np.random.default_rng(5)
-    grid = rng.integers(0, 3, (T, 2))
-    full = model.forward_logits(y[None], s[None], grid[None]).data[0]
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("D,T", [(1, 3), (2, 17), (4, 64)])
+def test_stream_matches_teacher_forced_logits(temporal, style_mode, D, T):
+    cfg = ARConfig(code_dim=4, codebook_size=5, depth=D, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=2,
+                   temporal=temporal, temporal_layers=2,
+                   style_mode=style_mode, max_frames=64)
+    model = make_model(cfg)
+    y, s = random_inputs(cfg, T=T)
+    S = 3
+    grids = np.random.default_rng(5).integers(0, 5, (S, T, D))
+    full = model.forward_logits(np.broadcast_to(y, (S,) + y.shape),
+                                np.broadcast_to(s, (S,) + s.shape),
+                                grids).data
     audio, style = model.context_features(y, s)
-    committed = model.frame_embedding(grid)
+    stream = model.start_stream(audio, style, S)
+    committed = None
     for t in range(T):
-        h = model.h_av_at(audio, committed, t, style)
-        for d in range(2):
-            logits = model.depth_step(h[None], style, grid[None, t, :d])
-            np.testing.assert_allclose(logits[0], full[t, d], atol=1e-10)
+        h = stream.step(committed)
+        cache = []
+        for d in range(D):
+            logits = model.depth_step(h, style, grids[:, t, :d], cache)
+            np.testing.assert_allclose(logits, full[:, t, d], rtol=0,
+                                       atol=1e-10)
+        committed = model.frame_embedding(grids[:, t])
 
 
 def test_depth_pass_counter_counts_rows():
@@ -117,8 +129,9 @@ def test_depth_pass_counter_counts_rows():
     model.depth_pass_count = 0
     h = np.zeros((3, TINY_AR.width))
     style = np.zeros(TINY_AR.width)
-    model.depth_step(h, style, np.zeros((3, 0), dtype=np.int64))
-    model.depth_step(h, style, np.zeros((3, 1), dtype=np.int64))
+    cache = []
+    model.depth_step(h, style, np.zeros((3, 0), dtype=np.int64), cache)
+    model.depth_step(h, style, np.zeros((3, 1), dtype=np.int64), cache)
     assert model.depth_pass_count == 6
 
 
@@ -199,6 +212,17 @@ def test_transformer_temporal_variant_rejects_too_many_frames():
         model.forward_logits(y[None], s[None], grid[None])
     y, s = random_inputs(cfg, T=5)
     assert model.forward_logits(y[None], s[None], grid[None, :5]).shape == (1, 5, 2, 3)
+
+
+def test_transformer_stream_rejects_too_many_frames_up_front():
+    cfg = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
+                   temporal="transformer", temporal_layers=1, max_frames=5)
+    model = make_model(cfg)
+    audio, style = model.context_features(*random_inputs(cfg, T=6))
+    with pytest.raises(ShapeError, match="max_frames=5"):
+        model.start_stream(audio, style, 2)
+    assert model.start_stream(audio[:5], style, 2).step(None).shape == (2, 8)
 
 
 def test_stochastic_grid_tends_to_argmin_at_low_tau():

@@ -124,6 +124,19 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--out", str(tmp_path / "g"),
                  "--strategy", "bogus"]) == EXIT_CONFIG
+    # a clip longer than the transformer temporal model's max_frames (256)
+    long_corpus = str(tmp_path / "long_corpus")
+    assert main(["gen-data", "--speakers", "3", "--seqs", "1", "--frames",
+                 "257", "--vertices", "4", "--audio-dim", "4",
+                 "--out", long_corpus]) == EXIT_OK
+    transformer_ar = str(tmp_path / "transformer_ar.ckpt")
+    assert main(AR + ["--data", artifacts["corpus"],
+                      "--codec", artifacts["codec"], "--temporal",
+                      "transformer", "--temporal-layers", "1",
+                      "--out", transformer_ar]) == EXIT_OK
+    assert main(["generate", "--data", long_corpus,
+                 "--codec", artifacts["codec"], "--ar", transformer_ar,
+                 "--out", str(tmp_path / "g")]) == EXIT_CONFIG
     # invalid AR config; distillation cannot use sync-score rejection
     assert main(AR + ["--data", artifacts["corpus"],
                       "--codec", artifacts["codec"], "--style-mode", "bogus",
@@ -132,13 +145,6 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--strategy", "syncnet-rejection", "--n", "4",
                  "--out", str(tmp_path / "s.ckpt")]) == EXIT_CONFIG
-    # a corpus audio file cut inside its header is a malformed sequence file
-    corpus = tmp_path / "cut_corpus"
-    shutil.copytree(artifacts["corpus"], corpus)
-    audio = sorted(corpus.glob("*.rvqa"))[0]
-    audio.write_bytes(audio.read_bytes()[:10])
-    assert main(CODEC + ["--data", str(corpus),
-                         "--out", str(tmp_path / "c.ckpt")]) == EXIT_CONFIG
     # rejection sampling without a sync checkpoint is a missing artifact
     assert main(["generate", "--data", artifacts["corpus"],
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
@@ -148,6 +154,13 @@ def test_exit_code_config_errors(artifacts, tmp_path):
 
 def test_exit_code_missing_artifacts(artifacts, tmp_path):
     assert main(CODEC + ["--data", str(tmp_path / "nowhere"),
+                         "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
+    # a corpus audio file cut inside its header is a malformed sequence file
+    corpus = tmp_path / "cut_corpus"
+    shutil.copytree(artifacts["corpus"], corpus)
+    audio = sorted(corpus.glob("*.rvqa"))[0]
+    audio.write_bytes(audio.read_bytes()[:10])
+    assert main(CODEC + ["--data", str(corpus),
                          "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
     assert main(AR + ["--data", artifacts["corpus"],
                       "--codec", str(tmp_path / "missing.ckpt"),

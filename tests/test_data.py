@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rvqsynth.data import (BadMagicError, CorpusConfig, FormatVersionError,
-                           MotionSequence, TruncatedPayloadError,
+                           MotionSequence, SequenceFormatError,
+                           TruncatedPayloadError,
                            driving_signal, generate_corpus, load_corpus,
                            read_audio, read_sequence, sample_motion,
                            save_corpus, style_reference, write_audio,
@@ -137,6 +138,15 @@ def test_sequence_file_error_taxonomy(tmp_path):
         read_sequence(bad)
 
 
+def test_sequence_file_rejects_lip_index_beyond_vertices(tmp_path):
+    path = tmp_path / "clip.rvqm"
+    write_sequence(MotionSequence(np.zeros((4, 12)), 4, np.arange(4)), path)
+    assert read_sequence(path).lip_indices.max() == 3
+    write_sequence(MotionSequence(np.zeros((4, 12)), 4, np.array([0, 4])), path)
+    with pytest.raises(SequenceFormatError, match="lip index 4"):
+        read_sequence(path)
+
+
 def test_corpus_save_load_roundtrip(tmp_path, corpus):
     save_corpus(corpus, tmp_path / "corpus")
     back = load_corpus(tmp_path / "corpus")
@@ -151,3 +161,24 @@ def test_corpus_save_load_roundtrip(tmp_path, corpus):
 def test_load_corpus_requires_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize("frames,vertices,audio_dim,audio_frames,bad", [
+    (20, 6, 4, 20, "motion"),     # fewer frames than the other clips
+    (24, 5, 4, 24, "motion"),     # a different vertex count
+    (24, 6, 3, 24, "audio"),      # a different audio dim
+    (24, 6, 4, 23, "audio"),      # audio shorter than its motion clip
+])
+def test_load_corpus_rejects_mismatched_clip(tmp_path, corpus, frames,
+                                             vertices, audio_dim, audio_frames,
+                                             bad):
+    root = tmp_path / "corpus"
+    save_corpus(corpus, root)
+    rng = np.random.default_rng(9)
+    write_sequence(MotionSequence(rng.normal(0.0, 1.0, (frames, 3 * vertices)),
+                                  vertices, np.arange(3)),
+                   root / "motion_00003.rvqm")
+    write_audio(rng.normal(0.0, 1.0, (audio_frames, audio_dim)),
+                root / "audio_00003.rvqa")
+    with pytest.raises(SequenceFormatError, match=f"{bad}_00003"):
+        load_corpus(root)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from rvqsynth.codec import Codec, CodecConfig, train_codec
 from rvqsynth.sampling import (SamplingConfig, average_aggregate, distill,
                                generate, generate_batch, knn_aggregate,
                                syncnet_reject)
+from rvqsynth.tensor import ShapeError
 
 TINY_AR = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
                    audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
@@ -112,6 +115,34 @@ def test_temperature_zero_is_greedy_and_seed_independent(stack):
     b = generate(model, codec, rec.audio, rec.motion,
                  SamplingConfig(temperature=0.0, seed=99))[1]
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+def test_greedy_codes_are_teacher_forced_argmax(stack, temporal):
+    codec, _, rec = stack
+    cfg = replace(TINY_AR, temporal=temporal, temporal_layers=1)
+    model = ARModel(cfg, codec.codebook.data.copy(), np.random.default_rng(4))
+    S = 3
+    _, grids = generate_batch(model, codec, rec.audio, rec.motion,
+                              SamplingConfig(temperature=0.0), n_samples=S)
+    logits = model.forward_logits(
+        np.broadcast_to(rec.audio, (S,) + rec.audio.shape),
+        np.broadcast_to(rec.motion, (S,) + rec.motion.shape), grids).data
+    np.testing.assert_array_equal(logits.argmax(axis=-1), grids)
+
+
+def test_over_long_transformer_input_fails_before_sampling(stack):
+    codec, _, rec = stack
+    T = rec.audio.shape[0]
+    cfg = replace(TINY_AR, temporal="transformer", temporal_layers=1,
+                  max_frames=T - 1)
+    model = ARModel(cfg, codec.codebook.data.copy(), np.random.default_rng(4))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError, match=f"max_frames={T - 1}"):
+        generate_batch(model, codec, rec.audio, rec.motion, SamplingConfig(),
+                       n_samples=2, rng=rng)
+    assert model.depth_pass_count == 0
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_knn_k_equals_n_matches_average_generation(stack):
