@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -22,6 +23,27 @@ _HEADER_KEYS = ("arch", "seed", "extra", "steps", "tensors")
 
 class ContainerError(ValueError):
     """Raised on a malformed checkpoint file."""
+
+
+def write_atomic(path, chunks):
+    """Write the byte strings ``chunks`` to ``path`` all or nothing.
+
+    They go to a temporary file in the same directory, which replaces
+    ``path`` only once every chunk is written; if a write fails, the
+    temporary file is removed and an existing ``path`` is left as it was.
+    This guards against an interrupted run, not against power loss (there
+    is no fsync).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_container(path, arch: dict, params: dict, seed: int, extra: dict | None = None):
@@ -40,13 +62,8 @@ def save_container(path, arch: dict, params: dict, seed: int, extra: dict | None
         "tensors": entries,
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<Q", len(hjson)))
-        f.write(hjson)
-        for blob in blobs:
-            f.write(blob)
+    write_atomic(path, [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(hjson)),
+                        hjson, *blobs])
 
 
 def _is_shape(shape) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics
 from .armodel import ARConfig, ARModel, train_ar
-from .checkpoint import ContainerError, file_checksum
+from .checkpoint import ContainerError, file_checksum, write_atomic
 from .codec import Codec, CodecConfig, train_codec, write_grid
 from .config import ConfigError, coerce, parse_bool, parse_config_file, \
     write_snapshot
@@ -498,11 +498,10 @@ def cmd_evaluate(r: dict) -> int:
         log(event="evaluate", metric=key, value=value)
     if r["out"]:
         os.makedirs(r["out"], exist_ok=True)
-        with open(os.path.join(r["out"], "table.txt"), "w") as fh:
-            fh.write(table + "\n")
-        with open(os.path.join(r["out"], "metrics.kv"), "w") as fh:
-            for key, value in results.items():
-                fh.write(f"{key}={value}\n")
+        write_atomic(os.path.join(r["out"], "table.txt"),
+                     [(table + "\n").encode()])
+        write_atomic(os.path.join(r["out"], "metrics.kv"), [
+            "".join(f"{k}={v}\n" for k, v in results.items()).encode()])
         _snapshot(r["out"], r)
     return EXIT_OK
 

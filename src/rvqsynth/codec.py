@@ -141,17 +141,25 @@ class Codec(Module):
         return rvq_quantize_frames(z, self.codebook.data, d)
 
     def decode(self, grid, depth_limit: int | None = None) -> np.ndarray:
-        """Decode a CodeGrid (or QuantizationResult) to motion space."""
+        """Decode a CodeGrid (or QuantizationResult) to motion space.
+
+        A (T, D) grid gives (T, 3V) motion; a stack of grids (..., T, D)
+        is decoded in one pass to (..., T, 3V), each sequence with the same
+        bits as on its own.
+        """
         if isinstance(grid, QuantizationResult):
             grid = grid.grid
         grid = np.asarray(grid)
-        d = grid.shape[1] if depth_limit is None else depth_limit
-        if not 1 <= d <= grid.shape[1]:
-            raise ValueError(f"depth_limit must be in [1, {grid.shape[1]}]")
+        if grid.ndim < 2:
+            raise ShapeError(f"expected a (..., T, D) grid, got {grid.shape}")
+        d = grid.shape[-1] if depth_limit is None else depth_limit
+        if not 1 <= d <= grid.shape[-1]:
+            raise ValueError(f"depth_limit must be in [1, {grid.shape[-1]}]")
         if grid.min() < 0 or grid.max() >= self.config.codebook_size:
             raise ValueError("code index out of range")
-        zq = self.codebook.data[grid[:, :d]].sum(axis=1)
-        return self.decode_tape(Tensor(zq[None])).data[0]
+        zq = self.codebook.data[grid[..., :d]].sum(axis=-2)  # (..., T, N_C)
+        out = self.decode_tape(Tensor(zq.reshape((-1,) + zq.shape[-2:]))).data
+        return out.reshape(grid.shape[:-1] + out.shape[-1:])
 
     def encode_decode(self, x: np.ndarray, depth_limit: int | None = None) -> np.ndarray:
         return self.decode(self.quantize(self.encode(x)).grid, depth_limit)
@@ -272,10 +280,9 @@ def reconstruction_mse(codec: Codec, records, depth_limit: int | None = None) ->
 def write_grid(grid: np.ndarray, codebook_size: int, path):
     grid = np.asarray(grid)
     T, D = grid.shape
-    with open(path, "wb") as f:
-        f.write(GRID_MAGIC)
-        f.write(struct.pack("<III", T, D, codebook_size))
-        f.write(np.ascontiguousarray(grid, dtype="<u2").tobytes())
+    checkpoint.write_atomic(path, [
+        GRID_MAGIC, struct.pack("<III", T, D, codebook_size),
+        np.ascontiguousarray(grid, dtype="<u2").tobytes()])
 
 
 def read_grid(path):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from .checkpoint import write_atomic
+
 
 class ConfigError(Exception):
     """Invalid, unknown, or uncoercible configuration input."""
@@ -74,6 +76,5 @@ def parse_bool(value) -> bool:
 
 def write_snapshot(path, resolved: dict):
     """Write the resolved configuration as sorted key=value lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(resolved):
-            fh.write(f"{key}={resolved[key]}\n")
+    text = "".join(f"{key}={resolved[key]}\n" for key in sorted(resolved))
+    write_atomic(path, [text.encode("utf-8")])

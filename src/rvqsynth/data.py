@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_atomic
+
 SEQ_MAGIC = b"RVQM"
 AUDIO_MAGIC = b"RVQA"
 SEQ_VERSION = 1
@@ -296,12 +298,10 @@ def write_sequence(seq: MotionSequence, path):
     if width != 3 * seq.num_vertices:
         raise ValueError("deformation width must equal 3 * num_vertices")
     lip = np.asarray(seq.lip_indices, dtype="<u4")
-    with open(path, "wb") as f:
-        f.write(SEQ_MAGIC)
-        f.write(struct.pack("<III", SEQ_VERSION, T, seq.num_vertices))
-        f.write(struct.pack("<I", lip.size))
-        f.write(lip.tobytes())
-        f.write(np.ascontiguousarray(seq.deformations, dtype="<f8").tobytes())
+    header = struct.pack("<IIII", SEQ_VERSION, T, seq.num_vertices, lip.size)
+    write_atomic(path, [
+        SEQ_MAGIC, header, lip.tobytes(),
+        np.ascontiguousarray(seq.deformations, dtype="<f8").tobytes()])
 
 
 def read_sequence(path) -> MotionSequence:
@@ -328,10 +328,9 @@ def read_sequence(path) -> MotionSequence:
 
 def write_audio(features: np.ndarray, path):
     T, dim = features.shape
-    with open(path, "wb") as f:
-        f.write(AUDIO_MAGIC)
-        f.write(struct.pack("<III", SEQ_VERSION, T, dim))
-        f.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
+    write_atomic(path, [
+        AUDIO_MAGIC, struct.pack("<III", SEQ_VERSION, T, dim),
+        np.ascontiguousarray(features, dtype="<f8").tobytes()])
 
 
 def read_audio(path) -> np.ndarray:
@@ -362,7 +361,15 @@ def save_corpus(corpus: Corpus, out_dir):
         write_sequence(MotionSequence(rec.motion, corpus.vertices, lip), mpath)
         write_audio(rec.audio, apath)
         lines.append(f"{rec.speaker_id}\t{rec.split}\t{mpath.name}\t{apath.name}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "manifest.txt", [("\n".join(lines) + "\n").encode()])
+
+
+def _manifest_int(text: str, what: str, manifest, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SequenceFormatError(
+            f"{manifest}:{lineno}: {what} {text!r} is not an int") from None
 
 
 def load_corpus(corpus_dir) -> Corpus:
@@ -378,20 +385,26 @@ def load_corpus(corpus_dir) -> Corpus:
     vertices = audio_dim = frames = None
     seed = 0
     speakers = set()
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
             for kv in line[1:].split():
                 key, _, val = kv.partition("=")
                 if key == "vertices":
-                    vertices = int(val)
+                    vertices = _manifest_int(val, key, manifest, lineno)
                 elif key == "audio_dim":
-                    audio_dim = int(val)
+                    audio_dim = _manifest_int(val, key, manifest, lineno)
                 elif key == "seed":
-                    seed = int(val)
+                    seed = _manifest_int(val, key, manifest, lineno)
             continue
-        sid, split, mname, aname = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise SequenceFormatError(
+                f"{manifest}:{lineno}: expected 4 tab-separated fields "
+                f"(speaker, split, motion, audio), got {len(fields)}")
+        sid, split, mname, aname = fields
+        sid = _manifest_int(sid, "speaker id", manifest, lineno)
         seq = read_sequence(root / mname)
         audio = read_audio(root / aname)
         if audio.shape[0] != seq.frames:
@@ -408,8 +421,8 @@ def load_corpus(corpus_dir) -> Corpus:
             if have != want:
                 raise SequenceFormatError(
                     f"{root / name} has {what} {have}, the corpus {want}")
-        records.append(SequenceRecord(int(sid), split, audio, seq.deformations))
-        speakers.add(int(sid))
+        records.append(SequenceRecord(sid, split, audio, seq.deformations))
+        speakers.add(sid)
     n_spk = max(speakers) + 1 if speakers else 0
     cfg = CorpusConfig(num_speakers=n_spk,
                        seqs_per_speaker=len(records) // max(1, n_spk),

@@ -168,13 +168,15 @@ class SyncNet(Module):
         return self._window_embed(self.audio_frames(y), self.audio_proj)
 
     def _fit_window(self, seq: np.ndarray) -> np.ndarray:
-        """Crop to the last W frames or left-pad by repeating the first."""
+        """Crop the time axis (-2) to the last W frames or left-pad it by
+        repeating the first frame."""
         seq = np.asarray(seq, dtype=np.float64)
         W = self.config.window
-        if seq.shape[0] >= W:
-            return seq[-W:]
-        pad = np.repeat(seq[:1], W - seq.shape[0], axis=0)
-        return np.concatenate([pad, seq], axis=0)
+        T = seq.shape[-2]
+        if T >= W:
+            return seq[..., -W:, :]
+        pad = np.repeat(seq[..., :1, :], W - T, axis=-2)
+        return np.concatenate([pad, seq], axis=-2)
 
     def embed_mesh(self, x: np.ndarray) -> np.ndarray:
         """Normalized window embedding of one (T, 3V) sequence."""
@@ -197,7 +199,8 @@ class SyncNet(Module):
         return self.score_head(h).reshape(h.shape[:-1])
 
     def score_pairs(self, mesh_f: Tensor, audio_f: Tensor) -> Tensor:
-        """Aligned scores for (B, W, E) frame features, shape (B,)."""
+        """Aligned scores for (B, W, E) frame features, shape (B,); one
+        audio window (1, W, E) is scored against every mesh window."""
         if self.config.variant == 1:
             return self._fused_scores(mesh_f, audio_f, pairwise=False)
         m = _normalize_rows(self._window_embed(mesh_f, self.mesh_proj))
@@ -212,13 +215,27 @@ class SyncNet(Module):
         a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
         return m @ a.swapaxes(0, 1)
 
-    def score(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Synchronization score of one (motion, audio) pair."""
-        if x.shape[0] != y.shape[0]:
+    def score(self, x: np.ndarray, y: np.ndarray):
+        """Synchronization score of one (T, 3V) motion against one (T, A)
+        audio window, a float; or of each of B motions (B, T, 3V) against
+        the same window, an array (B,).
+
+        The audio stack runs once, and the mesh stack and the projection
+        once for all B motions. A batched score equals the score of its
+        pair on its own to rounding: the projection is one GEMM over B
+        rows instead of one over a single row.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"expected (T, 3V) or (B, T, 3V) motion, got "
+                             f"{x.shape}")
+        if x.shape[-2] != y.shape[0]:
             raise ShapeError("motion and audio must be frame-aligned")
-        mesh_f = self.mesh_frames(Tensor(self._fit_window(x)[None]))
+        mesh = self._fit_window(x.reshape((-1,) + x.shape[-2:]))
+        mesh_f = self.mesh_frames(Tensor(mesh))
         audio_f = self.audio_frames(Tensor(self._fit_window(y)[None]))
-        return float(self.score_pairs(mesh_f, audio_f).data[0])
+        scores = self.score_pairs(mesh_f, audio_f).data
+        return float(scores[0]) if x.ndim == 2 else scores
 
     def save(self, path, seed: int = 0):
         cfg = dict(vars(self.config))

@@ -138,27 +138,29 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
             continue
         scores = None
         if config.strategy == "syncnet-rejection":
-            scores = np.stack([_candidate_sync_scores(
-                model, codec, sync_model, y, grids[i], cand_rows[i],
-                t, d_star, R) for i in range(S)])
+            scores = _candidate_sync_scores(codec, sync_model, y, grids,
+                                            cand_rows, t, R)
         res = _aggregate(cand_embs, config, codec.codebook.data, d_star, scores)
         grids[:, t] = res.grid
         committed = res.quantized
-    motions = np.stack([codec.decode(grids[i]) for i in range(S)])
-    return motions, grids
+    return codec.decode(grids), grids
 
 
-def _candidate_sync_scores(model, codec, sync_model, y, committed_grid,
-                           cand_rows, t, d_star, radius):
-    """Score each candidate row by decoding a local window ending at t."""
+def _candidate_sync_scores(codec, sync_model, y, grids, cand_rows, t, radius):
+    """Sync scores (S, N) of the candidate rows (S, N, d*) of frame t.
+
+    Each candidate is decoded as the last row of the local window ending at
+    t, after its sample's committed rows of ``grids`` (S, T, d*); all S*N
+    windows go through one decode and one score call.
+    """
     lo = max(0, t - radius)
-    history = committed_grid[lo:t]  # rows < t are committed, row t is not
-    scores = np.zeros(cand_rows.shape[0])
-    for j in range(cand_rows.shape[0]):
-        window = np.concatenate([history, cand_rows[j][None]], axis=0)
-        motion_win = codec.decode(window)
-        scores[j] = sync_model.score(motion_win, y[lo:t + 1])
-    return scores
+    S, N, d_star = cand_rows.shape
+    L = t + 1 - lo
+    windows = np.empty((S, N, L, d_star), dtype=grids.dtype)
+    windows[:, :, :-1] = grids[:, None, lo:t]  # rows < t are committed
+    windows[:, :, -1] = cand_rows
+    motions = codec.decode(windows.reshape(S * N, L, d_star))
+    return sync_model.score(motions, y[lo:t + 1]).reshape(S, N)
 
 
 def generate(model: ARModel, codec, y: np.ndarray, s: np.ndarray,

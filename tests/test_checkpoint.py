@@ -1,8 +1,15 @@
+import builtins
+
 import numpy as np
 import pytest
 
+from rvqsynth import checkpoint
 from rvqsynth.checkpoint import (ContainerError, file_checksum, load_container,
                                  restore_params, save_container)
+from rvqsynth.codec import write_grid
+from rvqsynth.config import write_snapshot
+from rvqsynth.data import (CorpusConfig, MotionSequence, generate_corpus,
+                           save_corpus, write_audio, write_sequence)
 from rvqsynth.nn import Parameter
 
 
@@ -116,3 +123,67 @@ def test_file_checksum_detects_change(tmp_path):
     assert a == file_checksum(path)
     path.write_bytes(b"abd")
     assert file_checksum(path) != a
+
+
+def _corpus(seed):
+    return generate_corpus(CorpusConfig(num_speakers=4, seqs_per_speaker=1,
+                                        frames=4, vertices=2, audio_dim=2,
+                                        seed=seed))
+
+
+# (file name, writer(path, version)): each version writes different bytes
+ATOMIC_WRITERS = {
+    "checkpoint": ("model.ckpt", lambda path, v: save_container(
+        path, {"model": "x"}, make_params(), seed=v)),
+    "grid": ("grid.rvqj", lambda path, v: write_grid(
+        np.full((2, 3), v), 8, path)),
+    "sequence": ("clip.rvqm", lambda path, v: write_sequence(
+        MotionSequence(np.full((3, 6), float(v)), 2, np.arange(2)), path)),
+    "audio": ("clip.rvqa", lambda path, v: write_audio(
+        np.full((3, 2), float(v)), path)),
+    "manifest": ("manifest.txt", lambda path, v: save_corpus(
+        _corpus(v), path.parent)),
+    "snapshot": ("run.config", lambda path, v: write_snapshot(
+        path, {"seed": v})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ATOMIC_WRITERS))
+def test_failed_write_keeps_old_file_and_leaves_no_temporary(
+        tmp_path, monkeypatch, kind):
+    name, write = ATOMIC_WRITERS[kind]
+    path = tmp_path / name
+    write(path, 1)
+    old = path.read_bytes()
+    before = sorted(tmp_path.iterdir())
+
+    class FailsPartWay:
+        """Writes half of the first chunk through, then fails."""
+
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, chunk):
+            self.file.write(chunk[:len(chunk) // 2])
+            raise OSError("no space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        real = builtins.open(file, mode, *args, **kwargs)
+        # only the temporary file of the target fails
+        return FailsPartWay(real) if f".{name}." in str(file) else real
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write(path, 2)
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == before
+    monkeypatch.undo()
+    write(path, 2)
+    assert path.read_bytes() != old
+    assert sorted(tmp_path.iterdir()) == before

@@ -152,7 +152,7 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--strategy", "syncnet-rejection"]) == EXIT_ARTIFACT
 
 
-def test_exit_code_missing_artifacts(artifacts, tmp_path):
+def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
     assert main(CODEC + ["--data", str(tmp_path / "nowhere"),
                          "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
     # a corpus audio file cut inside its header is a malformed sequence file
@@ -162,6 +162,20 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path):
     audio.write_bytes(audio.read_bytes()[:10])
     assert main(CODEC + ["--data", str(corpus),
                          "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
+    # a manifest line without four tab-separated fields, a speaker id or a
+    # header value that is not an int
+    corpus = tmp_path / "bad_manifest"
+    shutil.copytree(artifacts["corpus"], corpus)
+    manifest = corpus / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    for bad, lineno in ((lines + ["0\ttrain\tmotion_00000.rvqm"], len(lines) + 1),
+                        (lines[:1] + ["x" + lines[1]] + lines[2:], 2),
+                        ([lines[0].replace("vertices=", "vertices=x")]
+                         + lines[1:], 1)):
+        manifest.write_text("\n".join(bad) + "\n")
+        assert main(CODEC + ["--data", str(corpus),
+                             "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
+        assert f"manifest.txt:{lineno}: " in capsys.readouterr().err
     assert main(AR + ["--data", artifacts["corpus"],
                       "--codec", str(tmp_path / "missing.ckpt"),
                       "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT

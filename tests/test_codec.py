@@ -115,6 +115,27 @@ def test_encode_decode_shapes_and_validation(small_codec, tiny_corpus):
         codec.decode(np.full((4, 3), 99))
 
 
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("T", [1, 5])
+@pytest.mark.parametrize("depth_limit", [None, 2])
+def test_batched_decode_matches_per_sequence(small_codec, B, T, depth_limit):
+    codec, _ = small_codec
+    grids = np.random.default_rng(10 * B + T).integers(0, 8, (B, T, 3))
+    batched = codec.decode(grids, depth_limit)
+    assert batched.shape == (B, T, 12)
+    for i in range(B):
+        np.testing.assert_array_equal(batched[i],
+                                      codec.decode(grids[i], depth_limit))
+    stacked = codec.decode(grids[None].repeat(2, axis=0), depth_limit)
+    np.testing.assert_array_equal(stacked, np.stack([batched, batched]))
+
+
+def test_decode_rejects_a_grid_without_a_time_axis(small_codec):
+    codec, _ = small_codec
+    with pytest.raises(ShapeError):
+        codec.decode(np.zeros(3, dtype=np.int64))
+
+
 def test_encoder_is_causal(small_codec, tiny_corpus):
     codec, _ = small_codec
     x = tiny_corpus.records[0].motion

@@ -163,6 +163,32 @@ def test_load_corpus_requires_manifest(tmp_path):
         load_corpus(tmp_path)
 
 
+@pytest.mark.parametrize("edit,lineno,what", [
+    (lambda lines: lines[:2] + ["0\ttrain\tmotion_00001.rvqm"] + lines[2:],
+     3, "expected 4 tab-separated fields"),
+    (lambda lines: lines + ["0\ttrain\tmotion_00001.rvqm\taudio_00001.rvqa\tx"],
+     None, "expected 4 tab-separated fields .*got 5"),
+    (lambda lines: lines[:1] + ["x" + lines[1]] + lines[2:],
+     2, "speaker id 'x0' is not an int"),
+    (lambda lines: [lines[0].replace("vertices=6", "vertices=six")] + lines[1:],
+     1, "vertices 'six' is not an int"),
+    (lambda lines: [lines[0].replace("audio_dim=4", "audio_dim=4.0")] + lines[1:],
+     1, "audio_dim '4.0' is not an int"),
+    (lambda lines: [lines[0] + " seed="] + lines[1:], 1, "seed '' is not an int"),
+])
+def test_load_corpus_rejects_malformed_manifest(tmp_path, corpus, edit, lineno,
+                                                what):
+    root = tmp_path / "corpus"
+    save_corpus(corpus, root)
+    manifest = root / "manifest.txt"
+    lines = edit(manifest.read_text().splitlines())
+    manifest.write_text("\n".join(lines) + "\n")
+    lineno = len(lines) if lineno is None else lineno
+    with pytest.raises(SequenceFormatError,
+                       match=f"manifest.txt:{lineno}: {what}"):
+        load_corpus(root)
+
+
 @pytest.mark.parametrize("frames,vertices,audio_dim,audio_frames,bad", [
     (20, 6, 4, 20, "motion"),     # fewer frames than the other clips
     (24, 5, 4, 24, "motion"),     # a different vertex count

@@ -196,11 +196,28 @@ def test_sync_score_is_score_matrix_diagonal(tiny_corpus, variant):
     np.testing.assert_allclose(np.diag(matrix), scores, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("variant", [1, 2])
+@pytest.mark.parametrize("T", [3, 8, 12])  # below, at and above the window
+def test_batched_score_matches_per_pair(tiny_corpus, variant, T):
+    net = sync1_net() if variant == 1 else SyncNet(sync_cfg(2))
+    motions = np.random.default_rng(T).normal(0.0, 1.0, (5, T, 12))
+    y = tiny_corpus.records[0].audio[:T]
+    batched = net.score(motions, y)
+    assert batched.shape == (5,)
+    pairs = [net.score(m, y) for m in motions]
+    np.testing.assert_allclose(batched, pairs, rtol=1e-12, atol=1e-15)
+    assert net.score(motions[:1], y).tolist() == pairs[:1]
+
+
 def test_sync_score_requires_aligned_lengths(tiny_corpus):
     net = SyncNet(sync_cfg(1))
     rec = tiny_corpus.records[0]
     with pytest.raises(ShapeError):
         net.score(rec.motion, rec.audio[:-1])
+    with pytest.raises(ShapeError):
+        net.score(rec.motion[None], rec.audio[:-1])
+    with pytest.raises(ShapeError):
+        net.score(rec.motion[None, None], rec.audio)
 
 
 def test_sync_window_fitting():

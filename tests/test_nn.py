@@ -18,6 +18,19 @@ def test_dense_matches_manual():
     np.testing.assert_allclose(out, x @ layer.weight.data + layer.bias.data)
 
 
+@pytest.mark.parametrize("shape", [(6, 1, 5), (6, 2, 5), (6, 5)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_dense_infer_matches_call(shape, bias):
+    layer = Dense(5, 4, rng(), bias=bias)
+    if bias:
+        layer.bias.data = rng().normal(0.0, 1.0, 4)
+    x = np.random.default_rng(1).normal(0.0, 1.0, shape)
+    out = layer.infer(x)
+    assert out.shape == shape[:-1] + (4,)
+    np.testing.assert_allclose(out, layer(Tensor(x)).data,
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_dense_shape_check():
     layer = Dense(3, 2, rng())
     with pytest.raises(ShapeError):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvqsynth import sampling
 from rvqsynth.armodel import ARConfig, ARModel
 from rvqsynth.codec import Codec, CodecConfig, train_codec
+from rvqsynth.metrics import SyncConfig, SyncNet
 from rvqsynth.sampling import (SamplingConfig, average_aggregate, distill,
                                generate, generate_batch, knn_aggregate,
                                syncnet_reject)
@@ -168,6 +170,50 @@ def test_rejection_requires_sync_model(stack):
     with pytest.raises(ValueError):
         generate(model, codec, rec.audio, rec.motion,
                  SamplingConfig(strategy="syncnet-rejection", n=4, keep_fraction=0.5))
+
+
+def per_candidate_sync_scores(codec, sync_model, y, grids, cand_rows, t,
+                              radius):
+    """Reference oracle: the loop the batched scorer replaced, one decode
+    and one score call per (sample, candidate) window."""
+    lo = max(0, t - radius)
+    scores = np.zeros(cand_rows.shape[:2])
+    for i in range(cand_rows.shape[0]):
+        history = grids[i, lo:t]
+        for j in range(cand_rows.shape[1]):
+            window = np.concatenate([history, cand_rows[i, j][None]], axis=0)
+            scores[i, j] = sync_model.score(codec.decode(window), y[lo:t + 1])
+    return scores
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+def test_batched_rejection_matches_per_candidate_oracle(stack, monkeypatch,
+                                                        variant):
+    codec, model, rec = stack
+    sync = SyncNet(SyncConfig(variant=variant, motion_dim=12, audio_dim=4,
+                              width=8, emb_dim=6, window=8, batch=8,
+                              clips_per_batch=2, seed=variant))
+    cfg = SamplingConfig(strategy="syncnet-rejection", n=5, keep_fraction=0.4,
+                         seed=3)
+    motions, grids = generate_batch(model, codec, rec.audio, rec.motion, cfg,
+                                    3, sync)
+    batched = sampling._candidate_sync_scores
+    calls = []
+
+    def oracle(*args):
+        ref = per_candidate_sync_scores(*args)
+        np.testing.assert_allclose(batched(*args), ref, rtol=1e-12, atol=1e-15)
+        calls.append(ref.shape)
+        return ref
+
+    monkeypatch.setattr(sampling, "_candidate_sync_scores", oracle)
+    ref_motions, ref_grids = generate_batch(model, codec, rec.audio,
+                                            rec.motion, cfg, 3, sync)
+    assert calls == [(3, 5)] * rec.audio.shape[0]
+    np.testing.assert_array_equal(grids, ref_grids)
+    np.testing.assert_array_equal(motions, ref_motions)
+    for i in range(3):
+        np.testing.assert_array_equal(motions[i], codec.decode(grids[i]))
 
 
 def test_batch_samples_are_independent(stack):
