@@ -103,7 +103,8 @@ class ARModel(Module):
                              for _ in range(c.depth_layers)]
         self.head = Dense(H, c.codebook_size, rng)
         self.style_const = Parameter(rng.normal(0.0, 0.05, H))
-        self.depth_pass_count = 0
+        # candidate passes (S·N per depth) and rows the depth stack ran
+        self.depth_pass_count = self.depth_row_count = 0
 
     # -- small helpers ----------------------------------------------------
 
@@ -216,33 +217,40 @@ class ARModel(Module):
         share the audio features (T, H) and the style embedding (H,)."""
         return TemporalStream(self, audio_feats, style_emb, samples)
 
+    def depth_prefix(self, style_emb: np.ndarray) -> list:
+        """Each depth layer's ``[k, v]`` (1, heads, 1, H / heads) of the style
+        token. It is the first causal position and sees only itself, so one
+        prefix serves every frame and row drawn with this style."""
+        if self.config.style_mode == "depth":
+            v = self.style_proj.infer(style_emb[None])
+        else:
+            v = self.style_const.data[None]
+        v = (v + self.depth_pos.data[0])[:, None]
+        prefix = [[] for _ in self.depth_blocks]
+        for block, kv in zip(self.depth_blocks, prefix):
+            v = block.step(v, kv)
+        return prefix
+
     def depth_step(self, h_av_t: np.ndarray, style_emb: np.ndarray,
                    partial_rows: np.ndarray, cache: list) -> np.ndarray:
-        """Logits for the next depth of N candidate rows; counts one depth
-        pass per row. ``partial_rows`` (N, d) holds the depths drawn so far.
+        """Logits (N, |C|) for the next depth of N rows that drew
+        ``partial_rows`` (N, d); adds N to ``depth_row_count``.
 
-        ``cache`` holds the rows' keys and values from the earlier steps of
-        the same frame. At d = 0 it is reset and the style and h_av tokens
-        are fed (``h_av_t`` is one context vector (H,) or one per row
-        (N, H)); each later step feeds only the token of the prefix through
-        depth d - 1 and ignores ``h_av_t`` and ``style_emb``.
+        ``cache`` holds each layer's keys and values of the tokens before: at
+        d = 0 the ``depth_prefix`` of ``style_emb`` (computed here if
+        ``cache`` is empty), under the h_av tokens ``h_av_t`` (N, H). Later
+        steps feed the code prefix through depth d - 1 over N cached rows.
         """
         N, d = partial_rows.shape
-        H = self.config.width
-        self.depth_pass_count += N
+        self.depth_row_count += N
         if d == 0:
-            cache[:] = [[] for _ in self.depth_blocks]
-            v = np.empty((N, 2, H))
-            if self.config.style_mode == "depth":
-                v[:, 0] = self.style_proj.infer(style_emb[None])[0]
-            else:
-                v[:, 0] = self.style_const.data
-            v[:, 1] = h_av_t
-            v = v + self.depth_pos.data[:2]
+            cache[:] = [[np.broadcast_to(a, (N,) + a.shape[1:]) for a in kv]
+                        for kv in cache or self.depth_prefix(style_emb)]
+            v = h_av_t + self.depth_pos.data[1]
         else:
-            prefix = self.codebook.data[partial_rows].cumsum(axis=1)[:, -1]
-            v = self.prefix_proj.infer(prefix) + self.depth_pos.data[d + 1]
-            v = v[:, None]
+            codes = self.codebook.data[partial_rows].cumsum(axis=1)[:, -1]
+            v = self.prefix_proj.infer(codes) + self.depth_pos.data[d + 1]
+        v = v[:, None]
         for block, kv in zip(self.depth_blocks, cache):
             v = block.step(v, kv)
         return self.head.infer(v[:, -1])
@@ -267,22 +275,16 @@ class ARModel(Module):
     # -- persistence --------------------------------------------------------
 
     def save(self, path, seed: int = 0):
-        cfg = dict(vars(self.config))
-        cfg["temporal_dilations"] = list(cfg["temporal_dilations"])
         checkpoint.save_container(
-            path, {"model": "ar", "config": cfg}, self.parameters(), seed,
-            extra={"codec_checksum": self.codec_checksum})
+            path, {"model": "ar", "config": vars(self.config)},
+            self.parameters(), seed, extra={"codec_checksum": self.codec_checksum})
 
     @classmethod
     def load(cls, path) -> "ARModel":
-        arch, arrays, steps, seed, extra = checkpoint.load_container(path)
-        if arch.get("model") != "ar":
-            raise checkpoint.ContainerError(f"{path} is not an AR checkpoint")
-        cfg = ARConfig(**arch["config"])
-        model = cls(cfg, arrays["codebook"],
-                    codec_checksum=extra.get("codec_checksum", ""))
-        checkpoint.restore_params(model.parameters(), arrays, steps)
-        return model
+        # the codebook is restored with the other parameters
+        return checkpoint.load_model(path, "ar", ARConfig, lambda cfg, extra: cls(
+            cfg, np.zeros((cfg.codebook_size, cfg.code_dim)),
+            codec_checksum=extra.get("codec_checksum", "")))[0]
 
 
 class TemporalStream:
@@ -451,16 +453,3 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
     history = fit(model.trainable_parameters(), config.epochs, config.lr,
                   batches, step, log)
     return model, history
-
-
-def held_out_cross_entropy(model: ARModel, codec, corpus, records,
-                           seed: int = 0) -> float:
-    """Mean per-position cross-entropy on a record list (teacher forced)."""
-    rng = np.random.default_rng(seed)
-    prepared = prepare_sequences(codec, corpus, records, rng)
-    total, count = 0.0, 0
-    for p in prepared:
-        lp = model.sequence_log_prob(p.grid, p.audio, p.style)
-        total -= lp
-        count += p.grid.size
-    return total / count

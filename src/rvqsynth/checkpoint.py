@@ -55,7 +55,7 @@ def save_container(path, arch: dict, params: dict, seed: int, extra: dict | None
             entries.append({"name": name + suffix, "shape": list(arr.shape)})
             blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     header = {
-        "arch": arch,
+        "arch": arch,  # json writes tuples as lists
         "seed": int(seed),
         "extra": extra or {},
         "steps": {name: int(p.adam_step) for name, p in sorted(params.items())},
@@ -95,6 +95,8 @@ def load_container(path):
     tensors = header["tensors"]
     if not isinstance(tensors, list):
         raise ContainerError(f"header in {path} has no tensor list")
+    if not (isinstance(header["steps"], dict) and isinstance(header["extra"], dict)):
+        raise ContainerError(f"header in {path} needs steps and extra dicts")
     for entry in tensors:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and _is_shape(entry.get("shape"))):
@@ -104,10 +106,32 @@ def load_container(path):
         end = offset + 8 * math.prod(entry["shape"])
         if end > len(raw):
             raise ContainerError(f"truncated payload in {path}")
-        arrays[entry["name"]] = np.frombuffer(
-            raw[offset:end], dtype="<f8").astype(np.float64).reshape(entry["shape"])
+        arr = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ContainerError(f"tensor {entry['name']!r} in {path} is not finite")
+        arrays[entry["name"]] = arr.reshape(entry["shape"])
         offset = end
     return header["arch"], arrays, header["steps"], header["seed"], header["extra"]
+
+
+def load_model(path, kind: str, config_cls, build):
+    """Read a checkpoint of the model ``kind``: build its ``config_cls`` from
+    the architecture spec, the model as ``build(config, extra)``, and restore
+    its parameters; returns (model, extra). A spec of another kind or one
+    that cannot build the config raises ``ContainerError``."""
+    arch, arrays, steps, _, extra = load_container(path)
+    if not isinstance(arch, dict) or arch.get("model") != kind:
+        raise ContainerError(f"{path} is not a {kind} checkpoint")
+    fields = arch.get("config")
+    if not isinstance(fields, dict):
+        raise ContainerError(f"{path} has no {kind} config")
+    try:  # an unknown key is a TypeError
+        config = config_cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"bad {kind} config in {path}: {exc}") from exc
+    model = build(config, extra)
+    restore_params(model.parameters(), arrays, steps)
+    return model, extra
 
 
 def restore_params(params: dict, arrays: dict, steps: dict):

@@ -167,18 +167,13 @@ class Codec(Module):
     # -- persistence --------------------------------------------------------
 
     def save(self, path, seed: int = 0):
-        cfg = dict(vars(self.config))
-        checkpoint.save_container(path, {"model": "codec", "config": cfg},
+        checkpoint.save_container(path, {"model": "codec", "config": vars(self.config)},
                                   self.parameters(), seed)
 
     @classmethod
     def load(cls, path) -> "Codec":
-        arch, arrays, steps, seed, _ = checkpoint.load_container(path)
-        if arch.get("model") != "codec":
-            raise checkpoint.ContainerError(f"{path} is not a codec checkpoint")
-        codec = cls(CodecConfig(**arch["config"]))
-        checkpoint.restore_params(codec.parameters(), arrays, steps)
-        return codec
+        return checkpoint.load_model(path, "codec", CodecConfig,
+                                     lambda cfg, _: cls(cfg))[0]
 
 
 def init_codebook(codec: Codec, records, rng: np.random.Generator):

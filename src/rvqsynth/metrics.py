@@ -164,9 +164,6 @@ class SyncNet(Module):
         """Window embeddings (B, emb) from (B, W, 3V) motion windows."""
         return self._window_embed(self.mesh_frames(x), self.mesh_proj)
 
-    def audio_embedding(self, y: Tensor) -> Tensor:
-        return self._window_embed(self.audio_frames(y), self.audio_proj)
-
     def _fit_window(self, seq: np.ndarray) -> np.ndarray:
         """Crop the time axis (-2) to the last W frames or left-pad it by
         repeating the first frame."""
@@ -238,19 +235,13 @@ class SyncNet(Module):
         return float(scores[0]) if x.ndim == 2 else scores
 
     def save(self, path, seed: int = 0):
-        cfg = dict(vars(self.config))
-        cfg["shifts"] = list(cfg["shifts"])
-        checkpoint.save_container(path, {"model": "sync", "config": cfg},
+        checkpoint.save_container(path, {"model": "sync", "config": vars(self.config)},
                                   self.parameters(), seed)
 
     @classmethod
     def load(cls, path) -> "SyncNet":
-        arch, arrays, steps, _, _ = checkpoint.load_container(path)
-        if arch.get("model") != "sync":
-            raise checkpoint.ContainerError(f"{path} is not a sync checkpoint")
-        net = cls(SyncConfig(**arch["config"]))
-        checkpoint.restore_params(net.parameters(), arrays, steps)
-        return net
+        return checkpoint.load_model(path, "sync", SyncConfig,
+                                     lambda cfg, _: cls(cfg))[0]
 
 
 def infonce_batch(corpus, records, config: SyncConfig,
@@ -380,11 +371,8 @@ class StyleNet(Module):
 
     @classmethod
     def load(cls, path):
-        arch, arrays, steps, _, extra = checkpoint.load_container(path)
-        if arch.get("model") != "style":
-            raise checkpoint.ContainerError(f"{path} is not a style checkpoint")
-        net = cls(StyleConfig(**arch["config"]))
-        checkpoint.restore_params(net.parameters(), arrays, steps)
+        net, extra = checkpoint.load_model(path, "style", StyleConfig,
+                                           lambda cfg, _: cls(cfg))
         return net, extra.get("speaker_ids", [])
 
 

@@ -77,19 +77,32 @@ def syncnet_reject(embs: np.ndarray, scores: np.ndarray,
     return embs[np.sort(keep)]
 
 
-def _sample_candidates(model: ARModel, h: np.ndarray, style: np.ndarray,
+def _sample_candidates(model: ARModel, h: np.ndarray, prefix: list,
                        n: int, d_star: int, temperature: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` code rows of ``d_star`` depths from the depth model for
-    each of the R context vectors ``h`` (R, H); returns (R, n, d_star)."""
-    h_rows = np.repeat(h, n, axis=0)  # (R*n, H)
-    rows = np.zeros((h_rows.shape[0], 0), dtype=np.int64)
-    cache = []  # the depth stack's keys and values for this frame's rows
-    for _ in range(d_star):
-        logits = model.depth_step(h_rows, style, rows, cache)
+    each of the R context vectors ``h`` (R, H) over the style's
+    ``model.depth_prefix``; returns (R, n, d_star).
+
+    Depth 0 runs on the R context rows; its logits (so the draws keep their
+    order) and each layer's keys and values are then repeated to the R·n
+    candidates, which run depths ≥ 1. Counts R·n passes per depth in
+    ``model.depth_pass_count``.
+    """
+    R = h.shape[0]
+    cache = list(prefix)
+    logits = np.repeat(model.depth_step(h, None, np.zeros((R, 0), np.int64),
+                                        cache), n, axis=0)
+    for kv in cache:
+        kv[:] = [np.repeat(a, n, axis=0) for a in kv]
+    rows = np.zeros((R * n, 0), dtype=np.int64)
+    for d in range(d_star):
+        if d:
+            logits = model.depth_step(None, None, rows, cache)
         idx = sample_categorical(logits, temperature, rng)
         rows = np.concatenate([rows, idx[:, None]], axis=1)
-    return rows.reshape(h.shape[0], n, d_star)
+    model.depth_pass_count += R * n * d_star
+    return rows.reshape(R, n, d_star)
 
 
 def _aggregate(cand_embs: np.ndarray, config: SamplingConfig,
@@ -124,12 +137,13 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     T = y.shape[0]
     audio, style = model.context_features(y, s)
     stream = model.start_stream(audio, style, S)
+    prefix = model.depth_prefix(style)
     grids = np.zeros((S, T, d_star), dtype=np.int64)
     committed = None  # (S, NC) embeddings of the frame before
     R = model.audio_radius
     for t in range(T):
         h = stream.step(committed)  # (S, H)
-        cand_rows = _sample_candidates(model, h, style, N, d_star,
+        cand_rows = _sample_candidates(model, h, prefix, N, d_star,
                                        config.temperature, rng)
         cand_embs = model.frame_embedding(cand_rows)  # (S, N, NC)
         if config.strategy == "default":
@@ -163,13 +177,6 @@ def _candidate_sync_scores(codec, sync_model, y, grids, cand_rows, t, radius):
     return sync_model.score(motions, y[lo:t + 1]).reshape(S, N)
 
 
-def generate(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
-             config: SamplingConfig, sync_model=None):
-    """Single-sample convenience wrapper; returns (motion, grid)."""
-    motions, grids = generate_batch(model, codec, y, s, config, 1, sync_model)
-    return motions[0], grids[0]
-
-
 # -- knowledge distillation ---------------------------------------------------
 
 
@@ -192,8 +199,8 @@ def relabel_grids(teacher: ARModel, codec, prepared,
         se = None if teacher.config.style_mode == "depth" else Tensor(style[None])
         h_av = teacher.temporal_context(Tensor(audio[None]), frame_embs[None],
                                         se).data[0]  # (T, H)
-        cand_rows = _sample_candidates(teacher, h_av, style, config.n, d_star,
-                                       config.temperature, rng)
+        cand_rows = _sample_candidates(teacher, h_av, teacher.depth_prefix(style),
+                                       config.n, d_star, config.temperature, rng)
         res = _aggregate(teacher.frame_embedding(cand_rows), config,
                          codec.codebook.data, d_star)
         relabeled.append(res.grid)

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from rvqsynth.armodel import (ARConfig, ARModel, held_out_cross_entropy,
-                              prepare_sequences, soft_target_distributions,
-                              stochastic_grid, train_ar)
+from rvqsynth.armodel import (ARConfig, ARModel, prepare_sequences,
+                              soft_target_distributions, stochastic_grid,
+                              train_ar)
 from rvqsynth.codec import CodecConfig, train_codec
 from rvqsynth.tensor import ShapeError
 
@@ -126,13 +126,13 @@ def test_stream_matches_teacher_forced_logits(temporal, style_mode, D, T):
 
 def test_depth_pass_counter_counts_rows():
     model = make_model()
-    model.depth_pass_count = 0
     h = np.zeros((3, TINY_AR.width))
     style = np.zeros(TINY_AR.width)
     cache = []
     model.depth_step(h, style, np.zeros((3, 0), dtype=np.int64), cache)
     model.depth_step(h, style, np.zeros((3, 1), dtype=np.int64), cache)
-    assert model.depth_pass_count == 6
+    assert model.depth_row_count == 6
+    assert model.depth_pass_count == 0  # logical passes count in sampling
 
 
 def test_style_conditioning_changes_depth_logits():
@@ -168,6 +168,15 @@ def test_geometry_mismatch_rejected(trained, tiny_corpus):
                    audio_dim=4, motion_dim=12, heads=2, epochs=1)
     with pytest.raises(ValueError):
         train_ar(codec, tiny_corpus, bad)
+
+
+def held_out_cross_entropy(model, codec, corpus, records, seed=0):
+    """Mean per-position cross-entropy on a record list (teacher forced)."""
+    prepared = prepare_sequences(codec, corpus, records,
+                                 np.random.default_rng(seed))
+    total = sum(-model.sequence_log_prob(p.grid, p.audio, p.style)
+                for p in prepared)
+    return total / sum(p.grid.size for p in prepared)
 
 
 def test_held_out_cross_entropy_finite(trained, tiny_corpus):

@@ -1,15 +1,18 @@
 import builtins
+import json
 
 import numpy as np
 import pytest
 
 from rvqsynth import checkpoint
+from rvqsynth.armodel import ARConfig, ARModel
 from rvqsynth.checkpoint import (ContainerError, file_checksum, load_container,
                                  restore_params, save_container)
-from rvqsynth.codec import write_grid
+from rvqsynth.codec import Codec, CodecConfig, write_grid
 from rvqsynth.config import write_snapshot
 from rvqsynth.data import (CorpusConfig, MotionSequence, generate_corpus,
                            save_corpus, write_audio, write_sequence)
+from rvqsynth.metrics import StyleConfig, StyleNet, SyncConfig, SyncNet
 from rvqsynth.nn import Parameter
 
 
@@ -114,6 +117,118 @@ def test_restore_rejects_missing_and_mismatched(tmp_path):
     del arrays["w.adam_v"]
     with pytest.raises(ContainerError, match="adam_v"):
         restore_params({"w": Parameter(np.zeros((2, 3)))}, arrays, steps)
+
+
+def test_container_rejects_non_finite_payload(tmp_path):
+    path = tmp_path / "model.ckpt"
+    Codec(CodecConfig(input_dim=6, depth=1, codebook_size=2,
+                      code_dim=2)).save(path)
+    raw = bytearray(path.read_bytes())
+    hlen = int.from_bytes(raw[8:16], "little")
+    first = json.loads(raw[16:16 + hlen])["tensors"][0]["name"]
+    raw[16 + hlen:24 + hlen] = np.array([np.inf], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ContainerError, match=f"'{first}'.*not finite"):
+        Codec.load(path)
+
+
+# kind -> (config, field values its __post_init__ refuses or None,
+# save(config, path), load(path) returning the model)
+MODEL_KINDS = {
+    "codec": (CodecConfig(input_dim=6, depth=1, codebook_size=2, code_dim=2),
+              None, lambda cfg, path: Codec(cfg).save(path), Codec.load),
+    "ar": (ARConfig(code_dim=2, codebook_size=2, depth=1, width=4, audio_dim=2,
+                    motion_dim=6, heads=2, depth_layers=1,
+                    temporal_dilations=(1,)),
+           {"temporal": "rnn"},
+           lambda cfg, path: ARModel(cfg, np.zeros((2, 2))).save(path),
+           ARModel.load),
+    "sync": (SyncConfig(motion_dim=6, audio_dim=2, width=4, emb_dim=2,
+                        batch=4, clips_per_batch=1, window=4),
+             {"batch": 5}, lambda cfg, path: SyncNet(cfg).save(path),
+             SyncNet.load),
+    "style": (StyleConfig(motion_dim=6, width=4, emb_dim=2), None,
+              lambda cfg, path: StyleNet(cfg).save(path, [0]),
+              lambda path: StyleNet.load(path)[0]),
+}
+
+
+def _edit_arch(path, edit):
+    """Rewrite the architecture spec of a saved checkpoint with ``edit``."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    header["arch"] = edit(header["arch"])
+    hjson = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(hjson).to_bytes(8, "little") + hjson
+                     + raw[16 + hlen:])
+
+
+def _flip_key(cfg):
+    key = sorted(cfg)[0]
+    return {("H" + k[1:] if k == key else k): v for k, v in cfg.items()}
+
+
+ARCH_EDITS = [
+    ("no config", lambda arch: {"model": arch["model"]}, "has no .* config"),
+    ("arch not a dict", lambda arch: [arch], "is not a .* checkpoint"),
+    ("config not a dict", lambda arch: {**arch, "config": [1]},
+     "has no .* config"),
+    ("flipped key", lambda arch: {**arch, "config": _flip_key(arch["config"])},
+     "unexpected keyword argument 'H"),
+    ("other kind", lambda arch: {**arch, "model": "other"},
+     "is not a .* checkpoint"),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_load_model_builds_config(tmp_path, kind):
+    cfg, _, save, load = MODEL_KINDS[kind]
+    path = tmp_path / "model.ckpt"
+    save(cfg, path)
+    assert load(path).config == cfg
+
+
+@pytest.mark.parametrize("edit", [e[1:] for e in ARCH_EDITS],
+                         ids=[e[0] for e in ARCH_EDITS])
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_load_model_rejects_malformed_arch(tmp_path, kind, edit):
+    cfg, _, save, load = MODEL_KINDS[kind]
+    path = tmp_path / "model.ckpt"
+    save(cfg, path)
+    _edit_arch(path, edit[0])
+    with pytest.raises(ContainerError, match=edit[1]):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", [k for k in sorted(MODEL_KINDS)
+                                  if MODEL_KINDS[k][1] is not None])
+def test_load_model_rejects_config_its_dataclass_refuses(tmp_path, kind):
+    cfg, bad, save, load = MODEL_KINDS[kind]
+    path = tmp_path / "model.ckpt"
+    save(cfg, path)
+    _edit_arch(path, lambda arch: {**arch, "config": {**arch["config"], **bad}})
+    with pytest.raises(ContainerError, match=f"bad {kind} config"):
+        load(path)
+
+
+def test_ar_load_rejects_missing_codebook(tmp_path):
+    cfg, _, save, _ = MODEL_KINDS["ar"]
+    path = tmp_path / "model.ckpt"
+    save(cfg, path)
+    path.write_bytes(path.read_bytes().replace(b'"codebook"', b'"codebooX"'))
+    with pytest.raises(ContainerError, match="missing tensor 'codebook'"):
+        ARModel.load(path)
+
+
+@pytest.mark.parametrize("field", ["steps", "extra"])
+def test_container_rejects_non_dict_steps_and_extra(tmp_path, field):
+    path = tmp_path / "model.ckpt"
+    _with_header(path, b'{"arch": {}, "seed": 0, "extra": {}, "steps": {}, '
+                       b'"tensors": []}'.replace(f'"{field}": {{}}'.encode(),
+                                                 f'"{field}": []'.encode()))
+    with pytest.raises(ContainerError, match="steps and extra"):
+        load_container(path)
 
 
 def test_file_checksum_detects_change(tmp_path):

@@ -193,6 +193,12 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
                     + len(header).to_bytes(8, "little") + header)
     assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
                       "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
+    # a codec checkpoint with a flipped byte in a config key
+    raw = open(artifacts["codec"], "rb").read()
+    bad.write_bytes(raw.replace(b'"beta"', b'"Heta"', 1))
+    assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
+                      "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
+    assert "argument 'Heta'" in capsys.readouterr().err
 
 
 def test_exit_code_checksum_mismatch(artifacts, tmp_path):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqsynth import sampling
-from rvqsynth.armodel import ARConfig, ARModel
-from rvqsynth.codec import Codec, CodecConfig, train_codec
+from rvqsynth.armodel import ARConfig, ARModel, prepare_sequences
+from rvqsynth.codec import Codec, CodecConfig, sample_categorical, train_codec
 from rvqsynth.metrics import SyncConfig, SyncNet
-from rvqsynth.sampling import (SamplingConfig, average_aggregate, distill,
-                               generate, generate_batch, knn_aggregate,
-                               syncnet_reject)
+from rvqsynth.sampling import (STRATEGIES, SamplingConfig, average_aggregate,
+                               distill, generate_batch, knn_aggregate,
+                               relabel_grids, syncnet_reject)
 from rvqsynth.tensor import ShapeError
 
 TINY_AR = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
@@ -102,8 +102,10 @@ def test_sampling_config_validation():
 def test_generate_shapes_and_determinism(stack):
     codec, model, rec = stack
     cfg = SamplingConfig(strategy="default", seed=3)
-    m1, g1 = generate(model, codec, rec.audio, rec.motion, cfg)
-    m2, g2 = generate(model, codec, rec.audio, rec.motion, cfg)
+    (m1,), (g1,) = generate_batch(model, codec, rec.audio, rec.motion, cfg,
+                                  n_samples=1)
+    (m2,), (g2,) = generate_batch(model, codec, rec.audio, rec.motion, cfg,
+                                  n_samples=1)
     assert m1.shape == rec.motion.shape
     assert g1.shape == (rec.motion.shape[0], 2)
     np.testing.assert_array_equal(m1, m2)
@@ -112,10 +114,10 @@ def test_generate_shapes_and_determinism(stack):
 
 def test_temperature_zero_is_greedy_and_seed_independent(stack):
     codec, model, rec = stack
-    a = generate(model, codec, rec.audio, rec.motion,
-                 SamplingConfig(temperature=0.0, seed=1))[1]
-    b = generate(model, codec, rec.audio, rec.motion,
-                 SamplingConfig(temperature=0.0, seed=99))[1]
+    a = generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(temperature=0.0, seed=1), n_samples=1)[1]
+    b = generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(temperature=0.0, seed=99), n_samples=1)[1]
     np.testing.assert_array_equal(a, b)
 
 
@@ -149,18 +151,21 @@ def test_over_long_transformer_input_fails_before_sampling(stack):
 
 def test_knn_k_equals_n_matches_average_generation(stack):
     codec, model, rec = stack
-    a = generate(model, codec, rec.audio, rec.motion,
-                 SamplingConfig(strategy="knn", n=4, k=4, seed=5))
-    b = generate(model, codec, rec.audio, rec.motion,
-                 SamplingConfig(strategy="average", n=4, seed=5))
+    a = generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(strategy="knn", n=4, k=4, seed=5),
+                       n_samples=1)
+    b = generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(strategy="average", n=4, seed=5),
+                       n_samples=1)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_depth_truncated_generation(stack):
     codec, model, rec = stack
-    motion, grid = generate(model, codec, rec.audio, rec.motion,
-                            SamplingConfig(depth_limit=1, seed=2))
+    (motion,), (grid,) = generate_batch(model, codec, rec.audio, rec.motion,
+                                        SamplingConfig(depth_limit=1, seed=2),
+                                        n_samples=1)
     assert grid.shape[1] == 1
     assert motion.shape == rec.motion.shape
 
@@ -168,8 +173,9 @@ def test_depth_truncated_generation(stack):
 def test_rejection_requires_sync_model(stack):
     codec, model, rec = stack
     with pytest.raises(ValueError):
-        generate(model, codec, rec.audio, rec.motion,
-                 SamplingConfig(strategy="syncnet-rejection", n=4, keep_fraction=0.5))
+        generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(strategy="syncnet-rejection", n=4,
+                                      keep_fraction=0.5), n_samples=1)
 
 
 def per_candidate_sync_scores(codec, sync_model, y, grids, cand_rows, t,
@@ -214,6 +220,119 @@ def test_batched_rejection_matches_per_candidate_oracle(stack, monkeypatch,
     np.testing.assert_array_equal(motions, ref_motions)
     for i in range(3):
         np.testing.assert_array_equal(motions[i], codec.decode(grids[i]))
+
+
+def repeated_rows_candidates(model, h, style, n, d_star, temperature, rng):
+    """Reference oracle: the depth loop before the shared prefix. Each
+    context vector is repeated to its n candidate rows, and every row feeds
+    its own style and h_av tokens at depth 0."""
+    h_rows = np.repeat(h, n, axis=0)
+    N, H = h_rows.shape
+    rows = np.zeros((N, 0), dtype=np.int64)
+    cache = [[] for _ in model.depth_blocks]
+    for d in range(d_star):
+        if d == 0:
+            v = np.empty((N, 2, H))
+            if model.config.style_mode == "depth":
+                v[:, 0] = model.style_proj.infer(style[None])[0]
+            else:
+                v[:, 0] = model.style_const.data
+            v[:, 1] = h_rows
+            v = v + model.depth_pos.data[:2]
+        else:
+            prefix = model.codebook.data[rows].cumsum(axis=1)[:, -1]
+            v = model.prefix_proj.infer(prefix) + model.depth_pos.data[d + 1]
+            v = v[:, None]
+        for block, kv in zip(model.depth_blocks, cache):
+            v = block.step(v, kv)
+        idx = sample_categorical(model.head.infer(v[:, -1]), temperature, rng)
+        rows = np.concatenate([rows, idx[:, None]], axis=1)
+    model.depth_pass_count += N * d_star
+    return rows.reshape(h.shape[0], n, d_star)
+
+
+def use_repeated_rows_oracle(monkeypatch, model):
+    """Route sampling through the oracle; it gets the style embedding where
+    ``_sample_candidates`` gets the style's depth prefix."""
+    monkeypatch.setattr(model, "depth_prefix", lambda style: style)
+    monkeypatch.setattr(sampling, "_sample_candidates",
+                        repeated_rows_candidates)
+
+
+PREFIX_CODEC = CodecConfig(input_dim=12, depth=3, codebook_size=5, code_dim=4,
+                           seed=1)
+
+
+def prefix_model(style_mode, temporal):
+    cfg = replace(TINY_AR, depth=3, codebook_size=5, depth_layers=2,
+                  temporal=temporal, temporal_layers=1, style_mode=style_mode)
+    codec = Codec(PREFIX_CODEC)
+    return codec, ARModel(cfg, codec.codebook.data.copy(),
+                          np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_shared_prefix_matches_repeated_rows_oracle(tiny_corpus, monkeypatch,
+                                                    strategy, style_mode,
+                                                    temporal):
+    codec, model = prefix_model(style_mode, temporal)
+    sync = SyncNet(SyncConfig(variant=2, motion_dim=12, audio_dim=4, width=8,
+                              emb_dim=6, window=8, batch=8, clips_per_batch=2,
+                              seed=2))
+    rec = tiny_corpus.records[1]
+    configs = [SamplingConfig(strategy=strategy, n=n, k=min(n, 2),
+                              keep_fraction=0.5, depth_limit=limit,
+                              temperature=temperature, seed=4)
+               for n in (1, 4) for limit in (1, 3) for temperature in (0.0, 1.0)]
+
+    def run_all():
+        return [generate_batch(model, codec, rec.audio, rec.motion, cfg, 3,
+                               sync) for cfg in configs]
+
+    shared = run_all()
+    with monkeypatch.context() as patch:
+        use_repeated_rows_oracle(patch, model)
+        repeated = run_all()
+    for cfg, (motions, grids), (ref_motions, ref_grids) in zip(
+            configs, shared, repeated):
+        np.testing.assert_array_equal(grids, ref_grids, err_msg=str(cfg))
+        np.testing.assert_array_equal(motions, ref_motions, err_msg=str(cfg))
+
+
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("strategy", ["default", "knn", "average"])
+def test_shared_prefix_relabel_matches_repeated_rows_oracle(
+        tiny_corpus, monkeypatch, strategy, style_mode):
+    codec, model = prefix_model(style_mode, "conv")
+    prepared = prepare_sequences(codec, tiny_corpus, tiny_corpus.records[:3],
+                                 np.random.default_rng(0))
+    cfg = SamplingConfig(strategy=strategy, n=4, k=2)
+    shared = relabel_grids(model, codec, prepared, cfg,
+                           np.random.default_rng(8))
+    use_repeated_rows_oracle(monkeypatch, model)
+    repeated = relabel_grids(model, codec, prepared, cfg,
+                             np.random.default_rng(8))
+    for grid, ref in zip(shared, repeated, strict=True):
+        np.testing.assert_array_equal(grid, ref)
+
+
+def test_generation_counts_passes_and_rows(tiny_corpus, monkeypatch):
+    codec, model = prefix_model("depth", "conv")
+    prefixes = []
+    depth_prefix = model.depth_prefix
+    monkeypatch.setattr(model, "depth_prefix",
+                        lambda style: prefixes.append(1) or depth_prefix(style))
+    rec = tiny_corpus.records[0]
+    T = rec.audio.shape[0]
+    S, N, d_star = 3, 5, 3
+    passes, rows = model.depth_pass_count, model.depth_row_count
+    generate_batch(model, codec, rec.audio, rec.motion,
+                   SamplingConfig(strategy="average", n=N), S)
+    assert model.depth_pass_count - passes == S * N * T * d_star
+    assert model.depth_row_count - rows == T * (S + S * N * (d_star - 1))
+    assert prefixes == [1]
 
 
 def test_batch_samples_are_independent(stack):
