@@ -20,9 +20,9 @@ import numpy as np
 from . import checkpoint
 from .codec import rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, Module, Parameter, TransformerBlock, conv_stack,
-                 fit)
+                 fit, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
-                     log_softmax)
+                     leaky_relu, log_softmax, mean)
 
 
 @dataclass
@@ -122,17 +122,17 @@ class ARModel(Module):
 
     # -- forward passes -----------------------------------------------------
 
-    def encode_audio(self, y: Tensor) -> Tensor:
+    def encode_audio(self, y):
         if y.shape[-1] != self.config.audio_dim:
             raise ShapeError(f"audio features must have dim "
                              f"{self.config.audio_dim}, got {y.shape}")
         return conv_stack(y, self.audio_convs)
 
-    def encode_style(self, s: Tensor) -> Tensor:
+    def encode_style(self, s):
         """Mean-pooled embedding of a (B, T_s, 3V) style reference."""
         if s.ndim != 3 or s.shape[1] < 1:
             raise ShapeError("style reference needs at least one frame")
-        return conv_stack(s, self.style_convs).mean(axis=1)
+        return mean(conv_stack(s, self.style_convs), axis=1)
 
     def temporal_context(self, audio_feats: Tensor, frame_embs: np.ndarray,
                          style_emb: Optional[Tensor] = None) -> Tensor:
@@ -147,7 +147,7 @@ class ARModel(Module):
             h = h + self.style_proj(style_emb).reshape(B, 1, H)
         if self.config.temporal == "conv":
             for conv in self.temporal_convs:
-                h = h + conv(h).leaky_relu(0.1)
+                h = h + leaky_relu(conv(h), 0.1)
         else:
             if T > self.config.max_frames:
                 raise ShapeError(f"{T} frames exceed the transformer temporal "
@@ -207,9 +207,7 @@ class ARModel(Module):
 
     def context_features(self, y: np.ndarray, s: np.ndarray):
         """Precompute (audio features (T, H), style embedding (H,))."""
-        audio = self.encode_audio(Tensor(y[None])).data[0]
-        style = self.encode_style(Tensor(s[None])).data[0]
-        return audio, style
+        return self.encode_audio(y[None])[0], self.encode_style(s[None])[0]
 
     def start_stream(self, audio_feats: np.ndarray, style_emb: np.ndarray,
                      samples: int) -> "TemporalStream":
@@ -222,13 +220,13 @@ class ARModel(Module):
         token. It is the first causal position and sees only itself, so one
         prefix serves every frame and row drawn with this style."""
         if self.config.style_mode == "depth":
-            v = self.style_proj.infer(style_emb[None])
+            v = self.style_proj(style_emb[None])
         else:
             v = self.style_const.data[None]
         v = (v + self.depth_pos.data[0])[:, None]
         prefix = [[] for _ in self.depth_blocks]
         for block, kv in zip(self.depth_blocks, prefix):
-            v = block.step(v, kv)
+            v = block(v, kv)
         return prefix
 
     def depth_step(self, h_av_t: np.ndarray, style_emb: np.ndarray,
@@ -249,11 +247,11 @@ class ARModel(Module):
             v = h_av_t + self.depth_pos.data[1]
         else:
             codes = self.codebook.data[partial_rows].cumsum(axis=1)[:, -1]
-            v = self.prefix_proj.infer(codes) + self.depth_pos.data[d + 1]
+            v = self.prefix_proj(codes) + self.depth_pos.data[d + 1]
         v = v[:, None]
         for block, kv in zip(self.depth_blocks, cache):
-            v = block.step(v, kv)
-        return self.head.infer(v[:, -1])
+            v = block(v, kv)
+        return self.head(v[:, -1])
 
     # -- scoring -----------------------------------------------------------
 
@@ -293,10 +291,10 @@ class TemporalStream:
     ``step`` returns h_av of the next frame for every sequence, given the
     depth-summed code embedding each sequence committed for the frame before.
     Each causal conv keeps the rows of its input seen so far, as in Fast
-    WaveNet generation, and computes one output row from them in the tap
-    order of ``conv1d``, so with convs a frame costs the same at any
-    position; the transformer variant keeps each temporal block's keys and
-    values.
+    WaveNet generation, and computes one output row from them with
+    ``tap_sum``, the kernel of ``conv1d``, so with convs a frame costs the
+    same at any position; the transformer variant keeps each temporal
+    block's keys and values.
     """
 
     def __init__(self, model: ARModel, audio_feats: np.ndarray,
@@ -312,7 +310,7 @@ class TemporalStream:
         self.t = 0
         self.style_term = None
         if c.style_mode == "temporal":
-            self.style_term = model.style_proj.infer(
+            self.style_term = model.style_proj(
                 np.broadcast_to(style_emb, (samples, H)))
         if c.temporal == "conv":
             # input rows, each behind the conv's causal zero padding
@@ -329,7 +327,7 @@ class TemporalStream:
             shifted = np.broadcast_to(m.start_token.data,
                                       (self.samples, m.config.width))
         else:
-            shifted = m.code_proj.infer(prev_emb)
+            shifted = m.code_proj(prev_emb)
         x = self.audio[t] + shifted
         if self.style_term is not None:
             x = x + self.style_term
@@ -337,16 +335,13 @@ class TemporalStream:
             for conv, rows in zip(m.temporal_convs, self.inputs):
                 k, d = conv.kernel, conv.dilation
                 rows[:, (k - 1) * d + t] = x
-                w = conv.weight.data
-                out = rows[:, t] @ w[0]
-                for tap in range(1, k):
-                    out = out + rows[:, t + tap * d] @ w[tap]
-                out = out + conv.bias.data
-                x = x + out * np.where(out > 0.0, 1.0, 0.1)
+                taps = [rows[:, t + tap * d] for tap in range(k)]
+                x = x + leaky_relu(tap_sum(taps, conv.weight.data,
+                                           conv.bias.data), 0.1)
         else:
             x = (x + m.temporal_pos.data[t])[:, None]
             for block, cache in zip(m.temporal_blocks, self.caches):
-                x = block.step(x, cache)
+                x = block(x, cache)
             x = x[:, 0]
         self.t = t + 1
         return x

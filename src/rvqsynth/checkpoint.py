@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -114,18 +115,28 @@ def load_container(path):
     return header["arch"], arrays, header["steps"], header["seed"], header["extra"]
 
 
+# JSON value types a config field may hold, matched exactly (a bool is no int)
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
+               tuple: (list,), int | None: (int, type(None))}
+
+
 def load_model(path, kind: str, config_cls, build):
     """Read a checkpoint of the model ``kind``: build its ``config_cls`` from
     the architecture spec, the model as ``build(config, extra)``, and restore
-    its parameters; returns (model, extra). A spec of another kind or one
-    that cannot build the config raises ``ContainerError``."""
+    its parameters; returns (model, extra). A spec of another kind, a config
+    value of the wrong JSON type or a spec that cannot build the config
+    raises ``ContainerError``."""
     arch, arrays, steps, _, extra = load_container(path)
     if not isinstance(arch, dict) or arch.get("model") != kind:
         raise ContainerError(f"{path} is not a {kind} checkpoint")
     fields = arch.get("config")
     if not isinstance(fields, dict):
         raise ContainerError(f"{path} has no {kind} config")
-    try:  # an unknown key is a TypeError
+    hints = typing.get_type_hints(config_cls)
+    try:  # an unknown key or a value of the wrong JSON type is a TypeError
+        for name, value in fields.items():
+            if name in hints and type(value) not in _JSON_TYPES[hints[name]]:
+                raise TypeError(f"{name} cannot be {value!r}")
         config = config_cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"bad {kind} config in {path}: {exc}") from exc
@@ -147,7 +158,9 @@ def restore_params(params: dict, arrays: dict, steps: dict):
         p.data = arrays[name].copy()
         p.adam_m = arrays[name + ".adam_m"].copy()
         p.adam_v = arrays[name + ".adam_v"].copy()
-        p.adam_step = int(steps.get(name, 0))
+        p.adam_step = steps.get(name, 0)
+        if type(p.adam_step) is not int:
+            raise ContainerError(f"step count of {name!r} is not an int")
 
 
 def file_checksum(path) -> str:

@@ -4,8 +4,8 @@ Every subcommand accepts ``--config FILE`` (flat key=value, ``include``
 supported) plus direct flags; flags override config values. Each run writes a
 resolved-config snapshot next to its primary output. Progress is logged as
 line-oriented ``key=value`` records. Exit codes: 0 success, 2 config error,
-3 missing or malformed input artifact (checkpoint, sequence, audio or grid
-file) or checksum mismatch, 4 numeric divergence.
+3 missing or malformed input artifact (checkpoint, sequence or audio file)
+or checksum mismatch, 4 numeric divergence.
 """
 
 from __future__ import annotations

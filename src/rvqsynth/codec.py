@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -120,19 +119,13 @@ class Codec(Module):
 
     # -- forward ----------------------------------------------------------
 
-    def encode_tape(self, x: Tensor) -> Tensor:
-        return conv_stack(x, self.enc_layers)
-
-    def decode_tape(self, zq: Tensor) -> Tensor:
-        return conv_stack(zq, self.dec_layers)
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Map one (T, 3V) sequence to (T, N_C) latents."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
             raise ShapeError(
                 f"expected (T, {self.config.input_dim}) motion, got {x.shape}")
-        return self.encode_tape(Tensor(x[None])).data[0]
+        return conv_stack(x[None], self.enc_layers)[0]
 
     def quantize(self, z: np.ndarray, depth_limit: int | None = None) -> QuantizationResult:
         d = self.config.depth if depth_limit is None else depth_limit
@@ -158,8 +151,7 @@ class Codec(Module):
         if grid.min() < 0 or grid.max() >= self.config.codebook_size:
             raise ValueError("code index out of range")
         zq = self.codebook.data[grid[..., :d]].sum(axis=-2)  # (..., T, N_C)
-        out = self.decode_tape(Tensor(zq.reshape((-1,) + zq.shape[-2:]))).data
-        return out.reshape(grid.shape[:-1] + out.shape[-1:])
+        return conv_stack(zq, self.dec_layers)
 
     def encode_decode(self, x: np.ndarray, depth_limit: int | None = None) -> np.ndarray:
         return self.decode(self.quantize(self.encode(x)).grid, depth_limit)
@@ -211,7 +203,7 @@ def train_codec(corpus, config: CodecConfig, log=None):
 
     def step(motion):
         x = Tensor(motion)
-        z = codec.encode_tape(x)
+        z = conv_stack(x, codec.enc_layers)
         B, T, NC = z.shape
         flat = z.data.reshape(B * T, NC)
         res = rvq_quantize_frames(flat, codec.codebook.data, D)
@@ -220,7 +212,7 @@ def train_codec(corpus, config: CodecConfig, log=None):
 
         def recon_at(d):
             zq = partials[:, d - 1].reshape(B, T, NC)
-            xhat = codec.decode_tape(straight_through(Tensor(zq), z))
+            xhat = conv_stack(straight_through(zq, z), codec.dec_layers)
             return ((xhat - x) ** 2.0).mean()
 
         recon = recon_at(D)
@@ -273,27 +265,10 @@ def reconstruction_mse(codec: Codec, records, depth_limit: int | None = None) ->
 
 
 def write_grid(grid: np.ndarray, codebook_size: int, path):
+    """Write a (T, D) grid: magic ``RVQJ``, u32 T, D and |C|, then the
+    indices row by row as little-endian u16."""
     grid = np.asarray(grid)
     T, D = grid.shape
     checkpoint.write_atomic(path, [
         GRID_MAGIC, struct.pack("<III", T, D, codebook_size),
         np.ascontiguousarray(grid, dtype="<u2").tobytes()])
-
-
-def read_grid(path):
-    from .data import BadMagicError, SequenceFormatError, TruncatedPayloadError
-    raw = Path(path).read_bytes()
-    if len(raw) < 4 or raw[:4] != GRID_MAGIC:
-        raise BadMagicError(f"bad magic in {path}")
-    if len(raw) < 16:
-        raise TruncatedPayloadError(f"truncated header in {path}")
-    T, D, csize = struct.unpack("<III", raw[4:16])
-    end = 16 + 2 * T * D
-    if len(raw) < end:
-        raise TruncatedPayloadError(f"truncated payload in {path}")
-    grid = np.frombuffer(raw[16:end], dtype="<u2").astype(np.int64).reshape(T, D)
-    if grid.size and grid.max() >= csize:
-        raise SequenceFormatError(
-            f"code index {grid.max()} in {path} is not below the codebook "
-            f"size {csize}")
-    return grid, csize

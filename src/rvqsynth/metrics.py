@@ -8,8 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint
-from .nn import Conv1d, Dense, Module, Parameter, conv1d, conv_stack, fit
-from .tensor import ShapeError, Tensor, cross_entropy
+from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_stack, fit,
+                 operand)
+from .tensor import ShapeError, Tensor, cross_entropy, leaky_relu, mean
 
 
 # -- lip vertex errors ---------------------------------------------------------
@@ -86,7 +87,7 @@ def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
 # -- shared helpers ------------------------------------------------------------
 
 
-def _normalize_rows(t: Tensor, eps: float = 1e-12) -> Tensor:
+def _normalize_rows(t, eps: float = 1e-12):
     sumsq = (t * t).sum(axis=-1, keepdims=True)
     return t * (sumsq + eps) ** -0.5
 
@@ -148,21 +149,17 @@ class SyncNet(Module):
             self.fuse_conv = Conv1d(2 * c.emb_dim, c.width, 3, rng, mode="same")
             self.score_head = Dense(c.width, 1, rng)
 
-    def mesh_frames(self, x: Tensor) -> Tensor:
+    def mesh_frames(self, x):
         return conv_stack(x, self.mesh_convs)
 
-    def audio_frames(self, y: Tensor) -> Tensor:
+    def audio_frames(self, y):
         return conv_stack(y, self.audio_convs)
 
-    def _window_embed(self, frames: Tensor, proj: Dense) -> Tensor:
+    def _window_embed(self, frames, proj: Dense):
         B, W, E = frames.shape
         if W != self.config.window:
             raise ShapeError(f"expected window {self.config.window}, got {W}")
         return proj(frames.reshape(B, W * E))
-
-    def mesh_embedding(self, x: Tensor) -> Tensor:
-        """Window embeddings (B, emb) from (B, W, 3V) motion windows."""
-        return self._window_embed(self.mesh_frames(x), self.mesh_proj)
 
     def _fit_window(self, seq: np.ndarray) -> np.ndarray:
         """Crop the time axis (-2) to the last W frames or left-pad it by
@@ -177,25 +174,25 @@ class SyncNet(Module):
 
     def embed_mesh(self, x: np.ndarray) -> np.ndarray:
         """Normalized window embedding of one (T, 3V) sequence."""
-        emb = self.mesh_embedding(Tensor(self._fit_window(x)[None]))
-        return _normalize_rows(emb).data[0]
+        frames = self.mesh_frames(self._fit_window(x)[None])
+        return _normalize_rows(self._window_embed(frames, self.mesh_proj))[0]
 
-    def _fused_scores(self, mesh_f: Tensor, audio_f: Tensor,
-                      pairwise: bool) -> Tensor:
+    def _fused_scores(self, mesh_f, audio_f, pairwise: bool):
         """Variant-1 scores. ``fuse_conv`` is linear in the concatenated
         (mesh, audio) channels, so each half is convolved once and the
         halves are added: aligned pairs (B,) or all pairs (B, B)."""
         B, W, E = mesh_f.shape
         conv = self.fuse_conv
-        m = conv1d(mesh_f, conv.weight[:, :E], None, conv.dilation, conv.mode)
-        a = conv1d(audio_f, conv.weight[:, E:], conv.bias, conv.dilation,
-                   conv.mode)
+        weight = operand(mesh_f, conv.weight)
+        m = conv1d(mesh_f, weight[:, :E], None, conv.dilation, conv.mode)
+        a = conv1d(audio_f, weight[:, E:], operand(audio_f, conv.bias),
+                   conv.dilation, conv.mode)
         if pairwise:
             m, a = m.reshape(B, 1, W, -1), a.reshape(1, B, W, -1)
-        h = (m + a).leaky_relu(0.1).mean(axis=-2)
+        h = mean(leaky_relu(m + a, 0.1), axis=-2)
         return self.score_head(h).reshape(h.shape[:-1])
 
-    def score_pairs(self, mesh_f: Tensor, audio_f: Tensor) -> Tensor:
+    def score_pairs(self, mesh_f, audio_f):
         """Aligned scores for (B, W, E) frame features, shape (B,); one
         audio window (1, W, E) is scored against every mesh window."""
         if self.config.variant == 1:
@@ -204,7 +201,7 @@ class SyncNet(Module):
         a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
         return (m * a).sum(axis=-1)
 
-    def score_matrix(self, mesh_f: Tensor, audio_f: Tensor) -> Tensor:
+    def score_matrix(self, mesh_f, audio_f):
         """All-pairs scores, shape (B, B)."""
         if self.config.variant == 1:
             return self._fused_scores(mesh_f, audio_f, pairwise=True)
@@ -229,9 +226,8 @@ class SyncNet(Module):
         if x.shape[-2] != y.shape[0]:
             raise ShapeError("motion and audio must be frame-aligned")
         mesh = self._fit_window(x.reshape((-1,) + x.shape[-2:]))
-        mesh_f = self.mesh_frames(Tensor(mesh))
-        audio_f = self.audio_frames(Tensor(self._fit_window(y)[None]))
-        scores = self.score_pairs(mesh_f, audio_f).data
+        scores = self.score_pairs(self.mesh_frames(mesh),
+                                  self.audio_frames(self._fit_window(y)[None]))
         return float(scores[0]) if x.ndim == 2 else scores
 
     def save(self, path, seed: int = 0):
@@ -343,12 +339,13 @@ class StyleNet(Module):
         n = max(1, c.num_classes)
         self.class_weights = Parameter(rng.normal(0.0, 0.1, (n, c.emb_dim)))
 
-    def embed_tape(self, x: Tensor) -> Tensor:
-        return conv_stack(x, self.convs).mean(axis=1)
+    def embed_batch(self, x):
+        """Embeddings (B, emb) of (B, T, 3V) motion."""
+        return mean(conv_stack(x, self.convs), axis=1)
 
     def embed(self, x: np.ndarray) -> np.ndarray:
         """Embedding of one (T, 3V) motion sequence."""
-        return self.embed_tape(Tensor(np.asarray(x, dtype=np.float64)[None])).data[0]
+        return self.embed_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def margin_logits(self, emb: Tensor, labels: np.ndarray) -> Tensor:
         cfg = self.config
@@ -397,7 +394,7 @@ def train_style_net(corpus, config: StyleConfig | None = None, log=None):
 
     def step(batch):
         x, labels = batch
-        emb = net.embed_tape(Tensor(x))
+        emb = net.embed_batch(Tensor(x))
         return {"loss": cross_entropy(net.margin_logits(emb, labels), labels)}
 
     history = fit(net.parameters(), cfg.epochs, cfg.lr, batches, step, log)

@@ -3,13 +3,17 @@
 Each layer reports its hyperparameters as plain data through ``spec``;
 checkpoints store the model's config dict instead. All layers operate on
 batched sequences of shape (B, T, C); Dense also accepts (N, C).
+
+Each layer has one forward. A ``Tensor`` input is recorded on the tape; an
+``np.ndarray`` input runs the same code off the tape and returns an array,
+which is how inference calls the layers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, softmax
+from .tensor import ShapeError, Tensor, leaky_relu, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -77,6 +81,11 @@ class Module:
             p.zero_grad()
 
 
+def operand(x, p):
+    """``p`` for a Tensor input ``x``, so the tape records it; else its array."""
+    return p if p is None or isinstance(x, Tensor) else p.data
+
+
 def _init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     scale = 1.0 / np.sqrt(max(1, fan_in))
     return rng.uniform(-scale, scale, size=shape)
@@ -95,33 +104,24 @@ class Dense(Module):
         return {"kind": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim,
                 "bias": self.bias is not None}
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
+        """``x @ W + b``. An array with more than one leading axis is
+        folded into one 2-D GEMM, where a Tensor lets numpy run one GEMM
+        per leading index: the two agree to rounding (≤1e-15 relative), not
+        bit for bit, which inference tolerates (streamed logits are checked
+        against teacher-forced ones at 1e-10, sampled grids unchanged).
+        """
         if x.shape[-1] != self.in_dim:
             raise ShapeError(
                 f"dense expects last dim {self.in_dim}, got {x.shape}")
-        out = x @ self.weight
+        tape = isinstance(x, Tensor)  # ``operand`` inlined: a hot path
+        lead = None
+        if not tape and x.ndim > 2:
+            lead, x = x.shape[:-1], x.reshape(-1, self.in_dim)
+        out = x @ (self.weight if tape else self.weight.data)
         if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """``__call__`` on a plain array, off the tape.
-
-        Input with more than one leading axis is folded into one 2-D GEMM,
-        where ``__call__`` lets numpy run one GEMM per leading index. The
-        two agree to rounding (≤1e-15 relative on one-row slices), not bit
-        for bit: one GEMM over M rows may order its sums differently from M
-        one-row GEMMs. Inference tolerates that: the streamed logits are
-        checked against teacher-forced ones at 1e-10, and sampled grids are
-        checked unchanged.
-        """
-        if x.ndim > 2:
-            out = self.infer(x.reshape(-1, self.in_dim))
-            return out.reshape(x.shape[:-1] + (self.out_dim,))
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out = out + self.bias.data
-        return out
+            out = out + (self.bias if tape else self.bias.data)
+        return out if lead is None else out.reshape(lead + (self.out_dim,))
 
 
 class Conv1d(Module):
@@ -157,21 +157,29 @@ class Conv1d(Module):
         """Half-width of the centered receptive field ('same' mode)."""
         return (self.kernel - 1) // 2 * self.dilation
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"conv1d expects last dim {self.in_dim}, got {x.shape}")
-        return conv1d(x, self.weight, self.bias, self.dilation, self.mode)
+        return conv1d(x, operand(x, self.weight), operand(x, self.bias),
+                      self.dilation, self.mode)
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           dilation: int = 1, mode: str = "causal") -> Tensor:
-    """Convolve axis -2 of ``x`` (..., T, C) with ``weight`` (k, C, O); one
-    tape node.
+def tap_sum(rows, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """The conv forward kernel: ``rows[tap] @ weight[tap]`` summed in tap
+    order, then the bias."""
+    out = rows[0] @ weight[0]
+    for tap in range(1, len(rows)):
+        out = out + rows[tap] @ weight[tap]
+    return out if bias is None else out + bias
 
-    The forward sums the per-tap matmuls in tap order and adds the bias
-    last. The backward lowers the taps to im2col columns (N*T, k*C): the
-    weight gradient is one GEMM over them, the input gradient one GEMM
-    followed by k slice-adds.
+
+def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
+    """Convolve axis -2 of ``x`` (..., T, C) with ``weight`` (k, C, O).
+
+    The forward is ``tap_sum`` over the padded taps; an array ``x`` (with
+    array weights) returns it, a Tensor makes one tape node. Its backward
+    lowers the taps to im2col columns (N*T, k*C): the weight gradient is one
+    GEMM over them, the input gradient one GEMM followed by k slice-adds.
     """
     k, C, O = weight.shape
     T = x.shape[-2]
@@ -182,13 +190,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         before = after = (k - 1) // 2 * d
     widths = [(0, 0)] * x.ndim
     widths[-2] = (before, after)
-    padded = np.pad(x.data, widths)
+    tape = isinstance(x, Tensor)
+    padded = np.pad(x.data if tape else x, widths)
     taps = [padded[..., tap * d:tap * d + T, :] for tap in range(k)]
-    out = taps[0] @ weight.data[0]
-    for tap in range(1, k):
-        out = out + taps[tap] @ weight.data[tap]
-    if bias is not None:
-        out = out + bias.data
+    if not tape:
+        return tap_sum(taps, weight, bias)
+    out = tap_sum(taps, weight.data, None if bias is None else bias.data)
 
     def backward(g):
         g2 = g.reshape(-1, O)
@@ -212,7 +219,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 class SelfAttention(Module):
-    """Multi-head self-attention with an optional causal mask."""
+    """Multi-head self-attention with an optional causal mask.
+
+    For array input, ``cache`` (a list, empty at first) carries the keys and
+    values of earlier rows: it is left holding ``[k, v]`` of every row so
+    far, each (B, heads, rows, W / heads), and the new rows attend to all
+    cached rows and causally among themselves, whatever ``causal`` says.
+    """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
                  causal: bool = True):
@@ -231,7 +244,7 @@ class SelfAttention(Module):
         return {"kind": "attention", "width": self.width, "heads": self.heads,
                 "causal": self.causal}
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x, cache: list | None = None):
         if x.ndim != 3 or x.shape[-1] != self.width:
             raise ShapeError(f"attention expects (B, L, {self.width}), got {x.shape}")
         B, L, W = x.shape
@@ -242,41 +255,18 @@ class SelfAttention(Module):
             return t.reshape(B, L, nh, dh).swapaxes(1, 2)  # (B, nh, L, dh)
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-        if self.causal:
-            mask = np.triu(np.full((L, L), -1e30), k=1)
-            scores = scores + Tensor(mask)
-        attn = softmax(scores, axis=-1)
-        out = (attn @ v).swapaxes(1, 2).reshape(B, L, W)
-        return self.wo(out)
-
-    def step(self, x: np.ndarray, cache: list) -> np.ndarray:
-        """Causal attention, off the tape, for new rows ``x`` (B, L, W) that
-        follow the rows whose keys and values ``cache`` holds.
-
-        ``cache`` starts empty and is left holding ``[k, v]`` of every row so
-        far, each (B, heads, rows, W / heads). The new rows attend to all
-        cached rows and causally among themselves, whatever ``causal`` says.
-        """
-        B, L, W = x.shape
-        nh = self.heads
-        dh = W // nh
-
-        def split(t):
-            return t.reshape(B, L, nh, dh).swapaxes(1, 2)
-
-        q = split(self.wq.infer(x))
-        k, v = split(self.wk.infer(x)), split(self.wv.infer(x))
-        if cache:
-            k = np.concatenate([cache[0], k], axis=2)
-            v = np.concatenate([cache[1], v], axis=2)
-        cache[:] = [k, v]
+        if cache is not None:
+            if cache:
+                k = np.concatenate([cache[0], k], axis=2)
+                v = np.concatenate([cache[1], v], axis=2)
+            cache[:] = [k, v]
         P = k.shape[2] - L
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-        if L > 1:  # a single new row may see every cached row
+        # one row sees every row before it, so its mask would be all zeros
+        if L > 1 and (self.causal or cache is not None):
             scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
-        attn = softmax(Tensor(scores), axis=-1).data
-        return self.wo.infer((attn @ v).swapaxes(1, 2).reshape(B, L, W))
+        attn = softmax(scores, axis=-1)
+        return self.wo((attn @ v).swapaxes(1, 2).reshape(B, L, W))
 
 
 class TransformerBlock(Module):
@@ -288,22 +278,17 @@ class TransformerBlock(Module):
         self.ff1 = Dense(width, ff_mult * width, rng)
         self.ff2 = Dense(ff_mult * width, width, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(x)
-        return x + self.ff2(self.ff1(x).leaky_relu(0.1))
-
-    def step(self, x: np.ndarray, cache: list) -> np.ndarray:
-        """``__call__`` off the tape for new rows; see ``SelfAttention.step``."""
-        x = x + self.attn.step(x, cache)
-        h = self.ff1.infer(x)
-        return x + self.ff2.infer(h * np.where(h > 0.0, 1.0, 0.1))
+    def __call__(self, x, cache: list | None = None):
+        """``cache`` is the attention's; see ``SelfAttention``."""
+        x = x + self.attn(x, cache)
+        return x + self.ff2(leaky_relu(self.ff1(x), 0.1))
 
 
-def conv_stack(x: Tensor, convs) -> Tensor:
+def conv_stack(x, convs):
     """Apply ``convs`` in order with a leaky ReLU between consecutive layers."""
     for i, conv in enumerate(convs):
         if i:
-            x = x.leaky_relu(0.1)
+            x = leaky_relu(x, 0.1)
         x = conv(x)
     return x
 

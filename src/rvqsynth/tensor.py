@@ -213,15 +213,6 @@ class Tensor:
 
         return Tensor._make(out, (a,), backward)
 
-    def leaky_relu(self, slope: float = 0.01):
-        a = self
-        mask = np.where(a.data > 0.0, 1.0, slope)
-
-        def backward(g):
-            a._accumulate(g * mask)
-
-        return Tensor._make(a.data * mask, (a,), backward)
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -237,14 +228,7 @@ class Tensor:
         return Tensor._make(out, (a,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for ax in axes:
-                n *= self.data.shape[ax]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return mean(self, axis, keepdims)
 
     # -- shape manipulation ---------------------------------------------------
 
@@ -315,10 +299,33 @@ def broadcast_to(t: Tensor, shape) -> Tensor:
     return Tensor._make(out, (t,), backward)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+def mean(t, axis=None, keepdims: bool = False):
+    """``sum * (1 / n)`` over ``axis`` of a Tensor, on the tape, or of an
+    array, with the same bits (``ndarray.mean`` divides by n instead)."""
+    n = np.prod(t.shape if axis is None else np.take(t.shape, axis))
+    return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def leaky_relu(t, slope: float):
+    """``t`` where positive, else ``slope * t``; an array gives an array."""
+    x = t.data if isinstance(t, Tensor) else t
+    mask = np.where(x > 0.0, 1.0, slope)
+    if not isinstance(t, Tensor):
+        return x * mask
+
+    def backward(g):
+        t._accumulate(g * mask)
+
+    return Tensor._make(x * mask, (t,), backward)
+
+
+def softmax(t, axis: int = -1):
+    """Softmax along ``axis``; an array gives an array."""
+    x = t.data if isinstance(t, Tensor) else t
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
+    if not isinstance(t, Tensor):
+        return out
 
     def backward(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -7,6 +7,7 @@ per session by the ``pipeline`` fixture (see conftest).
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,7 +450,7 @@ def test_criterion_11_distillation():
 def test_criterion_12_end_to_end_smoke(pipeline):
     timings = pipeline["timings"]
     total = sum(timings.values())
-    table = open(f"{pipeline['eval_dir']}/table.txt").read()
+    table = Path(pipeline["eval_dir"], "table.txt").read_text()
     expected = ("l_vertex", "l_cover", "l_mean", "diversity", "sync1_score",
                 "sync1_fd", "sync2_score", "sync2_fd", "style_similarity",
                 "style_rank", "style_fd")

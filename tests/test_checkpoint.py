@@ -114,6 +114,10 @@ def test_restore_rejects_missing_and_mismatched(tmp_path):
         restore_params({"missing": Parameter(np.zeros(3))}, arrays, steps)
     with pytest.raises(ContainerError):
         restore_params({"w": Parameter(np.zeros((5, 5)))}, arrays, steps)
+    for bad in ("x", 1.5, None):
+        with pytest.raises(ContainerError, match="step count of 'w'"):
+            restore_params({"w": Parameter(np.zeros((2, 3)))}, arrays,
+                           {**steps, "w": bad})
     del arrays["w.adam_v"]
     with pytest.raises(ContainerError, match="adam_v"):
         restore_params({"w": Parameter(np.zeros((2, 3)))}, arrays, steps)
@@ -169,6 +173,14 @@ def _flip_key(cfg):
     return {("H" + k[1:] if k == key else k): v for k, v in cfg.items()}
 
 
+def _retype(value):
+    """An edit setting the config's ``depth`` and ``width``, where it has
+    them, to ``value``."""
+    return lambda arch: {**arch, "config": {
+        **arch["config"], **{k: value for k in ("depth", "width")
+                             if k in arch["config"]}}}
+
+
 ARCH_EDITS = [
     ("no config", lambda arch: {"model": arch["model"]}, "has no .* config"),
     ("arch not a dict", lambda arch: [arch], "is not a .* checkpoint"),
@@ -178,6 +190,13 @@ ARCH_EDITS = [
      "unexpected keyword argument 'H"),
     ("other kind", lambda arch: {**arch, "model": "other"},
      "is not a .* checkpoint"),
+    ("str for an int", _retype("x"),
+     "bad .* config.*(depth|width) cannot be 'x'"),
+    ("float for an int", _retype(8.5), "(depth|width) cannot be 8.5"),
+    ("bool for an int", _retype(True), "(depth|width) cannot be True"),
+    ("str for a float",
+     lambda arch: {**arch, "config": {**arch["config"], "lr": "x"}},
+     "lr cannot be 'x'"),
 ]
 
 

@@ -7,6 +7,7 @@ deliberately tiny models.
 
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,12 +82,12 @@ def test_train_sync_and_style_and_evaluate(artifacts, capsys):
                "--sync2", sync2, "--style", style,
                "--samples", "3", "--clips", "2", "--out", out])
     assert rc == EXIT_OK
-    table = open(os.path.join(out, "table.txt")).read()
+    table = Path(out, "table.txt").read_text()
     for key in ("l_vertex", "l_cover", "l_mean", "diversity", "sync2_score",
                 "style_similarity", "style_rank"):
         assert key in table
     kv = dict(line.split("=", 1) for line in
-              open(os.path.join(out, "metrics.kv")).read().splitlines())
+              Path(out, "metrics.kv").read_text().splitlines())
     assert float(kv["l_cover"]) <= float(kv["l_vertex"])
 
 
@@ -107,7 +108,7 @@ def test_config_file_merging_flags_win(artifacts, tmp_path):
     out = str(tmp_path / "corpus")
     assert main(["gen-data", "--config", str(cfg), "--out", out,
                  "--speakers", "5"]) == EXIT_OK
-    snapshot = open(os.path.join(out, "config.resolved")).read()
+    snapshot = Path(out, "config.resolved").read_text()
     assert "speakers=5" in snapshot
 
 
@@ -194,11 +195,19 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
     assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
                       "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
     # a codec checkpoint with a flipped byte in a config key
-    raw = open(artifacts["codec"], "rb").read()
+    raw = Path(artifacts["codec"]).read_bytes()
     bad.write_bytes(raw.replace(b'"beta"', b'"Heta"', 1))
     assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
                       "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
     assert "argument 'Heta'" in capsys.readouterr().err
+    # a codec checkpoint whose depth is a string or a float (same length,
+    # so the header length still holds)
+    for value in (b'"x"', b"2.5"):
+        bad.write_bytes(raw.replace(b'"depth": 2, ', b'"depth":' + value + b",",
+                                    1))
+        assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
+                          "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
+        assert "depth cannot be" in capsys.readouterr().err
 
 
 def test_exit_code_checksum_mismatch(artifacts, tmp_path):

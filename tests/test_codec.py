@@ -1,11 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvqsynth.codec import (Codec, CodecConfig, read_grid, reconstruction_mse,
+from rvqsynth.codec import (Codec, CodecConfig, reconstruction_mse,
                             rvq_quantize_frames, train_codec, write_grid)
-from rvqsynth.data import SequenceFormatError, TruncatedPayloadError
 from rvqsynth.nn import DivergenceError
 from rvqsynth.tensor import ShapeError
 
@@ -172,25 +173,9 @@ def test_reconstruction_mse_is_per_sequence(small_codec, tiny_corpus):
     assert np.all(out >= 0.0)
 
 
-def test_grid_file_roundtrip(tmp_path):
+def test_grid_file_layout(tmp_path):
     grid = np.array([[0, 3, 1], [2, 2, 0]], dtype=np.int64)
     path = tmp_path / "grid.rvqj"
     write_grid(grid, 8, path)
-    back, csize = read_grid(path)
-    np.testing.assert_array_equal(back, grid)
-    assert csize == 8
-
-
-def test_grid_file_shorter_than_header_is_truncated(tmp_path):
-    path = tmp_path / "grid.rvqj"
-    write_grid(np.zeros((2, 3), dtype=np.int64), 8, path)
-    path.write_bytes(path.read_bytes()[:10])
-    with pytest.raises(TruncatedPayloadError):
-        read_grid(path)
-
-
-def test_grid_file_rejects_index_beyond_codebook(tmp_path):
-    path = tmp_path / "grid.rvqj"
-    write_grid(np.array([[0, 7], [8, 1]], dtype=np.int64), 8, path)
-    with pytest.raises(SequenceFormatError, match="codebook size 8"):
-        read_grid(path)
+    assert path.read_bytes() == (b"RVQJ" + struct.pack("<III", 2, 3, 8)
+                                 + grid.astype("<u2").tobytes())

@@ -12,7 +12,8 @@ from rvqsynth.metrics import (StyleConfig, StyleNet, SyncConfig, SyncNet,
                               mean_estimate_error, shift_detection_rate,
                               speaker_centroids, style_rank, style_similarity,
                               train_style_net, train_sync_net)
-from rvqsynth.tensor import ShapeError, Tensor, broadcast_to, concat
+from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
+                             leaky_relu)
 
 
 # -- lip vertex errors -----------------------------------------------------------
@@ -155,7 +156,7 @@ def replicated_score_matrix(net, mesh_f, audio_f):
     mrep = broadcast_to(mesh_f.reshape(B, 1, W, E), (B, B, W, E))
     arep = broadcast_to(audio_f.reshape(1, B, W, E), (B, B, W, E))
     fused = concat([mrep.reshape(B * B, W, E), arep.reshape(B * B, W, E)], axis=2)
-    h = net.fuse_conv(fused).leaky_relu(0.1).mean(axis=1)
+    h = leaky_relu(net.fuse_conv(fused), 0.1).mean(axis=1)
     return net.score_head(h).reshape(B, B)
 
 

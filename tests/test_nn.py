@@ -4,7 +4,7 @@ import pytest
 from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
                          conv_stack, finite_difference_grad, fit)
-from rvqsynth.tensor import ShapeError, Tensor, concat
+from rvqsynth.tensor import ShapeError, Tensor, concat, leaky_relu
 
 
 def rng():
@@ -21,13 +21,62 @@ def test_dense_matches_manual():
 @pytest.mark.parametrize("shape", [(6, 1, 5), (6, 2, 5), (6, 5)])
 @pytest.mark.parametrize("bias", [True, False])
 def test_dense_infer_matches_call(shape, bias):
+    """The array (inference) call against the Tensor call: bit for bit on
+    (N, C) input, to rounding where the array call folds (B, L, C) into one
+    GEMM."""
     layer = Dense(5, 4, rng(), bias=bias)
     if bias:
         layer.bias.data = rng().normal(0.0, 1.0, 4)
     x = np.random.default_rng(1).normal(0.0, 1.0, shape)
-    out = layer.infer(x)
+    out = layer(x)
+    assert type(out) is np.ndarray
     assert out.shape == shape[:-1] + (4,)
-    np.testing.assert_allclose(out, layer(Tensor(x)).data,
+    want = layer(Tensor(x)).data
+    if len(shape) == 2:
+        np.testing.assert_array_equal(out, want)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+
+
+# name -> (layer factory, whether it folds (B, L, C) rows through Dense)
+ARRAY_LAYERS = {
+    **{f"conv-{mode}-d{d}": (lambda mode=mode, d=d: Conv1d(
+        6, 4, 3, rng(), dilation=d, mode=mode), False)
+       for mode in ("causal", "same") for d in (1, 2)},
+    "attention-causal": (lambda: SelfAttention(6, 2, rng(), causal=True), True),
+    "attention-full": (lambda: SelfAttention(6, 2, rng(), causal=False), True),
+    "block": (lambda: TransformerBlock(6, 2, rng()), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_LAYERS))
+def test_array_call_matches_tensor_call(name):
+    """One forward per layer: an array runs off the tape and gives an
+    array equal to the Tensor call's data."""
+    make, folds = ARRAY_LAYERS[name]
+    layer = make()
+    x = np.random.default_rng(1).normal(0.0, 1.0, (3, 7, 6))
+    out = layer(x)
+    assert type(out) is np.ndarray
+    want = layer(Tensor(x)).data
+    if not folds:
+        np.testing.assert_array_equal(out, want)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [False, True])
+@pytest.mark.parametrize("causal", [False, True])
+def test_cached_attention_in_chunks_matches_causal_call(causal, block):
+    """Rows fed in chunks of 1, 3 and 1 over a K/V cache attend causally,
+    whatever ``causal`` says."""
+    layer = (TransformerBlock if block else SelfAttention)(6, 2, rng(),
+                                                          causal=causal)
+    attn = layer.attn if block else layer
+    x = np.random.default_rng(1).normal(0.0, 1.0, (2, 5, 6))
+    cache = []
+    chunks = [layer(x[:, lo:hi], cache) for lo, hi in ((0, 1), (1, 4), (4, 5))]
+    assert [a.shape[2] for a in cache] == [5, 5]
+    attn.causal = True
+    np.testing.assert_allclose(np.concatenate(chunks, axis=1), layer(x),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -185,7 +234,7 @@ def test_conv_stack_puts_leaky_relu_between_layers():
     convs = [Conv1d(2, 3, 1, rng(), mode="same"),
              Conv1d(3, 2, 3, rng(), mode="causal")]
     x = Tensor(rng().normal(0.0, 1.0, (1, 5, 2)))
-    want = convs[1](convs[0](x).leaky_relu(0.1)).data
+    want = convs[1](leaky_relu(convs[0](x), 0.1)).data
     np.testing.assert_array_equal(conv_stack(x, convs).data, want)
 
 

@@ -12,7 +12,7 @@ from rvqsynth.metrics import SyncConfig, SyncNet
 from rvqsynth.sampling import (STRATEGIES, SamplingConfig, average_aggregate,
                                distill, generate_batch, knn_aggregate,
                                relabel_grids, syncnet_reject)
-from rvqsynth.tensor import ShapeError
+from rvqsynth.tensor import ShapeError, Tensor
 
 TINY_AR = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
                    audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
@@ -234,18 +234,18 @@ def repeated_rows_candidates(model, h, style, n, d_star, temperature, rng):
         if d == 0:
             v = np.empty((N, 2, H))
             if model.config.style_mode == "depth":
-                v[:, 0] = model.style_proj.infer(style[None])[0]
+                v[:, 0] = model.style_proj(style[None])[0]
             else:
                 v[:, 0] = model.style_const.data
             v[:, 1] = h_rows
             v = v + model.depth_pos.data[:2]
         else:
             prefix = model.codebook.data[rows].cumsum(axis=1)[:, -1]
-            v = model.prefix_proj.infer(prefix) + model.depth_pos.data[d + 1]
+            v = model.prefix_proj(prefix) + model.depth_pos.data[d + 1]
             v = v[:, None]
         for block, kv in zip(model.depth_blocks, cache):
-            v = block.step(v, kv)
-        idx = sample_categorical(model.head.infer(v[:, -1]), temperature, rng)
+            v = block(v, kv)
+        idx = sample_categorical(model.head(v[:, -1]), temperature, rng)
         rows = np.concatenate([rows, idx[:, None]], axis=1)
     model.depth_pass_count += N * d_star
     return rows.reshape(h.shape[0], n, d_star)
@@ -333,6 +333,27 @@ def test_generation_counts_passes_and_rows(tiny_corpus, monkeypatch):
     assert model.depth_pass_count - passes == S * N * T * d_star
     assert model.depth_row_count - rows == T * (S + S * N * (d_star - 1))
     assert prefixes == [1]
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+def test_generation_runs_off_the_tape(tiny_corpus, monkeypatch, style_mode,
+                                      temporal):
+    """Generation hands arrays to every layer, so it records no tape node."""
+    codec, model = prefix_model(style_mode, temporal)
+    sync = SyncNet(SyncConfig(variant=2, motion_dim=12, audio_dim=4, width=8,
+                              emb_dim=6, window=8, batch=8, clips_per_batch=2,
+                              seed=2))
+    made = []
+    make = Tensor._make
+    monkeypatch.setattr(Tensor, "_make", staticmethod(
+        lambda *args: made.append(1) or make(*args)))
+    rec = tiny_corpus.records[1]
+    for strategy in STRATEGIES:
+        generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(strategy=strategy, n=3, k=2,
+                                      keep_fraction=0.5), 2, sync)
+    assert made == []
 
 
 def test_batch_samples_are_independent(stack):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rvqsynth.tensor import (ShapeError, Tensor, _unbroadcast, broadcast_to,
-                             concat, cross_entropy, log_softmax, softmax,
-                             straight_through)
+                             concat, cross_entropy, leaky_relu, log_softmax,
+                             softmax, straight_through)
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -39,7 +39,7 @@ def test_elementwise_grads():
         lambda t: (t * 0.3).exp().sum(),
         lambda t: (t * t + 1.0).log().sum(),
         lambda t: t.tanh().sum(),
-        lambda t: t.leaky_relu(0.1).sum(),
+        lambda t: leaky_relu(t, 0.1).sum(),
     ]:
         check_grad(build, x)
 
