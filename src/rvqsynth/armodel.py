@@ -58,6 +58,14 @@ class ARConfig:
             raise ValueError(f"unknown temporal model {self.temporal!r}")
         if self.style_mode not in ("depth", "temporal"):
             raise ValueError(f"unknown style mode {self.style_mode!r}")
+        for name in ("code_dim", "codebook_size", "depth", "width", "audio_dim",
+                     "motion_dim", "max_frames", "depth_layers", "heads",
+                     "temporal_layers", "audio_layers", "audio_kernel", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if any(d < 1 for d in self.temporal_dilations):
+            raise ValueError(f"temporal dilations must be positive, got "
+                             f"{self.temporal_dilations}")
 
 
 class ARModel(Module):
@@ -391,19 +399,20 @@ class PreparedSequence:
 
 
 def prepare_sequences(codec, corpus, records, rng: np.random.Generator) -> list:
-    """Freeze latents/grids and pick a same-speaker style clip per record."""
+    """Freeze latents/grids and pick a same-speaker style clip per record
+    of the training ``records``, which must not be empty."""
     from .data import style_reference
-    out = []
-    for rec in records:
-        z = codec.encode(rec.motion)
-        grid = codec.quantize(z).grid
-        style = style_reference(corpus, rec, rng)
-        out.append(PreparedSequence(rec.audio, style, z, grid))
-    return out
+    if not records:
+        raise ValueError("corpus has no training sequences")
+    z = codec.encode(np.stack([rec.motion for rec in records]))
+    grids = codec.quantize(z.reshape(-1, z.shape[-1])).grid.reshape(
+        z.shape[:-1] + (-1,))
+    return [PreparedSequence(rec.audio, style_reference(corpus, rec, rng),
+                             z[i], grids[i]) for i, rec in enumerate(records)]
 
 
 def train_ar(codec, corpus, config: ARConfig, log=None,
-             codec_checksum: str = "", val_records=None):
+             codec_checksum: str = ""):
     """Teacher-forced training against grids from a frozen codec."""
     if (codec.config.code_dim != config.code_dim
             or codec.config.codebook_size != config.codebook_size
@@ -412,10 +421,7 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
     rng = np.random.default_rng(config.seed)
     model = ARModel(config, codec.codebook.data.copy(), rng,
                     codec_checksum=codec_checksum)
-    records = corpus.split("train")
-    if not records:
-        raise ValueError("corpus has no training sequences")
-    prepared = prepare_sequences(codec, corpus, records, rng)
+    prepared = prepare_sequences(codec, corpus, corpus.split("train"), rng)
     C = config.codebook_size
 
     def batches():

@@ -115,17 +115,23 @@ def load_container(path):
     return header["arch"], arrays, header["steps"], header["seed"], header["extra"]
 
 
-# JSON value types a config field may hold, matched exactly (a bool is no int)
+# JSON value types a config field may hold, matched exactly (a bool is no
+# int); a tuple field is a list of ints
 _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,),
                tuple: (list,), int | None: (int, type(None))}
+
+
+def _fits(value, hint) -> bool:
+    return type(value) in _JSON_TYPES[hint] and (
+        hint is not tuple or all(type(v) is int for v in value))
 
 
 def load_model(path, kind: str, config_cls, build):
     """Read a checkpoint of the model ``kind``: build its ``config_cls`` from
     the architecture spec, the model as ``build(config, extra)``, and restore
     its parameters; returns (model, extra). A spec of another kind, a config
-    value of the wrong JSON type or a spec that cannot build the config
-    raises ``ContainerError``."""
+    value of the wrong JSON type or a spec that cannot build the config or
+    the model raises ``ContainerError``."""
     arch, arrays, steps, _, extra = load_container(path)
     if not isinstance(arch, dict) or arch.get("model") != kind:
         raise ContainerError(f"{path} is not a {kind} checkpoint")
@@ -135,12 +141,11 @@ def load_model(path, kind: str, config_cls, build):
     hints = typing.get_type_hints(config_cls)
     try:  # an unknown key or a value of the wrong JSON type is a TypeError
         for name, value in fields.items():
-            if name in hints and type(value) not in _JSON_TYPES[hints[name]]:
+            if name in hints and not _fits(value, hints[name]):
                 raise TypeError(f"{name} cannot be {value!r}")
-        config = config_cls(**fields)
+        model = build(config_cls(**fields), extra)
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"bad {kind} config in {path}: {exc}") from exc
-    model = build(config, extra)
     restore_params(model.parameters(), arrays, steps)
     return model, extra
 

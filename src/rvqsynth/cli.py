@@ -4,8 +4,9 @@ Every subcommand accepts ``--config FILE`` (flat key=value, ``include``
 supported) plus direct flags; flags override config values. Each run writes a
 resolved-config snapshot next to its primary output. Progress is logged as
 line-oriented ``key=value`` records. Exit codes: 0 success, 2 config error,
-3 missing or malformed input artifact (checkpoint, sequence or audio file)
-or checksum mismatch, 4 numeric divergence.
+3 missing or malformed input artifact (checkpoint, sequence or audio file,
+a corpus without a test split to evaluate) or checksum mismatch, 4 numeric
+divergence. The work itself, evaluation included, is in the library modules.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 
 from . import metrics
+from .metrics import run_evaluation
 from .armodel import ARConfig, ARModel, train_ar
 from .checkpoint import ContainerError, file_checksum, write_atomic
 from .codec import Codec, CodecConfig, train_codec, write_grid
@@ -389,77 +391,6 @@ def cmd_distill(r: dict) -> int:
     _snapshot(r["out"], r)
     log(event="distill", status="saved", out=r["out"])
     return EXIT_OK
-
-
-def run_evaluation(corpus, codec, model, sync1, sync2, stylenet, scfg,
-                   n_samples: int, n_clips: int, seed: int,
-                   reject_sync=None) -> dict:
-    """Evaluate one sampling method over test clips; returns metric dict."""
-    lip = corpus.lip_indices
-    test = corpus.split("test")[:n_clips]
-    if not test:
-        raise ArtifactError("corpus has no test split")
-    rng = np.random.default_rng(seed)
-    results: dict = {"method": scfg.strategy, "clips": len(test),
-                     "samples": n_samples}
-    l_vertex, l_cover, l_mean, diversity = [], [], [], []
-    sync_scores = {1: [], 2: []}
-    style_sim, style_other, style_ranks = [], [], []
-    gen_sync = {1: [], 2: []}
-    gen_style = []
-    centroids = None
-    if stylenet is not None:
-        centroids = metrics.speaker_centroids(stylenet, corpus.records)
-    for rec in test:
-        sref = style_reference(corpus, rec, rng)
-        motions, _ = generate_batch(model, codec, rec.audio, sref, scfg,
-                                    n_samples=n_samples,
-                                    sync_model=reject_sync, rng=rng)
-        samples = list(motions)
-        l_vertex.append(metrics.lip_vertex_error(rec.motion, samples[0], lip))
-        l_cover.append(metrics.coverage_error(rec.motion, samples, lip))
-        l_mean.append(metrics.mean_estimate_error(rec.motion, samples, lip))
-        diversity.append(float(motions.var(axis=0).mean()))
-        for variant, net in ((1, sync1), (2, sync2)):
-            if net is None:
-                continue
-            sync_scores[variant].append(net.score(samples[0], rec.audio))
-            gen_sync[variant].extend(net.embed_mesh(m) for m in samples)
-        if stylenet is not None:
-            emb = stylenet.embed(samples[0])
-            style_sim.append(metrics.cosine_similarity(
-                emb, stylenet.embed(sref)))
-            others = [s for s in corpus.speakers() if s != rec.speaker_id]
-            other = corpus.records[rng.choice([i for i, q in
-                                               enumerate(corpus.records)
-                                               if q.speaker_id in others])]
-            style_other.append(metrics.cosine_similarity(
-                emb, stylenet.embed(other.motion)))
-            style_ranks.append(metrics.style_rank(emb, rec.speaker_id,
-                                                  centroids))
-            gen_style.extend(stylenet.embed(m) for m in samples)
-    results["l_vertex"] = float(np.mean(l_vertex))
-    results["l_cover"] = float(np.mean(l_cover))
-    results["l_mean"] = float(np.mean(l_mean))
-    results["diversity"] = float(np.mean(diversity))
-    real = corpus.records[:1000]
-    for variant, net in ((1, sync1), (2, sync2)):
-        if net is None:
-            continue
-        results[f"sync{variant}_score"] = float(np.mean(sync_scores[variant]))
-        real_emb = np.stack([net.embed_mesh(q.motion) for q in real])
-        gen_emb = np.stack(gen_sync[variant][:1000])
-        results[f"sync{variant}_fd"] = metrics.frechet_distance(real_emb,
-                                                                gen_emb)
-    if stylenet is not None:
-        results["style_similarity"] = float(np.mean(style_sim))
-        results["style_similarity_other"] = float(np.mean(style_other))
-        results["style_rank"] = float(np.mean(style_ranks))
-        results["style_rank_chance"] = (len(centroids) + 1) / 2.0
-        real_emb = np.stack([stylenet.embed(q.motion) for q in real])
-        results["style_fd"] = metrics.frechet_distance(
-            real_emb, np.stack(gen_style[:1000]))
-    return results
 
 
 def format_table(results: dict) -> str:

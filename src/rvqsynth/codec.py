@@ -120,12 +120,14 @@ class Codec(Module):
     # -- forward ----------------------------------------------------------
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        """Map one (T, 3V) sequence to (T, N_C) latents."""
+        """Map a (T, 3V) sequence to (T, N_C) latents; a stack of sequences
+        (..., T, 3V) is encoded in one pass to (..., T, N_C), each sequence
+        with the same bits as on its own."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
+        if x.ndim < 2 or x.shape[-1] != self.config.input_dim:
             raise ShapeError(
-                f"expected (T, {self.config.input_dim}) motion, got {x.shape}")
-        return conv_stack(x[None], self.enc_layers)[0]
+                f"expected (..., T, {self.config.input_dim}) motion, got {x.shape}")
+        return conv_stack(x, self.enc_layers)
 
     def quantize(self, z: np.ndarray, depth_limit: int | None = None) -> QuantizationResult:
         d = self.config.depth if depth_limit is None else depth_limit
@@ -153,9 +155,6 @@ class Codec(Module):
         zq = self.codebook.data[grid[..., :d]].sum(axis=-2)  # (..., T, N_C)
         return conv_stack(zq, self.dec_layers)
 
-    def encode_decode(self, x: np.ndarray, depth_limit: int | None = None) -> np.ndarray:
-        return self.decode(self.quantize(self.encode(x)).grid, depth_limit)
-
     # -- persistence --------------------------------------------------------
 
     def save(self, path, seed: int = 0):
@@ -170,10 +169,9 @@ class Codec(Module):
 
 def init_codebook(codec: Codec, records, rng: np.random.Generator):
     """Seed codes from encoder outputs of a warmup pass."""
-    latents = []
-    for rec in records[: max(4, codec.config.codebook_size)]:
-        latents.append(codec.encode(rec.motion))
-    pool = np.concatenate(latents, axis=0)
+    warmup = records[: max(4, codec.config.codebook_size)]
+    pool = codec.encode(np.stack([rec.motion for rec in warmup]))
+    pool = pool.reshape(-1, codec.config.code_dim)
     n = codec.config.codebook_size
     pick = rng.choice(pool.shape[0], size=min(n, pool.shape[0]), replace=False)
     codes = pool[pick]
@@ -254,11 +252,11 @@ def train_codec(corpus, config: CodecConfig, log=None):
 
 def reconstruction_mse(codec: Codec, records, depth_limit: int | None = None) -> np.ndarray:
     """Per-sequence mean squared reconstruction error."""
-    out = []
-    for rec in records:
-        xhat = codec.encode_decode(rec.motion, depth_limit)
-        out.append(float(((xhat - rec.motion) ** 2).mean()))
-    return np.array(out)
+    x = np.stack([rec.motion for rec in records])
+    z = codec.encode(x)
+    grid = codec.quantize(z.reshape(-1, z.shape[-1])).grid
+    xhat = codec.decode(grid.reshape(z.shape[:-1] + (-1,)), depth_limit)
+    return ((xhat - x) ** 2).mean(axis=(-2, -1))
 
 
 # -- CodeGrid file format -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Evaluation suite: probabilistic lip errors, synchronization networks,
-Fréchet distances over embeddings, and style recognition."""
+Fréchet distances over embeddings, style recognition, and the evaluation of
+a sampling method over the test split."""
 
 from __future__ import annotations
 
@@ -8,8 +9,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint
+from .data import SequenceFormatError, style_reference
 from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_stack, fit,
                  operand)
+from .sampling import generate_batch
 from .tensor import ShapeError, Tensor, cross_entropy, leaky_relu, mean
 
 
@@ -173,9 +176,14 @@ class SyncNet(Module):
         return np.concatenate([pad, seq], axis=-2)
 
     def embed_mesh(self, x: np.ndarray) -> np.ndarray:
-        """Normalized window embedding of one (T, 3V) sequence."""
-        frames = self.mesh_frames(self._fit_window(x)[None])
-        return _normalize_rows(self._window_embed(frames, self.mesh_proj))[0]
+        """Normalized window embedding (E,) of a (T, 3V) sequence, or
+        (..., E) of a stack (..., T, 3V) in one pass: the mesh stack gives
+        each sequence its own bits, and the projection is one GEMM over all
+        of them, which matches one row at a time to rounding."""
+        x = np.asarray(x, dtype=np.float64)
+        frames = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))
+        emb = _normalize_rows(self._window_embed(frames, self.mesh_proj))
+        return emb.reshape(x.shape[:-2] + emb.shape[-1:])
 
     def _fused_scores(self, mesh_f, audio_f, pairwise: bool):
         """Variant-1 scores. ``fuse_conv`` is linear in the concatenated
@@ -339,13 +347,11 @@ class StyleNet(Module):
         n = max(1, c.num_classes)
         self.class_weights = Parameter(rng.normal(0.0, 0.1, (n, c.emb_dim)))
 
-    def embed_batch(self, x):
-        """Embeddings (B, emb) of (B, T, 3V) motion."""
-        return mean(conv_stack(x, self.convs), axis=1)
-
-    def embed(self, x: np.ndarray) -> np.ndarray:
-        """Embedding of one (T, 3V) motion sequence."""
-        return self.embed_batch(np.asarray(x, dtype=np.float64)[None])[0]
+    def embed(self, x):
+        """Embedding (emb,) of a (T, 3V) motion sequence, or (..., emb) of a
+        stack (..., T, 3V), each sequence with the same bits as on its own;
+        a Tensor stack is recorded on the tape."""
+        return mean(conv_stack(x, self.convs), axis=-2)
 
     def margin_logits(self, emb: Tensor, labels: np.ndarray) -> Tensor:
         cfg = self.config
@@ -394,7 +400,7 @@ def train_style_net(corpus, config: StyleConfig | None = None, log=None):
 
     def step(batch):
         x, labels = batch
-        emb = net.embed_batch(Tensor(x))
+        emb = net.embed(Tensor(x))
         return {"loss": cross_entropy(net.margin_logits(emb, labels), labels)}
 
     history = fit(net.parameters(), cfg.epochs, cfg.lr, batches, step, log)
@@ -409,16 +415,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * b).sum() / (na * nb))
 
 
-def style_similarity(net: StyleNet, a_seq: np.ndarray, b_seq: np.ndarray) -> float:
-    """Cosine similarity between the embeddings of two motion clips."""
-    return cosine_similarity(net.embed(a_seq), net.embed(b_seq))
-
-
 def speaker_centroids(net: StyleNet, records) -> dict:
     """Per-speaker mean embedding over a record list."""
+    embs = net.embed(np.stack([rec.motion for rec in records]))
     groups: dict = {}
-    for rec in records:
-        groups.setdefault(rec.speaker_id, []).append(net.embed(rec.motion))
+    for rec, emb in zip(records, embs):
+        groups.setdefault(rec.speaker_id, []).append(emb)
     return {sid: np.mean(np.stack(v), axis=0) for sid, v in sorted(groups.items())}
 
 
@@ -433,7 +435,67 @@ def style_rank(query_emb: np.ndarray, target_speaker: int,
                    if sid != target_speaker and v > target)
 
 
-def style_fd(net: StyleNet, real_seqs, generated_seqs) -> float:
-    a = np.stack([net.embed(x) for x in real_seqs])
-    b = np.stack([net.embed(x) for x in generated_seqs])
-    return frechet_distance(a, b)
+# -- evaluation -------------------------------------------------------------------
+
+
+def run_evaluation(corpus, codec, model, sync1, sync2, stylenet, scfg,
+                   n_samples: int, n_clips: int, seed: int,
+                   reject_sync=None) -> dict:
+    """Evaluate one sampling method over test clips; returns metric dict.
+
+    Each network embeds a clip's sample set, and the real set of up to
+    1,000 records, in one call; a corpus without a test split raises
+    ``SequenceFormatError``."""
+    lip = corpus.lip_indices
+    test = corpus.split("test")[:n_clips]
+    if not test:
+        raise SequenceFormatError("corpus has no test split")
+    rng = np.random.default_rng(seed)
+    syncs = {v: net for v, net in ((1, sync1), (2, sync2)) if net is not None}
+    results: dict = {"method": scfg.strategy, "clips": len(test),
+                     "samples": n_samples}
+    l_vertex, l_cover, l_mean, diversity = [], [], [], []
+    sync_scores = {v: [] for v in syncs}
+    gen_sync = {v: [] for v in syncs}
+    style_sim, style_other, style_ranks, gen_style = [], [], [], []
+    if stylenet is not None:
+        centroids = speaker_centroids(stylenet, corpus.records)
+    for rec in test:
+        sref = style_reference(corpus, rec, rng)
+        motions, _ = generate_batch(model, codec, rec.audio, sref, scfg,
+                                    n_samples=n_samples,
+                                    sync_model=reject_sync, rng=rng)
+        l_vertex.append(lip_vertex_error(rec.motion, motions[0], lip))
+        l_cover.append(coverage_error(rec.motion, motions, lip))
+        l_mean.append(mean_estimate_error(rec.motion, motions, lip))
+        diversity.append(float(motions.var(axis=0).mean()))
+        for variant, net in syncs.items():
+            sync_scores[variant].append(net.score(motions[0], rec.audio))
+            gen_sync[variant].append(net.embed_mesh(motions))
+        if stylenet is not None:
+            other = corpus.records[rng.choice(
+                [i for i, q in enumerate(corpus.records)
+                 if q.speaker_id != rec.speaker_id])]
+            embs = stylenet.embed(np.concatenate(
+                [motions, [sref, other.motion]]))
+            style_sim.append(cosine_similarity(embs[0], embs[-2]))
+            style_other.append(cosine_similarity(embs[0], embs[-1]))
+            style_ranks.append(style_rank(embs[0], rec.speaker_id, centroids))
+            gen_style.append(embs[:-2])
+    results["l_vertex"] = float(np.mean(l_vertex))
+    results["l_cover"] = float(np.mean(l_cover))
+    results["l_mean"] = float(np.mean(l_mean))
+    results["diversity"] = float(np.mean(diversity))
+    real = np.stack([q.motion for q in corpus.records[:1000]])
+    for variant, net in syncs.items():
+        results[f"sync{variant}_score"] = float(np.mean(sync_scores[variant]))
+        results[f"sync{variant}_fd"] = frechet_distance(
+            net.embed_mesh(real), np.concatenate(gen_sync[variant])[:1000])
+    if stylenet is not None:
+        results["style_similarity"] = float(np.mean(style_sim))
+        results["style_similarity_other"] = float(np.mean(style_other))
+        results["style_rank"] = float(np.mean(style_ranks))
+        results["style_rank_chance"] = (len(centroids) + 1) / 2.0
+        results["style_fd"] = frechet_distance(
+            stylenet.embed(real), np.concatenate(gen_style)[:1000])
+    return results

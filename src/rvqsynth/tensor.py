@@ -142,13 +142,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self * other ** -1.0
-
-    def __rtruediv__(self, other):
-        return Tensor(other) * self ** -1.0
-
     def __pow__(self, exponent: float):
         a = self
         e = float(exponent)
@@ -184,34 +177,6 @@ class Tensor:
             b._accumulate(gb)
 
         return Tensor._make(out, (a, b), backward)
-
-    # -- elementwise functions ---------------------------------------------
-
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-
-        def backward(g):
-            a._accumulate(g * out)
-
-        return Tensor._make(out, (a,), backward)
-
-    def log(self):
-        a = self
-
-        def backward(g):
-            a._accumulate(g / a.data)
-
-        return Tensor._make(np.log(a.data), (a,), backward)
-
-    def tanh(self):
-        a = self
-        out = np.tanh(a.data)
-
-        def backward(g):
-            a._accumulate(g * (1.0 - out * out))
-
-        return Tensor._make(out, (a,), backward)
 
     # -- reductions ---------------------------------------------------------
 

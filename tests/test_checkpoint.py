@@ -200,6 +200,27 @@ ARCH_EDITS = [
 ]
 
 
+def _set(**values):
+    return lambda arch: {**arch, "config": {**arch["config"], **values}}
+
+
+# (kind, name, edit, message): every kind gets each ARCH_EDITS row; the
+# rows after it are values of the right JSON types that cannot build a model
+MALFORMED_ARCHS = [(kind, *e) for kind in sorted(MODEL_KINDS)
+                   for e in ARCH_EDITS] + [
+    ("ar", "zero heads", _set(heads=0), "bad ar config.*heads must be positive"),
+    ("ar", "heads not dividing width", _set(heads=3), "bad ar config.*divisible"),
+    ("ar", "negative width", _set(width=-4),
+     "bad ar config.*width must be positive"),
+    ("ar", "str dilation", _set(temporal_dilations=["x"]),
+     r"temporal_dilations cannot be \['x'\]"),
+    ("ar", "zero dilation", _set(temporal_dilations=[0]),
+     "bad ar config.*dilations must be positive"),
+    ("sync", "str shift", _set(shifts=[0, "1", 2, 4]),
+     r"shifts cannot be \[0, '1', 2, 4\]"),
+]
+
+
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_load_model_builds_config(tmp_path, kind):
     cfg, _, save, load = MODEL_KINDS[kind]
@@ -208,15 +229,15 @@ def test_load_model_builds_config(tmp_path, kind):
     assert load(path).config == cfg
 
 
-@pytest.mark.parametrize("edit", [e[1:] for e in ARCH_EDITS],
-                         ids=[e[0] for e in ARCH_EDITS])
-@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
-def test_load_model_rejects_malformed_arch(tmp_path, kind, edit):
+@pytest.mark.parametrize("kind, edit, message",
+                         [(e[0], e[2], e[3]) for e in MALFORMED_ARCHS],
+                         ids=[f"{e[0]}-{e[1]}" for e in MALFORMED_ARCHS])
+def test_load_model_rejects_malformed_arch(tmp_path, kind, edit, message):
     cfg, _, save, load = MODEL_KINDS[kind]
     path = tmp_path / "model.ckpt"
     save(cfg, path)
-    _edit_arch(path, edit[0])
-    with pytest.raises(ContainerError, match=edit[1]):
+    _edit_arch(path, edit)
+    with pytest.raises(ContainerError, match=message):
         load(path)
 
 

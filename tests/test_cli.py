@@ -146,6 +146,14 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--strategy", "syncnet-rejection", "--n", "4",
                  "--out", str(tmp_path / "s.ckpt")]) == EXIT_CONFIG
+    # distillation needs training sequences
+    corpus = tmp_path / "no_train"
+    shutil.copytree(artifacts["corpus"], corpus)
+    manifest = corpus / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("\ttrain\t", "\tval\t"))
+    assert main(["distill", "--data", str(corpus), "--codec", artifacts["codec"],
+                 "--ar", artifacts["ar"], "--out", str(tmp_path / "s.ckpt")]) \
+        == EXIT_CONFIG
     # rejection sampling without a sync checkpoint is a missing artifact
     assert main(["generate", "--data", artifacts["corpus"],
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
@@ -208,6 +216,21 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
         assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
                           "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
         assert "depth cannot be" in capsys.readouterr().err
+    # an AR checkpoint whose config cannot build a model
+    bad.write_bytes(Path(artifacts["ar"]).read_bytes().replace(
+        b'"heads": 2', b'"heads": 0', 1))
+    assert main(["generate", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", str(bad),
+                 "--out", str(tmp_path / "g")]) == EXIT_ARTIFACT
+    assert "heads must be positive" in capsys.readouterr().err
+    # a corpus whose manifest lists no test clip
+    corpus = tmp_path / "no_test"
+    shutil.copytree(artifacts["corpus"], corpus)
+    manifest = corpus / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("\ttest\t", "\ttrain\t"))
+    assert main(["evaluate", "--data", str(corpus), "--codec", artifacts["codec"],
+                 "--ar", artifacts["ar"]]) == EXIT_ARTIFACT
+    assert "no test split" in capsys.readouterr().err
 
 
 def test_exit_code_checksum_mismatch(artifacts, tmp_path):
@@ -219,3 +242,40 @@ def test_exit_code_checksum_mismatch(artifacts, tmp_path):
                "--codec", other_codec, "--ar", artifacts["ar"],
                "--out", str(tmp_path / "g")])
     assert rc == EXIT_ARTIFACT
+
+
+def _pipeline(root: Path):
+    """The miniature pipeline from corpus to evaluation, all under ``root``."""
+    data, codec, ar, style = (str(root / name) for name in (
+        "corpus", "codec.ckpt", "ar.ckpt", "style.ckpt"))
+    syncs = [str(root / f"sync{v}.ckpt") for v in (1, 2)]
+    for argv in (
+            GEN + ["--out", data],
+            CODEC + ["--data", data, "--out", codec],
+            AR + ["--data", data, "--codec", codec, "--out", ar],
+            *(["train-sync", "--data", data, "--variant", str(v), "--window", "8",
+               "--epochs", "1", "--out", out] for v, out in zip((1, 2), syncs)),
+            ["train-style", "--data", data, "--epochs", "1", "--width", "8",
+             "--emb-dim", "6", "--out", style],
+            ["generate", "--data", data, "--codec", codec, "--ar", ar,
+             "--samples", "2", "--strategy", "average", "--n", "3",
+             "--out", str(root / "gen")],
+            ["evaluate", "--data", data, "--codec", codec, "--ar", ar,
+             "--sync1", syncs[0], "--sync2", syncs[1], "--style", style,
+             "--samples", "3", "--clips", "2", "--out", str(root / "eval")]):
+        assert main(argv) == EXIT_OK
+
+
+def test_pipeline_is_deterministic(tmp_path):
+    """Two runs with one seed write the same bytes to every file, once the
+    run directory is taken out of the config snapshots."""
+    snapshots = []
+    for name in ("run_a", "run_b"):
+        root = tmp_path / name
+        _pipeline(root)
+        snapshots.append({
+            str(path.relative_to(root)):
+                path.read_bytes().replace(str(root).encode(), b"<run>")
+            for path in sorted(root.rglob("*")) if path.is_file()})
+    assert any(name.endswith("metrics.kv") for name in snapshots[0])
+    assert snapshots[0] == snapshots[1]

@@ -131,6 +131,22 @@ def test_batched_decode_matches_per_sequence(small_codec, B, T, depth_limit):
     np.testing.assert_array_equal(stacked, np.stack([batched, batched]))
 
 
+@pytest.mark.parametrize("B", [1, 3])
+def test_batched_encode_matches_per_sequence(small_codec, tiny_corpus, B):
+    codec, _ = small_codec
+    x = np.stack([r.motion for r in tiny_corpus.records[:B]])
+    batched = codec.encode(x)
+    assert batched.shape == x.shape[:2] + (6,)
+    for i in range(B):
+        single = codec.encode(x[i])
+        assert single.shape == (x.shape[1], 6)
+        np.testing.assert_array_equal(batched[i], single)
+    np.testing.assert_array_equal(codec.encode(x[None].repeat(2, axis=0)),
+                                  np.stack([batched, batched]))
+    with pytest.raises(ShapeError):
+        codec.encode(x[0, 0])
+
+
 def test_decode_rejects_a_grid_without_a_time_axis(small_codec):
     codec, _ = small_codec
     with pytest.raises(ShapeError):
@@ -152,8 +168,9 @@ def test_codec_checkpoint_roundtrip(small_codec, tiny_corpus, tmp_path):
     codec.save(path, seed=3)
     back = Codec.load(path)
     x = tiny_corpus.records[0].motion
-    np.testing.assert_array_equal(back.encode_decode(x),
-                                  codec.encode_decode(x))
+    np.testing.assert_array_equal(back.encode(x), codec.encode(x))
+    np.testing.assert_array_equal(back.decode(back.quantize(back.encode(x))),
+                                  codec.decode(codec.quantize(codec.encode(x))))
     np.testing.assert_array_equal(back.codebook.data, codec.codebook.data)
 
 

@@ -10,7 +10,7 @@ from rvqsynth.metrics import (StyleConfig, StyleNet, SyncConfig, SyncNet,
                               frechet_distance, gaussian_stats,
                               infonce_batch, infonce_loss, lip_vertex_error,
                               mean_estimate_error, shift_detection_rate,
-                              speaker_centroids, style_rank, style_similarity,
+                              speaker_centroids, style_rank,
                               train_style_net, train_sync_net)
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
                              leaky_relu)
@@ -210,6 +210,22 @@ def test_batched_score_matches_per_pair(tiny_corpus, variant, T):
     assert net.score(motions[:1], y).tolist() == pairs[:1]
 
 
+@pytest.mark.parametrize("variant", [1, 2])
+@pytest.mark.parametrize("T", [3, 8, 12])  # below, at and above the window
+@pytest.mark.parametrize("B", [1, 3])
+def test_batched_mesh_embedding_matches_per_sequence(variant, T, B):
+    net = sync1_net() if variant == 1 else SyncNet(sync_cfg(2))
+    motions = np.random.default_rng(T).normal(0.0, 1.0, (B, T, 12))
+    batched = net.embed_mesh(motions)
+    assert batched.shape == (B, 6)
+    singles = [net.embed_mesh(m) for m in motions]
+    assert singles[0].shape == (6,)
+    np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-15)
+    if B == 1:
+        np.testing.assert_array_equal(batched[0], singles[0])
+    np.testing.assert_array_equal(net.embed_mesh(motions[None]), batched[None])
+
+
 def test_sync_score_requires_aligned_lengths(tiny_corpus):
     net = SyncNet(sync_cfg(1))
     rec = tiny_corpus.records[0]
@@ -334,8 +350,16 @@ def test_style_training_needs_two_speakers(tiny_corpus):
         train_style_net(solo, style_cfg())
 
 
-def test_style_similarity_symmetry(style, tiny_corpus):
+@pytest.mark.parametrize("B", [1, 3])
+def test_batched_style_embedding_matches_per_sequence(style, tiny_corpus, B):
     net, _, _ = style
-    a, b = tiny_corpus.records[0].motion, tiny_corpus.records[1].motion
-    assert style_similarity(net, a, b) == pytest.approx(
-        style_similarity(net, b, a), abs=1e-12)
+    x = np.stack([r.motion for r in tiny_corpus.records[:B]])
+    batched = net.embed(x)
+    assert batched.shape == (B, 6)
+    for i in range(B):
+        single = net.embed(x[i])
+        assert single.shape == (6,)
+        np.testing.assert_array_equal(batched[i], single)
+    np.testing.assert_array_equal(net.embed(Tensor(x)).data, batched)
+    assert cosine_similarity(batched[0], batched[-1]) == pytest.approx(
+        cosine_similarity(batched[-1], batched[0]), abs=1e-12)
