@@ -4,10 +4,10 @@ Stage one (temporal model) produces a per-frame audio-visual context from the
 driving-signal features and the depth-summed code embeddings of previous
 frames. Stage two (depth model) is a masked self-attention stack over a
 length D+1 token sequence whose first token is the style embedding, predicting
-one code index per depth. Trained with teacher-forced cross-entropy.
-Inference runs off the tape: ``TemporalStream`` steps the temporal model one
-frame at a time and ``ARModel.depth_step`` one depth at a time over a K/V
-cache.
+one code index per depth; ``ARModel.depth_prefix`` runs the style token once
+per style, for teacher-forced training and sampling. Inference runs off the
+tape: ``TemporalStream`` steps the temporal model one frame at a time and
+``ARModel.depth_step`` one depth at a time over a K/V cache.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import checkpoint
 from .codec import rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, Module, Parameter, TransformerBlock, conv_stack,
-                 fit, tap_sum)
+                 fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
                      leaky_relu, log_softmax, mean)
 
@@ -165,37 +165,24 @@ class ARModel(Module):
                 h = block(h)
         return h
 
-    def _depth_tokens(self, h_av_flat: Tensor, style_tok: Tensor,
-                      prefix_embs: np.ndarray) -> Tensor:
-        """Token sequence v for the depth transformer, (N, D+1, H)."""
-        N, H = h_av_flat.shape
-        D = self.config.depth
-        parts = [style_tok.reshape(N, 1, H), h_av_flat.reshape(N, 1, H)]
-        if D > 1:
-            parts.append(self.prefix_proj(Tensor(prefix_embs)))
-        v = concat(parts, axis=1)
-        return v + self.depth_pos.reshape(1, D + 1, H)
-
-    def depth_logits_full(self, h_av: Tensor, style_emb: Optional[Tensor],
+    def depth_logits_full(self, h_av: Tensor, style_emb: Tensor,
                           grids: np.ndarray) -> Tensor:
-        """Teacher-forced logits for every (t, d), shape (B, T, D, |C|)."""
+        """Teacher-forced logits (B, T, D, |C|). Each sequence's ``depth_prefix``
+        is repeated to its T frames, whose D tokens run over it."""
         B, T, H = h_av.shape
         D, C = self.config.depth, self.config.codebook_size
-        codes = self.codebook.data[grids]                    # (B, T, D, N_C)
-        prefix = np.cumsum(codes, axis=2)[:, :, :D - 1, :] if D > 1 else None
-        if self.config.style_mode == "depth" and style_emb is not None:
-            style_tok = self.style_proj(style_emb)           # (B, H)
-            style_flat = broadcast_to(style_tok.reshape(B, 1, H),
-                                      (B, T, H)).reshape(B * T, H)
-        else:
-            style_flat = broadcast_to(self.style_const.reshape(1, H), (B * T, H))
-        h_flat = h_av.reshape(B * T, H)
-        pref_flat = prefix.reshape(B * T, D - 1, -1) if D > 1 else None
-        v = self._depth_tokens(h_flat, style_flat, pref_flat)
-        for block in self.depth_blocks:
-            v = block(v)
-        logits = self.head(v[:, 1:D + 1, :])
-        return logits.reshape(B, T, D, C)
+        cache = [[broadcast_to(a.reshape((B, 1) + a.shape[1:]),
+                               (B, T) + a.shape[1:]).reshape((B * T,) + a.shape[1:])
+                  for a in kv] for kv in self.depth_prefix(style_emb)]
+        v = h_av.reshape(B * T, 1, H)
+        if D > 1:
+            codes = np.cumsum(self.codebook.data[grids][:, :, :D - 1], axis=2)
+            v = concat([v, self.prefix_proj(Tensor(codes.reshape(B * T, D - 1, -1)))],
+                       axis=1)
+        v = v + self.depth_pos[1:].reshape(1, D, H)
+        for block, kv in zip(self.depth_blocks, cache):
+            v = block(v, kv)
+        return self.head(v).reshape(B, T, D, C)
 
     def forward_logits(self, y: np.ndarray, s: np.ndarray, grids: np.ndarray,
                        temporal_grids: np.ndarray | None = None) -> Tensor:
@@ -223,35 +210,37 @@ class ARModel(Module):
         share the audio features (T, H) and the style embedding (H,)."""
         return TemporalStream(self, audio_feats, style_emb, samples)
 
-    def depth_prefix(self, style_emb: np.ndarray) -> list:
-        """Each depth layer's ``[k, v]`` (1, heads, 1, H / heads) of the style
-        token. It is the first causal position and sees only itself, so one
-        prefix serves every frame and row drawn with this style."""
+    def depth_prefix(self, style_emb) -> list:
+        """Each depth layer's ``[k, v]`` (B, heads, 1, H / heads) of the style
+        tokens of style embeddings (B, H), on the tape for a Tensor. The style
+        token is the first causal position and sees only itself, so one prefix
+        serves every frame and row drawn with its style."""
+        B, H = style_emb.shape
         if self.config.style_mode == "depth":
-            v = self.style_proj(style_emb[None])
+            v = self.style_proj(style_emb)
         else:
-            v = self.style_const.data[None]
-        v = (v + self.depth_pos.data[0])[:, None]
+            v = broadcast_to(operand(style_emb, self.style_const), (B, H))
+        v = (v + operand(style_emb, self.depth_pos)[0]).reshape(B, 1, H)
         prefix = [[] for _ in self.depth_blocks]
         for block, kv in zip(self.depth_blocks, prefix):
             v = block(v, kv)
         return prefix
 
-    def depth_step(self, h_av_t: np.ndarray, style_emb: np.ndarray,
-                   partial_rows: np.ndarray, cache: list) -> np.ndarray:
+    def depth_step(self, h_av_t: np.ndarray, partial_rows: np.ndarray,
+                   cache: list) -> np.ndarray:
         """Logits (N, |C|) for the next depth of N rows that drew
         ``partial_rows`` (N, d); adds N to ``depth_row_count``.
 
         ``cache`` holds each layer's keys and values of the tokens before: at
-        d = 0 the ``depth_prefix`` of ``style_emb`` (computed here if
-        ``cache`` is empty), under the h_av tokens ``h_av_t`` (N, H). Later
-        steps feed the code prefix through depth d - 1 over N cached rows.
+        d = 0 the ``depth_prefix`` of one style, repeated here to the N h_av
+        tokens ``h_av_t`` (N, H). Later steps feed the code prefix through
+        depth d - 1 over N cached rows.
         """
         N, d = partial_rows.shape
         self.depth_row_count += N
         if d == 0:
             cache[:] = [[np.broadcast_to(a, (N,) + a.shape[1:]) for a in kv]
-                        for kv in cache or self.depth_prefix(style_emb)]
+                        for kv in cache]
             v = h_av_t + self.depth_pos.data[1]
         else:
             codes = self.codebook.data[partial_rows].cumsum(axis=1)[:, -1]

@@ -225,10 +225,7 @@ def _require_file(path, what: str) -> str:
 
 def _load_corpus(path) -> Corpus:
     _require_file(os.path.join(path, "manifest.txt"), "corpus manifest")
-    try:
-        return load_corpus(path)
-    except FileNotFoundError as exc:
-        raise ArtifactError(str(exc))
+    return load_corpus(path)
 
 
 def _load_codec(path) -> Codec:

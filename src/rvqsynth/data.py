@@ -376,7 +376,8 @@ def load_corpus(corpus_dir) -> Corpus:
     """Read a corpus written by ``save_corpus``. Every clip must have the
     vertex count and audio dim of the manifest header (or of the first clip)
     and the frame count of the first clip, with as many audio frames as
-    motion frames; a clip that does not raises ``SequenceFormatError``."""
+    motion frames; a clip that does not, a clip file that is not there and
+    a manifest that is not UTF-8 raise ``SequenceFormatError``."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -385,7 +386,11 @@ def load_corpus(corpus_dir) -> Corpus:
     vertices = audio_dim = frames = None
     seed = 0
     speakers = set()
-    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
+    try:
+        text = manifest.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SequenceFormatError(f"{manifest} is not UTF-8: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -405,6 +410,10 @@ def load_corpus(corpus_dir) -> Corpus:
                 f"(speaker, split, motion, audio), got {len(fields)}")
         sid, split, mname, aname = fields
         sid = _manifest_int(sid, "speaker id", manifest, lineno)
+        for name in (mname, aname):
+            if not (root / name).is_file():
+                raise SequenceFormatError(
+                    f"{manifest}:{lineno}: no clip file {name!r}")
         seq = read_sequence(root / mname)
         audio = read_audio(root / aname)
         if audio.shape[0] != seq.frames:

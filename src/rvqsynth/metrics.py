@@ -415,9 +415,8 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float((a * b).sum() / (na * nb))
 
 
-def speaker_centroids(net: StyleNet, records) -> dict:
-    """Per-speaker mean embedding over a record list."""
-    embs = net.embed(np.stack([rec.motion for rec in records]))
+def speaker_centroids(records, embs: np.ndarray) -> dict:
+    """Per-speaker mean of the records' style embeddings ``embs``."""
     groups: dict = {}
     for rec, emb in zip(records, embs):
         groups.setdefault(rec.speaker_id, []).append(emb)
@@ -444,8 +443,12 @@ def run_evaluation(corpus, codec, model, sync1, sync2, stylenet, scfg,
     """Evaluate one sampling method over test clips; returns metric dict.
 
     Each network embeds a clip's sample set, and the real set of up to
-    1,000 records, in one call; a corpus without a test split raises
+    1,000 records, in one call; the style net embeds every record once, for
+    the speaker centroids and its real set. Fewer than one clip or sample
+    raises ``ValueError``; a corpus without a test split raises
     ``SequenceFormatError``."""
+    if min(n_clips, n_samples) < 1:
+        raise ValueError(f"need a clip and a sample, got {n_clips} and {n_samples}")
     lip = corpus.lip_indices
     test = corpus.split("test")[:n_clips]
     if not test:
@@ -458,8 +461,10 @@ def run_evaluation(corpus, codec, model, sync1, sync2, stylenet, scfg,
     sync_scores = {v: [] for v in syncs}
     gen_sync = {v: [] for v in syncs}
     style_sim, style_other, style_ranks, gen_style = [], [], [], []
+    real = np.stack([q.motion for q in corpus.records])
     if stylenet is not None:
-        centroids = speaker_centroids(stylenet, corpus.records)
+        real_style = stylenet.embed(real)
+        centroids = speaker_centroids(corpus.records, real_style)
     for rec in test:
         sref = style_reference(corpus, rec, rng)
         motions, _ = generate_batch(model, codec, rec.audio, sref, scfg,
@@ -486,16 +491,15 @@ def run_evaluation(corpus, codec, model, sync1, sync2, stylenet, scfg,
     results["l_cover"] = float(np.mean(l_cover))
     results["l_mean"] = float(np.mean(l_mean))
     results["diversity"] = float(np.mean(diversity))
-    real = np.stack([q.motion for q in corpus.records[:1000]])
     for variant, net in syncs.items():
         results[f"sync{variant}_score"] = float(np.mean(sync_scores[variant]))
         results[f"sync{variant}_fd"] = frechet_distance(
-            net.embed_mesh(real), np.concatenate(gen_sync[variant])[:1000])
+            net.embed_mesh(real[:1000]), np.concatenate(gen_sync[variant])[:1000])
     if stylenet is not None:
         results["style_similarity"] = float(np.mean(style_sim))
         results["style_similarity_other"] = float(np.mean(style_other))
         results["style_rank"] = float(np.mean(style_ranks))
         results["style_rank_chance"] = (len(centroids) + 1) / 2.0
         results["style_fd"] = frechet_distance(
-            stylenet.embed(real), np.concatenate(gen_style)[:1000])
+            real_style[:1000], np.concatenate(gen_style)[:1000])
     return results

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, leaky_relu, softmax
+from .tensor import ShapeError, Tensor, concat, leaky_relu, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -221,8 +221,8 @@ def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
 class SelfAttention(Module):
     """Multi-head self-attention with an optional causal mask.
 
-    For array input, ``cache`` (a list, empty at first) carries the keys and
-    values of earlier rows: it is left holding ``[k, v]`` of every row so
+    ``cache`` (a list, empty at first; Tensors or arrays) carries the keys
+    and values of earlier rows: it is left holding ``[k, v]`` of every row so
     far, each (B, heads, rows, W / heads), and the new rows attend to all
     cached rows and causally among themselves, whatever ``causal`` says.
     """
@@ -257,8 +257,8 @@ class SelfAttention(Module):
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
         if cache is not None:
             if cache:
-                k = np.concatenate([cache[0], k], axis=2)
-                v = np.concatenate([cache[1], v], axis=2)
+                k = concat([cache[0], k], axis=2)
+                v = concat([cache[1], v], axis=2)
             cache[:] = [k, v]
         P = k.shape[2] - L
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))

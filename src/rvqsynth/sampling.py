@@ -91,14 +91,14 @@ def _sample_candidates(model: ARModel, h: np.ndarray, prefix: list,
     """
     R = h.shape[0]
     cache = list(prefix)
-    logits = np.repeat(model.depth_step(h, None, np.zeros((R, 0), np.int64),
-                                        cache), n, axis=0)
+    logits = np.repeat(model.depth_step(h, np.zeros((R, 0), np.int64), cache),
+                       n, axis=0)
     for kv in cache:
         kv[:] = [np.repeat(a, n, axis=0) for a in kv]
     rows = np.zeros((R * n, 0), dtype=np.int64)
     for d in range(d_star):
         if d:
-            logits = model.depth_step(None, None, rows, cache)
+            logits = model.depth_step(None, rows, cache)
         idx = sample_categorical(logits, temperature, rng)
         rows = np.concatenate([rows, idx[:, None]], axis=1)
     model.depth_pass_count += R * n * d_star
@@ -129,6 +129,8 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
 
     Returns (motions (S, T, 3V), grids (S, T, d*)).
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     d_star = config.validate(model.config.depth)
     if config.strategy == "syncnet-rejection" and sync_model is None:
         raise ValueError("syncnet-rejection requires a trained sync model")
@@ -137,7 +139,7 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     T = y.shape[0]
     audio, style = model.context_features(y, s)
     stream = model.start_stream(audio, style, S)
-    prefix = model.depth_prefix(style)
+    prefix = model.depth_prefix(style[None])
     grids = np.zeros((S, T, d_star), dtype=np.int64)
     committed = None  # (S, NC) embeddings of the frame before
     R = model.audio_radius
@@ -199,7 +201,8 @@ def relabel_grids(teacher: ARModel, codec, prepared,
         se = None if teacher.config.style_mode == "depth" else Tensor(style[None])
         h_av = teacher.temporal_context(Tensor(audio[None]), frame_embs[None],
                                         se).data[0]  # (T, H)
-        cand_rows = _sample_candidates(teacher, h_av, teacher.depth_prefix(style),
+        cand_rows = _sample_candidates(teacher, h_av,
+                                       teacher.depth_prefix(style[None]),
                                        config.n, d_star, config.temperature, rng)
         res = _aggregate(teacher.frame_embedding(cand_rows), config,
                          codec.codebook.data, d_star)

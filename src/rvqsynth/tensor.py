@@ -61,10 +61,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -156,13 +152,7 @@ class Tensor:
         a, b = self, other
         out = np.matmul(a.data, b.data)
 
-        def backward(g):
-            if b.data.ndim == 1:
-                ga = np.multiply.outer(g, b.data) if a.data.ndim > 1 else g * b.data
-                a._accumulate(_unbroadcast(ga.reshape(a.data.shape), a.data.shape))
-                gb = np.tensordot(g, a.data, axes=(range(g.ndim), range(g.ndim)))
-                b._accumulate(gb)
-                return
+        def backward(g):  # both operands have at least two axes
             if a.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accumulate(_unbroadcast(ga, a.data.shape))
@@ -239,7 +229,10 @@ class Tensor:
 # -- free functions -----------------------------------------------------------
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int = 0):
+    """Join along ``axis``; only arrays give an array, off the tape."""
+    if not any(isinstance(t, Tensor) for t in tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -254,8 +247,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(out, tensors, backward)
 
 
-def broadcast_to(t: Tensor, shape) -> Tensor:
-    """Broadcast ``t`` to ``shape``; the gradient is summed back."""
+def broadcast_to(t, shape):
+    """Broadcast ``t`` to ``shape``; the gradient is summed back. An array
+    gives numpy's read-only view."""
+    if not isinstance(t, Tensor):
+        return np.broadcast_to(t, shape)
     out = np.broadcast_to(t.data, shape).copy()
 
     def backward(g):

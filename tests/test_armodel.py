@@ -7,7 +7,9 @@ from rvqsynth.armodel import (ARConfig, ARModel, prepare_sequences,
                               soft_target_distributions, stochastic_grid,
                               train_ar)
 from rvqsynth.codec import CodecConfig, train_codec
-from rvqsynth.tensor import ShapeError
+from rvqsynth.nn import TransformerBlock
+from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
+                             cross_entropy)
 
 TINY_AR = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
                    audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
@@ -113,24 +115,103 @@ def test_stream_matches_teacher_forced_logits(temporal, style_mode, D, T):
                                 grids).data
     audio, style = model.context_features(y, s)
     stream = model.start_stream(audio, style, S)
+    prefix = model.depth_prefix(style[None])
     committed = None
     for t in range(T):
         h = stream.step(committed)
-        cache = []
+        cache = list(prefix)
         for d in range(D):
-            logits = model.depth_step(h, style, grids[:, t, :d], cache)
+            logits = model.depth_step(h, grids[:, t, :d], cache)
             np.testing.assert_allclose(logits, full[:, t, d], rtol=0,
                                        atol=1e-10)
         committed = model.frame_embedding(grids[:, t])
 
 
+def repeated_style_logits(model, h_av, style_emb, grids):
+    """Reference oracle: teacher-forced depth logits before the shared
+    prefix. The style token is row 0 of each of the B·T sequences of D + 1
+    tokens, and no cache is used."""
+    B, T, H = h_av.shape
+    D, C = model.config.depth, model.config.codebook_size
+    if model.config.style_mode == "depth":
+        style_tok = model.style_proj(style_emb).reshape(B, 1, H)
+    else:
+        style_tok = model.style_const.reshape(1, 1, H)
+    parts = [broadcast_to(style_tok, (B, T, H)).reshape(B * T, 1, H),
+             h_av.reshape(B * T, 1, H)]
+    if D > 1:
+        prefix = np.cumsum(model.codebook.data[grids], axis=2)[:, :, :D - 1]
+        parts.append(model.prefix_proj(Tensor(prefix.reshape(B * T, D - 1, -1))))
+    v = concat(parts, axis=1) + model.depth_pos.reshape(1, D + 1, H)
+    for block in model.depth_blocks:
+        v = block(v)
+    return model.head(v[:, 1:]).reshape(B, T, D, C)
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("D", [1, 2, 4])
+def test_shared_style_prefix_matches_repeated_style_oracle(temporal,
+                                                           style_mode, D):
+    cfg = ARConfig(code_dim=4, codebook_size=5, depth=D, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=2,
+                   temporal=temporal, temporal_layers=2,
+                   style_mode=style_mode)
+    model = make_model(cfg)
+    B, T = 3, 7
+    rng = np.random.default_rng(9)
+    y = rng.normal(0.0, 1.0, (B, T, cfg.audio_dim))
+    s = rng.normal(0.0, 1.0, (B, 5, cfg.motion_dim))
+    grids = rng.integers(0, cfg.codebook_size, (B, T, D))
+
+    def logits_and_grads(depth_logits):
+        model.zero_grad()
+        style = model.encode_style(Tensor(s))
+        h_av = model.temporal_context(model.encode_audio(Tensor(y)),
+                                      model.frame_embedding(grids), style)
+        logits = depth_logits(h_av, style, grids)
+        cross_entropy(logits.reshape(-1, cfg.codebook_size),
+                      grids.reshape(-1)).backward()
+        return logits.data, {name: p.grad.copy() for name, p
+                             in model.trainable_parameters().items()}
+
+    logits, grads = logits_and_grads(model.depth_logits_full)
+    ref, ref_grads = logits_and_grads(
+        lambda h_av, style, g: repeated_style_logits(model, h_av, style, g))
+    assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
+    # one bound for all parameters: some gradients are zero up to rounding
+    # (wk.bias: softmax is shift-invariant) and have no relative error
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    assert scale > 0.0
+    for name, g in grads.items():
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * scale, name
+
+
+def test_training_runs_each_style_token_once(monkeypatch):
+    """The depth blocks see B style rows, then B·T rows of D tokens."""
+    cfg = ARConfig(code_dim=4, codebook_size=5, depth=3, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=2)
+    model = make_model(cfg)
+    seen = []
+    call = TransformerBlock.__call__
+    monkeypatch.setattr(TransformerBlock, "__call__", lambda block, x, cache=None:
+                        seen.append((model.depth_blocks.index(block), x.shape))
+                        or call(block, x, cache))
+    B, T = 2, 5
+    y, s = random_inputs(cfg, T)
+    grids = np.random.default_rng(3).integers(0, 5, (B, T, 3))
+    model.forward_logits(np.broadcast_to(y, (B,) + y.shape),
+                         np.broadcast_to(s, (B,) + s.shape), grids)
+    assert seen == [(0, (B, 1, 8)), (1, (B, 1, 8)),
+                    (0, (B * T, 3, 8)), (1, (B * T, 3, 8))]
+
+
 def test_depth_pass_counter_counts_rows():
     model = make_model()
     h = np.zeros((3, TINY_AR.width))
-    style = np.zeros(TINY_AR.width)
-    cache = []
-    model.depth_step(h, style, np.zeros((3, 0), dtype=np.int64), cache)
-    model.depth_step(h, style, np.zeros((3, 1), dtype=np.int64), cache)
+    cache = model.depth_prefix(np.zeros((1, TINY_AR.width)))
+    model.depth_step(h, np.zeros((3, 0), dtype=np.int64), cache)
+    model.depth_step(h, np.zeros((3, 1), dtype=np.int64), cache)
     assert model.depth_row_count == 6
     assert model.depth_pass_count == 0  # logical passes count in sampling
 

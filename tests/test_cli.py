@@ -154,6 +154,15 @@ def test_exit_code_config_errors(artifacts, tmp_path):
     assert main(["distill", "--data", str(corpus), "--codec", artifacts["codec"],
                  "--ar", artifacts["ar"], "--out", str(tmp_path / "s.ckpt")]) \
         == EXIT_CONFIG
+    # fewer than one clip or sample is refused before any work
+    evaluate = ["evaluate", "--data", artifacts["corpus"],
+                "--codec", artifacts["codec"], "--ar", artifacts["ar"]]
+    for bad in (["--clips", "-1"], ["--clips", "0"], ["--samples", "0"]):
+        assert main(evaluate + ["--samples", "2"] + bad) == EXIT_CONFIG, bad
+    assert main(["generate", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--out", str(tmp_path / "g0"), "--samples", "0"]) == EXIT_CONFIG
+    assert not (tmp_path / "g0").exists()
     # rejection sampling without a sync checkpoint is a missing artifact
     assert main(["generate", "--data", artifacts["corpus"],
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],

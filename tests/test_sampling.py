@@ -170,6 +170,13 @@ def test_depth_truncated_generation(stack):
     assert motion.shape == rec.motion.shape
 
 
+def test_generate_batch_needs_a_sample(stack):
+    codec, model, rec = stack
+    with pytest.raises(ValueError, match="n_samples"):
+        generate_batch(model, codec, rec.audio, rec.motion, SamplingConfig(),
+                       n_samples=0)
+
+
 def test_rejection_requires_sync_model(stack):
     codec, model, rec = stack
     with pytest.raises(ValueError):
@@ -254,7 +261,7 @@ def repeated_rows_candidates(model, h, style, n, d_star, temperature, rng):
 def use_repeated_rows_oracle(monkeypatch, model):
     """Route sampling through the oracle; it gets the style embedding where
     ``_sample_candidates`` gets the style's depth prefix."""
-    monkeypatch.setattr(model, "depth_prefix", lambda style: style)
+    monkeypatch.setattr(model, "depth_prefix", lambda styles: styles[0])
     monkeypatch.setattr(sampling, "_sample_candidates",
                         repeated_rows_candidates)
 

@@ -177,6 +177,22 @@ def test_broadcast_to_grad():
     np.testing.assert_array_equal(t.grad, np.full((3, 1), 5.0))
 
 
+def test_concat_and_broadcast_to_keep_arrays_off_the_tape(monkeypatch):
+    made = []
+    make = Tensor._make
+    monkeypatch.setattr(Tensor, "_make", staticmethod(
+        lambda *args: made.append(1) or make(*args)))
+    a, b = np.arange(6.0).reshape(2, 3), np.ones((2, 1))
+    joined = concat([a, b], axis=1)
+    assert type(joined) is np.ndarray
+    np.testing.assert_array_equal(joined, np.concatenate([a, b], axis=1))
+    wide = broadcast_to(b, (2, 4))
+    assert type(wide) is np.ndarray
+    np.testing.assert_array_equal(wide, np.ones((2, 4)))
+    assert made == []
+    assert isinstance(concat([a, Tensor(b)], axis=1), Tensor)
+
+
 def test_matmul_weight_grad_folds_leading_axes():
     """(B, T, C) @ (C, O): the weight gradient is one GEMM over B*T rows."""
     rng = np.random.default_rng(13)
