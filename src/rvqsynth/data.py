@@ -376,8 +376,8 @@ def load_corpus(corpus_dir) -> Corpus:
     """Read a corpus written by ``save_corpus``. Every clip must have the
     vertex count and audio dim of the manifest header (or of the first clip)
     and the frame count of the first clip, with as many audio frames as
-    motion frames; a clip that does not, a clip file that is not there and
-    a manifest that is not UTF-8 raise ``SequenceFormatError``."""
+    motion frames; a clip that does not, a missing clip file, a negative speaker
+    id, an unknown split or a non-UTF-8 manifest raise ``SequenceFormatError``."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -410,6 +410,10 @@ def load_corpus(corpus_dir) -> Corpus:
                 f"(speaker, split, motion, audio), got {len(fields)}")
         sid, split, mname, aname = fields
         sid = _manifest_int(sid, "speaker id", manifest, lineno)
+        if sid < 0 or split not in ("train", "val", "test"):
+            raise SequenceFormatError(f"{manifest}:{lineno}: " + (
+                f"speaker id {sid} is negative" if sid < 0 else
+                f"split {split!r} is not train, val or test"))
         for name in (mname, aname):
             if not (root / name).is_file():
                 raise SequenceFormatError(

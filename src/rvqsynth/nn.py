@@ -27,13 +27,12 @@ class Parameter(Tensor):
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.grad = np.zeros_like(self.data)
         self.adam_m = np.zeros_like(self.data)
         self.adam_v = np.zeros_like(self.data)
         self.adam_step = 0
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        self.grad = None
 
 
 def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -248,11 +247,9 @@ class SelfAttention(Module):
         if x.ndim != 3 or x.shape[-1] != self.width:
             raise ShapeError(f"attention expects (B, L, {self.width}), got {x.shape}")
         B, L, W = x.shape
-        nh = self.heads
-        dh = W // nh
 
-        def split(t):
-            return t.reshape(B, L, nh, dh).swapaxes(1, 2)  # (B, nh, L, dh)
+        def split(t):  # (B, heads, L, dh)
+            return t.reshape(B, L, self.heads, W // self.heads).swapaxes(1, 2)
 
         q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
         if cache is not None:
@@ -260,13 +257,38 @@ class SelfAttention(Module):
                 k = concat([cache[0], k], axis=2)
                 v = concat([cache[1], v], axis=2)
             cache[:] = [k, v]
-        P = k.shape[2] - L
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
         # one row sees every row before it, so its mask would be all zeros
-        if L > 1 and (self.causal or cache is not None):
-            scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
-        attn = softmax(scores, axis=-1)
-        return self.wo((attn @ v).swapaxes(1, 2).reshape(B, L, W))
+        return self.wo(attend(q, k, v, L > 1 and (self.causal or cache is not None)))
+
+
+def attend(q, k, v, masked: bool):
+    """``softmax(q kᵀ/√dh + mask) v`` of (B, heads, L, dh) queries over (B, heads,
+    P + L, dh) keys and values, heads merged to (B, L, W); the mask hides from
+    row i the keys after P + i. Arrays give an array, Tensors one tape node:
+    with a the softmax, da = dO vᵀ, ds = (da − rowsum(da∘a))∘a/√dh, dq = ds k,
+    dv = aᵀ dO and dk = dsᵀ q, C-ordered (later sums run in memory order)."""
+    tape = isinstance(q, Tensor)
+    qd, kd, vd = (q.data, k.data, v.data) if tape else (q, k, v)
+    B, nh, L, dh = qd.shape
+    scale = 1.0 / np.sqrt(dh)
+    scores = (qd @ kd.swapaxes(-1, -2)) * scale
+    if masked:
+        P = kd.shape[2] - L
+        scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
+    a = softmax(scores, axis=-1)
+    out = (a @ vd).swapaxes(1, 2).reshape(B, L, nh * dh)
+    if not tape:
+        return out
+
+    def backward(g):
+        g = g.reshape(B, L, nh, dh).swapaxes(1, 2)
+        da = g @ vd.swapaxes(-1, -2)
+        ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+        q._accumulate(ds @ kd)
+        k._accumulate(ds.swapaxes(-1, -2) @ qd)
+        v._accumulate(a.swapaxes(-1, -2) @ g)
+
+    return Tensor._make(out, (q, k, v), backward)
 
 
 class TransformerBlock(Module):

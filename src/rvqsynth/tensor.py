@@ -91,11 +91,12 @@ class Tensor:
                 node._backward(node.grad)
 
     def _accumulate(self, grad: np.ndarray):
+        # no gradient is ever written in place: the first one is kept uncopied
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {grad.shape} for {self!r}")
+        self.grad = grad if self.grad is None else self.grad + grad
 
     # -- arithmetic -------------------------------------------------------
 
@@ -104,8 +105,9 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            for t in (a, b):  # a constant operand's gradient is not computed
+                if t.requires_grad:
+                    t._accumulate(_unbroadcast(g, t.data.shape))
 
         return Tensor._make(a.data + b.data, (a, b), backward)
 
@@ -131,8 +133,9 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            for t, u in ((a, b), (b, a)):
+                if t.requires_grad:
+                    t._accumulate(_unbroadcast(g * u.data, t.data.shape))
 
         return Tensor._make(a.data * b.data, (a, b), backward)
 
@@ -280,19 +283,10 @@ def leaky_relu(t, slope: float):
     return Tensor._make(x * mask, (t,), backward)
 
 
-def softmax(t, axis: int = -1):
-    """Softmax along ``axis``; an array gives an array."""
-    x = t.data if isinstance(t, Tensor) else t
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of an array along ``axis`` (``nn.attend`` has its backward)."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
-    if not isinstance(t, Tensor):
-        return out
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        t._accumulate((g - dot) * out)
-
-    return Tensor._make(out, (t,), backward)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -172,8 +172,10 @@ def test_shared_style_prefix_matches_repeated_style_oracle(temporal,
         logits = depth_logits(h_av, style, grids)
         cross_entropy(logits.reshape(-1, cfg.codebook_size),
                       grids.reshape(-1)).backward()
-        return logits.data, {name: p.grad.copy() for name, p
-                             in model.trainable_parameters().items()}
+        # a parameter the loss does not reach keeps no gradient (None)
+        return logits.data, {name: np.zeros_like(p.data) if p.grad is None
+                             else p.grad.copy()
+                             for name, p in model.trainable_parameters().items()}
 
     logits, grads = logits_and_grads(model.depth_logits_full)
     ref, ref_grads = logits_and_grads(

@@ -181,15 +181,18 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
     assert main(CODEC + ["--data", str(corpus),
                          "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT
     # a manifest line without four tab-separated fields, a speaker id or a
-    # header value that is not an int
+    # header value that is not an int, a negative speaker id, an unknown split
     corpus = tmp_path / "bad_manifest"
     shutil.copytree(artifacts["corpus"], corpus)
     manifest = corpus / "manifest.txt"
     lines = manifest.read_text().splitlines()
+    sid, _, clips = lines[2].split("\t", 2)
     for bad, lineno in ((lines + ["0\ttrain\tmotion_00000.rvqm"], len(lines) + 1),
                         (lines[:1] + ["x" + lines[1]] + lines[2:], 2),
                         ([lines[0].replace("vertices=", "vertices=x")]
-                         + lines[1:], 1)):
+                         + lines[1:], 1),
+                        (lines[:1] + ["-2" + lines[1][1:]] + lines[2:], 2),
+                        (lines[:2] + [f"{sid}\tdev\t{clips}"] + lines[3:], 3)):
         manifest.write_text("\n".join(bad) + "\n")
         assert main(CODEC + ["--data", str(corpus),
                              "--out", str(tmp_path / "c.ckpt")]) == EXIT_ARTIFACT

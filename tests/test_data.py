@@ -163,6 +163,11 @@ def test_load_corpus_requires_manifest(tmp_path):
         load_corpus(tmp_path)
 
 
+def with_split(line: str, split: str) -> str:
+    sid, _, motion, audio = line.split("\t")
+    return "\t".join((sid, split, motion, audio))
+
+
 @pytest.mark.parametrize("edit,lineno,what", [
     (lambda lines: lines[:2] + ["0\ttrain\tmotion_00001.rvqm"] + lines[2:],
      3, "expected 4 tab-separated fields"),
@@ -175,6 +180,12 @@ def test_load_corpus_requires_manifest(tmp_path):
     (lambda lines: [lines[0].replace("audio_dim=4", "audio_dim=4.0")] + lines[1:],
      1, "audio_dim '4.0' is not an int"),
     (lambda lines: [lines[0] + " seed="] + lines[1:], 1, "seed '' is not an int"),
+    (lambda lines: lines[:1] + ["-1" + lines[1][1:]] + lines[2:],
+     2, "speaker id -1 is negative"),
+    (lambda lines: lines[:2] + [with_split(lines[2], "dev")] + lines[3:],
+     3, "split 'dev' is not train, val or test"),
+    (lambda lines: lines[:1] + [with_split(lines[1], "Test")] + lines[2:],
+     2, "split 'Test' is not train, val or test"),
 ])
 def test_load_corpus_rejects_malformed_manifest(tmp_path, corpus, edit, lineno,
                                                 what):

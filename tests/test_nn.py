@@ -4,7 +4,9 @@ import pytest
 from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
                          conv_stack, finite_difference_grad, fit)
-from rvqsynth.tensor import ShapeError, Tensor, concat, leaky_relu
+from rvqsynth import nn
+from rvqsynth.nn import attend
+from rvqsynth.tensor import ShapeError, Tensor, concat, leaky_relu, softmax
 
 
 def rng():
@@ -187,6 +189,120 @@ def test_attention_rows_mix_when_not_causal():
     x2 = x.copy()
     x2[0, 4] += 10.0
     assert not np.allclose(layer(Tensor(x2)).data[0, 0], base[0, 0])
+
+
+def tape_softmax(t: Tensor) -> Tensor:
+    """Softmax over the last axis as a tape node of its own."""
+    out = softmax(t.data, axis=-1)
+
+    def backward(g):
+        t._accumulate((g - (g * out).sum(axis=-1, keepdims=True)) * out)
+
+    return Tensor._make(out, (t,), backward)
+
+
+def composed_attention(q, k, v, masked):
+    """``attend`` as a composition of tape ops: swapaxes, matmul, a scalar
+    multiply, the mask add, softmax, matmul, swapaxes and reshape."""
+    B, nh, L, dh = q.shape
+    P = k.shape[2] - L
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
+    if masked:
+        scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
+    return (tape_softmax(scores) @ v).swapaxes(1, 2).reshape(B, L, nh * dh)
+
+
+# (batch, heads, query rows L, cached rows P, masked)
+ATTEND_CASES = [(2, 2, 4, 0, True), (2, 2, 4, 0, False), (2, 3, 3, 2, True),
+                (3, 2, 1, 4, False), (1, 1, 1, 0, False), (2, 4, 2, 3, True)]
+
+
+def attend_inputs(B, nh, L, P, seed=5):
+    rng_ = np.random.default_rng(seed)
+    dh = 3
+    return (rng_.normal(0.0, 1.0, (B, nh, L, dh)),
+            rng_.normal(0.0, 1.0, (B, nh, P + L, dh)),
+            rng_.normal(0.0, 1.0, (B, nh, P + L, dh)),
+            rng_.normal(0.0, 1.0, (B, L, nh * dh)))
+
+
+def assert_close_relative(got, want, what=""):
+    """≤1e-12 relative to the largest magnitude of ``want``."""
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(got - want).max() <= 1e-12 * scale, what
+
+
+@pytest.mark.parametrize("B,nh,L,P,masked", ATTEND_CASES)
+def test_attend_matches_composed_tape_ops(B, nh, L, P, masked):
+    q, k, v, w = attend_inputs(B, nh, L, P)
+
+    def run(fn):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+        out = fn(*ts, masked)
+        (out * Tensor(w)).sum().backward()
+        return [out.data] + [t.grad for t in ts]
+
+    new, ref = run(attend), run(composed_attention)
+    np.testing.assert_array_equal(new[0], ref[0])
+    np.testing.assert_array_equal(new[0], attend(q, k, v, masked))
+    for a, b, what in zip(new[1:], ref[1:], "qkv"):
+        assert_close_relative(a, b, what)
+
+
+@pytest.mark.parametrize("B,nh,L,P,masked", ATTEND_CASES)
+def test_attend_grads_match_finite_differences(B, nh, L, P, masked):
+    q, k, v, w = attend_inputs(B, nh, L, P, seed=6)
+    ts = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+    (attend(*ts, masked) * Tensor(w)).sum().backward()
+
+    def loss(_):  # finite differences perturb q, k and v in place
+        return float((attend(q, k, v, masked) * w).sum())
+
+    for t, array in zip(ts, (q, k, v)):
+        np.testing.assert_allclose(t.grad, finite_difference_grad(loss, array),
+                                   rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
+    """Through the projections and the K/V cache: rows after a cached
+    prefix, with every input and parameter gradient."""
+    layer = SelfAttention(6, 2, rng(), causal=causal)
+    for p in layer.parameters().values():
+        p.data = np.random.default_rng(2).normal(0.0, 1.0, p.data.shape)
+    data = np.random.default_rng(3).normal(0.0, 1.0, (2, 7, 6))
+    w = np.random.default_rng(4).normal(0.0, 1.0, (2, 7, 6))
+
+    def run():
+        layer.zero_grad()
+        x0 = Tensor(data[:, :3].copy(), requires_grad=True)
+        x1 = Tensor(data[:, 3:].copy(), requires_grad=True)
+        cache = []
+        out = concat([layer(x0, cache), layer(x1, cache)], axis=1)
+        (out * Tensor(w)).sum().backward()
+        grads = {n: p.grad for n, p in layer.parameters().items()}
+        return out.data, x0.grad, x1.grad, grads
+
+    new = run()
+    monkeypatch.setattr(nn, "attend", composed_attention)
+    ref = run()
+    np.testing.assert_array_equal(new[0], ref[0])
+    assert_close_relative(new[1], ref[1], "x0")
+    assert_close_relative(new[2], ref[2], "x1")
+    # wk.bias has a zero gradient up to rounding (softmax is shift-invariant)
+    scale = max(np.abs(g).max() for g in ref[3].values())
+    for name, g in new[3].items():
+        assert np.abs(g - ref[3][name]).max() <= 1e-12 * scale, name
+
+
+def test_attention_is_one_tape_node():
+    """From the scores to the merged output, one node whose parents are the
+    per-head queries, keys and values."""
+    layer = SelfAttention(8, 2, rng())
+    out = layer(Tensor(rng().normal(0.0, 1.0, (3, 5, 8)), requires_grad=True))
+    merged = out._parents[0]._parents[0]   # wo: (merged @ W) + b
+    assert merged.shape == (3, 5, 8)
+    assert [p.shape for p in merged._parents] == [(3, 2, 5, 4)] * 3
 
 
 def test_transformer_block_grad_flows():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rvqsynth.nn import attend
 from rvqsynth.tensor import (ShapeError, Tensor, _unbroadcast, broadcast_to,
                              concat, cross_entropy, leaky_relu, log_softmax,
                              softmax, straight_through)
@@ -59,16 +60,21 @@ def test_broadcast_grad():
 
 
 def test_softmax_grads():
+    """Softmax is on the tape only inside the attention node; the same
+    array feeds its queries, keys and values."""
     rng = np.random.default_rng(3)
-    x = rng.normal(0.0, 1.0, (4, 5))
+    x = rng.normal(0.0, 1.0, (2, 2, 4, 3))
+    w = rng.normal(0.0, 1.0, (2, 4, 6))
+    check_grad(lambda t: (attend(t, t, t, masked=True) * Tensor(w)).sum(), x)
+    check_grad(lambda t: (attend(t, t, t, masked=False) * Tensor(w)).sum(), x)
     w = rng.normal(0.0, 1.0, 5)
-    check_grad(lambda t: (softmax(t, axis=1) * Tensor(w)).sum(), x)
-    check_grad(lambda t: (log_softmax(t, axis=1) * Tensor(w)).sum(), x)
+    check_grad(lambda t: (log_softmax(t, axis=1) * Tensor(w)).sum(),
+               rng.normal(0.0, 1.0, (4, 5)))
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(4)
-    p = softmax(Tensor(rng.normal(0.0, 3.0, (6, 9))), axis=1).data
+    p = softmax(rng.normal(0.0, 3.0, (6, 9)), axis=1)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -131,6 +137,53 @@ def test_shared_subexpression_accumulates():
     y = x * x
     (y + y).sum().backward()
     np.testing.assert_allclose(x.grad, [8.0])
+
+
+def test_sum_of_a_tensor_with_itself():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = x + x
+    (y * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+
+def test_one_node_feeding_both_operands():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = x * 2.0
+    ((y + y).sum() + (y * y).sum()).backward()
+    # d/dx (4x + 4x^2) = 4 + 8x
+    np.testing.assert_array_equal(x.grad, 4.0 + 8.0 * x.data)
+
+
+def test_reshape_and_swapaxes_pass_gradients_through():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(0.0, 1.0, (2, 6)), requires_grad=True)
+    w = rng.normal(0.0, 1.0, (3, 2, 2))
+    (x.reshape(2, 3, 2).swapaxes(0, 1) * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(x.grad, w.swapaxes(0, 1).reshape(2, 6))
+
+
+def test_backward_leaves_upstream_gradients_unmodified():
+    """A first gradient is kept without a copy; a second one makes a new
+    array, so the node the first came from keeps its own."""
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(0.0, 1.0, (2, 3)), requires_grad=True)
+    w = rng.normal(0.0, 1.0, (2, 3))
+    y = x + x
+    flat = x.reshape(6)
+    ((y * Tensor(w)).sum() + (flat * Tensor(w.reshape(6))).sum()).backward()
+    np.testing.assert_array_equal(y.grad, w)
+    np.testing.assert_array_equal(flat.grad, w.reshape(6))
+    np.testing.assert_array_equal(x.grad, w + w + w)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 2), ()])
+def test_wrong_shaped_gradient_raises(shape):
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError, match="gradient of shape"):
+        x._accumulate(np.ones(shape))
+    x._accumulate(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        x._accumulate(np.ones(shape))
 
 
 def test_getitem_grad_with_repeated_writes():
