@@ -258,11 +258,14 @@ class ARModel(Module):
 
     def sequence_log_probs(self, grids: np.ndarray, y: np.ndarray,
                            s: np.ndarray) -> np.ndarray:
-        """Teacher-forced log-probabilities of many grids for one (y, s)."""
+        """Teacher-forced log-probabilities of many grids for one (y, s). Each
+        encoder runs once; its features are copied to the G grids, not
+        broadcast, since BLAS takes no stride-0 operand."""
         G = grids.shape[0]
-        yb = np.broadcast_to(y, (G,) + y.shape)
-        sb = np.broadcast_to(s, (G,) + s.shape)
-        logits = self.forward_logits(yb, sb, grids)
+        audio, style = (Tensor(np.repeat(f[None], G, axis=0))
+                        for f in self.context_features(y, s))
+        h_av = self.temporal_context(audio, self.frame_embedding(grids), style)
+        logits = self.depth_logits_full(h_av, style, grids)
         logp = log_softmax(logits, axis=-1).data
         picked = np.take_along_axis(logp, grids[..., None], axis=-1)[..., 0]
         return picked.sum(axis=(1, 2))

@@ -159,10 +159,11 @@ class SyncNet(Module):
         return conv_stack(y, self.audio_convs)
 
     def _window_embed(self, frames, proj: Dense):
+        """Normalized window embeddings (B, emb) of (B, W, E) frames."""
         B, W, E = frames.shape
         if W != self.config.window:
             raise ShapeError(f"expected window {self.config.window}, got {W}")
-        return proj(frames.reshape(B, W * E))
+        return _normalize_rows(proj(frames.reshape(B, W * E)))
 
     def _fit_window(self, seq: np.ndarray) -> np.ndarray:
         """Crop the time axis (-2) to the last W frames or left-pad it by
@@ -182,40 +183,28 @@ class SyncNet(Module):
         of them, which matches one row at a time to rounding."""
         x = np.asarray(x, dtype=np.float64)
         frames = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))
-        emb = _normalize_rows(self._window_embed(frames, self.mesh_proj))
+        emb = self._window_embed(frames, self.mesh_proj)
         return emb.reshape(x.shape[:-2] + emb.shape[-1:])
 
-    def _fused_scores(self, mesh_f, audio_f, pairwise: bool):
-        """Variant-1 scores. ``fuse_conv`` is linear in the concatenated
-        (mesh, audio) channels, so each half is convolved once and the
-        halves are added: aligned pairs (B,) or all pairs (B, B)."""
-        B, W, E = mesh_f.shape
+    def _fused_scores(self, mesh_f, audio_f):
+        """Variant-1 scores of every (mesh, audio) pair, (B_m, B_a).
+        ``fuse_conv`` is linear in the concatenated (mesh, audio) channels,
+        so each half is convolved once and ``pair_hidden`` adds the halves."""
+        E = mesh_f.shape[-1]
         conv = self.fuse_conv
         weight = operand(mesh_f, conv.weight)
         m = conv1d(mesh_f, weight[:, :E], None, conv.dilation, conv.mode)
         a = conv1d(audio_f, weight[:, E:], operand(audio_f, conv.bias),
                    conv.dilation, conv.mode)
-        if pairwise:
-            m, a = m.reshape(B, 1, W, -1), a.reshape(1, B, W, -1)
-        h = mean(leaky_relu(m + a, 0.1), axis=-2)
+        h = pair_hidden(m, a, 0.1)
         return self.score_head(h).reshape(h.shape[:-1])
-
-    def score_pairs(self, mesh_f, audio_f):
-        """Aligned scores for (B, W, E) frame features, shape (B,); one
-        audio window (1, W, E) is scored against every mesh window."""
-        if self.config.variant == 1:
-            return self._fused_scores(mesh_f, audio_f, pairwise=False)
-        m = _normalize_rows(self._window_embed(mesh_f, self.mesh_proj))
-        a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
-        return (m * a).sum(axis=-1)
 
     def score_matrix(self, mesh_f, audio_f):
         """All-pairs scores, shape (B, B)."""
         if self.config.variant == 1:
-            return self._fused_scores(mesh_f, audio_f, pairwise=True)
-        m = _normalize_rows(self._window_embed(mesh_f, self.mesh_proj))
-        a = _normalize_rows(self._window_embed(audio_f, self.audio_proj))
-        return m @ a.swapaxes(0, 1)
+            return self._fused_scores(mesh_f, audio_f)
+        return (self._window_embed(mesh_f, self.mesh_proj)
+                @ self._window_embed(audio_f, self.audio_proj).swapaxes(0, 1))
 
     def score(self, x: np.ndarray, y: np.ndarray):
         """Synchronization score of one (T, 3V) motion against one (T, A)
@@ -233,9 +222,13 @@ class SyncNet(Module):
                              f"{x.shape}")
         if x.shape[-2] != y.shape[0]:
             raise ShapeError("motion and audio must be frame-aligned")
-        mesh = self._fit_window(x.reshape((-1,) + x.shape[-2:]))
-        scores = self.score_pairs(self.mesh_frames(mesh),
-                                  self.audio_frames(self._fit_window(y)[None]))
+        mesh_f = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))
+        audio_f = self.audio_frames(self._fit_window(y)[None])
+        if self.config.variant == 1:
+            scores = self._fused_scores(mesh_f, audio_f)[:, 0]
+        else:
+            scores = (self._window_embed(mesh_f, self.mesh_proj)
+                      * self._window_embed(audio_f, self.audio_proj)).sum(axis=-1)
         return float(scores[0]) if x.ndim == 2 else scores
 
     def save(self, path, seed: int = 0):
@@ -246,6 +239,35 @@ class SyncNet(Module):
     def load(cls, path) -> "SyncNet":
         return checkpoint.load_model(path, "sync", SyncConfig,
                                      lambda cfg, _: cls(cfg))[0]
+
+
+def pair_hidden(m, a, slope: float):
+    """``mean_W(leaky_relu(m_i + a_j))`` (B_m, B_a, O) of all pairs of rows of
+    (B_m, W, O) ``m`` and (B_a, W, O) ``a`` in blocks of m rows, never the
+    whole (B_m, B_a, W, O) sum. Arrays give an array, Tensors one node whose
+    backward recomputes each block's z: dz = dh/W ∘ (z > 0 ? 1 : slope),
+    dm_i = Σ_j dz_ij, da = Σ_i dz_ij row by row (the broadcast form's bits)."""
+    tape = isinstance(m, Tensor)
+    md, ad = (m.data, a.data) if tape else (m, a)
+    rows = max(1, (1 << 15) // ad.size)  # blocks of ~256 KB stay in L2
+    blocks = [slice(i, i + rows) for i in range(0, md.shape[0], rows)]
+    h = np.concatenate([leaky_relu(md[b, None] + ad, slope).sum(axis=-2)
+                        for b in blocks]) * (1.0 / md.shape[1])
+    if not tape:
+        return h
+
+    def backward(g):
+        g = g[:, :, None] * (1.0 / md.shape[1])
+        dm, da = np.empty(md.shape), np.zeros(ad.shape)
+        for b in blocks:
+            dz = np.maximum(md[b, None] + ad > 0.0, slope) * g[b]  # the mask, as leaky_relu
+            dm[b] = dz.sum(axis=1)
+            for row in dz:  # one row at a time, as numpy sums over i
+                da += row
+        m._accumulate(dm)
+        a._accumulate(da)
+
+    return Tensor._make(h, (m, a), backward)
 
 
 def infonce_batch(corpus, records, config: SyncConfig,

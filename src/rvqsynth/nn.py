@@ -61,18 +61,13 @@ class Module:
     def parameters(self) -> dict:
         out = {}
         for name, value in vars(self).items():
-            if isinstance(value, Parameter):
-                out[name] = value
-            elif isinstance(value, Module):
-                for sub, p in value.parameters().items():
-                    out[f"{name}.{sub}"] = p
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        for sub, p in item.parameters().items():
-                            out[f"{name}.{i}.{sub}"] = p
-                    elif isinstance(item, Parameter):
-                        out[f"{name}.{i}"] = item
+            seq = isinstance(value, (list, tuple))
+            for i, item in enumerate(value if seq else [value]):
+                key = f"{name}.{i}" if seq else name
+                if isinstance(item, Parameter):
+                    out[key] = item
+                elif isinstance(item, Module):
+                    out.update((f"{key}.{sub}", p) for sub, p in item.parameters().items())
         return out
 
     def zero_grad(self):
@@ -104,23 +99,34 @@ class Dense(Module):
                 "bias": self.bias is not None}
 
     def __call__(self, x):
-        """``x @ W + b``. An array with more than one leading axis is
-        folded into one 2-D GEMM, where a Tensor lets numpy run one GEMM
-        per leading index: the two agree to rounding (≤1e-15 relative), not
-        bit for bit, which inference tolerates (streamed logits are checked
-        against teacher-forced ones at 1e-10, sampled grids unchanged).
-        """
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(
-                f"dense expects last dim {self.in_dim}, got {x.shape}")
-        tape = isinstance(x, Tensor)  # ``operand`` inlined: a hot path
-        lead = None
-        if not tape and x.ndim > 2:
-            lead, x = x.shape[:-1], x.reshape(-1, self.in_dim)
-        out = x @ (self.weight if tape else self.weight.data)
-        if self.bias is not None:
-            out = out + (self.bias if tape else self.bias.data)
-        return out if lead is None else out.reshape(lead + (self.out_dim,))
+        return dense(x, self.weight, self.bias)
+
+
+def dense(x, weight: Tensor, bias: Tensor | None = None):
+    """``x @ W + b``, the bias added in place. An array ``x`` runs off the tape
+    as one 2-D GEMM over its folded leading axes; a Tensor makes one node
+    with one GEMM per leading index (≤1e-15 relative apart). Backward:
+    db = Σ g over the leading axes, dx = g Wᵀ, dW = xᵀ g as one GEMM."""
+    wd = weight.data
+    if x.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"dense expects last dim {wd.shape[0]}, got {x.shape}")
+    tape = isinstance(x, Tensor)
+    xd = x.data if tape else x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x
+    out = xd @ wd
+    if bias is not None:
+        out += bias.data
+    if not tape:
+        return out.reshape(x.shape[:-1] + wd.shape[1:])
+
+    def backward(g):
+        if bias is not None:
+            bias._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
+        if x.requires_grad:
+            x._accumulate(g @ wd.T)
+        if weight.requires_grad:
+            weight._accumulate(xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
+
+    return Tensor._make(out, (x, weight) if bias is None else (x, weight, bias), backward)
 
 
 class Conv1d(Module):
@@ -199,10 +205,8 @@ def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
     def backward(g):
         g2 = g.reshape(-1, O)
         if weight.requires_grad:
-            cols = np.empty(x.shape[:-1] + (k * C,))
-            for tap in range(k):
-                cols[..., tap * C:(tap + 1) * C] = taps[tap]
-            weight._accumulate((cols.reshape(-1, k * C).T @ g2).reshape(k, C, O))
+            cols = np.concatenate(taps, axis=-1).reshape(-1, k * C)
+            weight._accumulate((cols.T @ g2).reshape(k, C, O))
         if bias is not None:
             bias._accumulate(g2.sum(axis=0))
         if x.requires_grad:

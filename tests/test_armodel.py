@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from rvqsynth.armodel import (ARConfig, ARModel, prepare_sequences,
 from rvqsynth.codec import CodecConfig, train_codec
 from rvqsynth.nn import TransformerBlock
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
-                             cross_entropy)
+                             cross_entropy, log_softmax)
 
 TINY_AR = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
                    audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
@@ -206,6 +207,33 @@ def test_training_runs_each_style_token_once(monkeypatch):
                          np.broadcast_to(s, (B,) + s.shape), grids)
     assert seen == [(0, (B, 1, 8)), (1, (B, 1, 8)),
                     (0, (B * T, 3, 8)), (1, (B * T, 3, 8))]
+
+
+@pytest.mark.parametrize("temporal,style_mode", [
+    ("conv", "depth"), ("transformer", "depth"), ("conv", "temporal")])
+def test_sequence_log_probs_encodes_once_for_all_grids(temporal, style_mode,
+                                                       monkeypatch):
+    """Each encoder runs once for G grids and the log-probabilities match
+    the G-copy oracle, which runs both encoders on G copies of (y, s)."""
+    cfg = replace(TINY_AR, temporal=temporal, style_mode=style_mode)
+    model = make_model(cfg)
+    y, s = random_inputs(cfg, T=5)
+    G = 6
+    grids = np.random.default_rng(2).integers(0, cfg.codebook_size,
+                                              (G, 5, cfg.depth))
+    logits = model.forward_logits(np.broadcast_to(y, (G,) + y.shape),
+                                  np.broadcast_to(s, (G,) + s.shape), grids)
+    logp = log_softmax(logits, axis=-1).data
+    want = np.take_along_axis(logp, grids[..., None], -1)[..., 0].sum(axis=(1, 2))
+    calls = []
+    for name in ("encode_audio", "encode_style"):
+        def counted(x, name=name, encode=getattr(model, name)):
+            calls.append((name, x.shape[0]))
+            return encode(x)
+        monkeypatch.setattr(model, name, counted)
+    got = model.sequence_log_probs(grids, y, s)
+    assert calls == [("encode_audio", 1), ("encode_style", 1)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_depth_pass_counter_counts_rows():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,12 @@ from rvqsynth.metrics import (StyleConfig, StyleNet, SyncConfig, SyncNet,
                               cosine_similarity, coverage_error,
                               frechet_distance, gaussian_stats,
                               infonce_batch, infonce_loss, lip_vertex_error,
-                              mean_estimate_error, shift_detection_rate,
-                              speaker_centroids, style_rank,
-                              train_style_net, train_sync_net)
+                              mean_estimate_error, pair_hidden,
+                              shift_detection_rate, speaker_centroids,
+                              style_rank, train_style_net, train_sync_net)
+from rvqsynth.nn import finite_difference_grad
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
-                             leaky_relu)
+                             leaky_relu, mean)
 
 
 # -- lip vertex errors -----------------------------------------------------------
@@ -185,6 +187,71 @@ def test_factored_score_matrix_matches_replicated_pairs():
     for name in new[3]:
         np.testing.assert_allclose(new[3][name], ref[3][name],
                                    rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def composed_pair_hidden(m, a):
+    """The pair node's broadcast form over the whole (B_m, B_a, W, O) sum."""
+    (Bm, W, O), Ba = m.shape, a.shape[0]
+    return mean(leaky_relu(m.reshape(Bm, 1, W, O) + a.reshape(1, Ba, W, O),
+                           0.1), axis=-2)
+
+
+# (B_m, B_a, W, O): one block; blocks of 3 rows and a last of 1; one row per
+# block (the default SyncConfig's shape); one audio row, as SyncNet.score
+PAIR_SHAPES = [(5, 5, 8, 6), (10, 10, 20, 48), (64, 64, 20, 24), (7, 1, 20, 24)]
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_pair_node_matches_broadcast_composition(shape):
+    """h, dm and da bit for bit; an array gives an array with h's bits."""
+    Bm, Ba, W, O = shape
+    r = np.random.default_rng(8)
+    md, ad = r.normal(0.0, 1.0, (Bm, W, O)), r.normal(0.0, 1.0, (Ba, W, O))
+    w = r.normal(0.0, 1.0, (Bm, Ba, O))
+
+    def run(fn):
+        m, a = Tensor(md, requires_grad=True), Tensor(ad, requires_grad=True)
+        h = fn(m, a)
+        (h * Tensor(w)).sum().backward()
+        return h.data, m.grad, a.grad
+
+    got, want = run(lambda m, a: pair_hidden(m, a, 0.1)), run(composed_pair_hidden)
+    for g, h in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.uint64), h.view(np.uint64))
+    out = pair_hidden(md, ad, 0.1)
+    assert type(out) is np.ndarray
+    np.testing.assert_array_equal(out.view(np.uint64), want[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("Bm,Ba", [(3, 4), (4, 1)])
+def test_pair_node_grads_match_finite_differences(Bm, Ba):
+    r = np.random.default_rng(9)
+    md, ad = r.normal(0.0, 1.0, (Bm, 5, 3)), r.normal(0.0, 1.0, (Ba, 5, 3))
+    w = r.normal(0.0, 1.0, (Bm, Ba, 3))
+    m, a = Tensor(md, requires_grad=True), Tensor(ad, requires_grad=True)
+    (pair_hidden(m, a, 0.1) * Tensor(w)).sum().backward()
+    for x, grad, loss in (
+            (md, m.grad, lambda x: float((pair_hidden(x, ad, 0.1) * w).sum())),
+            (ad, a.grad, lambda x: float((pair_hidden(md, x, 0.1) * w).sum()))):
+        np.testing.assert_allclose(grad, finite_difference_grad(loss, x.copy()),
+                                   rtol=1e-6, atol=1e-8)
+
+
+def test_sync1_infonce_step_never_holds_a_pairs_array():
+    """tracemalloc sees numpy's buffers: one variant-1 InfoNCE forward and
+    backward at the default shapes peaks below one (B, B, W, width) array."""
+    cfg = SyncConfig(variant=1)
+    net = SyncNet(cfg)
+    r = np.random.default_rng(10)
+    meshes = r.normal(0.0, 1.0, (cfg.batch, cfg.window, cfg.motion_dim))
+    audios = r.normal(0.0, 1.0, (cfg.batch, cfg.window, cfg.audio_dim))
+    tracemalloc.start()
+    try:
+        infonce_loss(net, meshes, audios).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.batch ** 2 * cfg.window * cfg.width * 8
 
 
 @pytest.mark.parametrize("variant", [1, 2])

@@ -39,6 +39,51 @@ def test_dense_infer_matches_call(shape, bias):
     np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
 
+def two_node_dense(x, weight, bias):
+    """``x @ W`` then ``+ b`` as two tape nodes, the matmul with the weight
+    gradient Tensor ``@`` used to fold into one GEMM over the leading axes."""
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, weight.data.T))
+        weight._accumulate(x.data.reshape(-1, x.shape[-1]).T
+                           @ g.reshape(-1, g.shape[-1]))
+
+    out = Tensor._make(np.matmul(x.data, weight.data), (x, weight), backward)
+    return out if bias is None else out + bias
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (1, 5), (3, 4, 5), (2, 1, 3, 5)])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_dense_node_matches_two_node_composition(shape, bias, x_grad):
+    """Output, dx, dW and db bit for bit against the old two nodes."""
+    r = np.random.default_rng(7)
+    x, w = r.normal(0.0, 1.0, shape), r.normal(0.0, 1.0, shape[:-1] + (4,))
+    W, b = r.normal(0.0, 1.0, (5, 4)), r.normal(0.0, 1.0, 4)
+
+    def run(fn):
+        xt = Tensor(x, requires_grad=x_grad)
+        Wt, bt = Parameter(W), Parameter(b) if bias else None
+        out = fn(xt, Wt, bt)
+        (out * Tensor(w)).sum().backward()
+        return [out.data, xt.grad, Wt.grad] + ([bt.grad] if bias else [])
+
+    got, want = run(nn.dense), run(two_node_dense)
+    assert (got[1] is None) == (not x_grad)
+    for g, h in zip(got, want):
+        if h is None:
+            assert g is None
+        else:
+            np.testing.assert_array_equal(g.view(np.uint64), h.view(np.uint64))
+
+
+def test_dense_is_one_tape_node():
+    layer = Dense(3, 2, rng())
+    x = Tensor(np.ones((4, 3)), requires_grad=True)
+    assert layer(x)._parents == (x, layer.weight, layer.bias)
+    assert Dense(3, 2, rng(), bias=False)(x)._parents[0] is x
+
+
 # name -> (layer factory, whether it folds (B, L, C) rows through Dense)
 ARRAY_LAYERS = {
     **{f"conv-{mode}-d{d}": (lambda mode=mode, d=d: Conv1d(
@@ -300,7 +345,7 @@ def test_attention_is_one_tape_node():
     per-head queries, keys and values."""
     layer = SelfAttention(8, 2, rng())
     out = layer(Tensor(rng().normal(0.0, 1.0, (3, 5, 8)), requires_grad=True))
-    merged = out._parents[0]._parents[0]   # wo: (merged @ W) + b
+    merged = out._parents[0]   # wo: one dense node over (merged, W, b)
     assert merged.shape == (3, 5, 8)
     assert [p.shape for p in merged._parents] == [(3, 2, 5, 4)] * 3
 

@@ -41,6 +41,40 @@ def test_elementwise_grads():
         check_grad(build, x)
 
 
+# ±0, ±inf, NaN of either sign, the smallest subnormals and the extremes
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                    -5e-324, 1e308, -1e308, -3.5, 2.0])
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("slope", [0.1, 0.5, 0.999])
+def test_leaky_relu_has_the_bits_of_the_mask_form(slope):
+    """``max(x, slope·x)`` against ``x · where(x > 0, 1, slope)``, and its
+    gradient against ``g · where(x > 0, 1, slope)``, bit for bit."""
+    rng = np.random.default_rng(4)
+    x = np.concatenate([SPECIAL, rng.normal(0.0, 1.0, 40)])
+    g = np.concatenate([SPECIAL[::-1], rng.normal(0.0, 1.0, 40)])
+    mask = np.where(x > 0.0, 1.0, slope)
+    out = leaky_relu(x, slope)
+    assert type(out) is np.ndarray
+    np.testing.assert_array_equal(bits(out), bits(x * mask))
+    t = Tensor(x, requires_grad=True)
+    node = leaky_relu(t, slope)
+    np.testing.assert_array_equal(bits(node.data), bits(x * mask))
+    (node * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(bits(t.grad), bits(g * mask))
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 1.5, np.nan])
+def test_leaky_relu_rejects_slope_outside_the_unit_interval(slope):
+    for x in (np.ones(3), Tensor(np.ones(3), requires_grad=True)):
+        with pytest.raises(ValueError, match="slope"):
+            leaky_relu(x, slope)
+
+
 def test_matmul_and_shape_grads():
     rng = np.random.default_rng(1)
     x = rng.normal(0.0, 1.0, (3, 4))
