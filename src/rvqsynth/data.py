@@ -376,8 +376,9 @@ def load_corpus(corpus_dir) -> Corpus:
     """Read a corpus written by ``save_corpus``. Every clip must have the
     vertex count and audio dim of the manifest header (or of the first clip)
     and the frame count of the first clip, with as many audio frames as
-    motion frames; a clip that does not, a missing clip file, a negative speaker
-    id, an unknown split or a non-UTF-8 manifest raise ``SequenceFormatError``."""
+    motion frames; a clip that does not, an empty clip (no frames, vertices or
+    audio dims), a missing clip file, a negative speaker id, an unknown split
+    or a non-UTF-8 manifest raise ``SequenceFormatError``."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -420,6 +421,10 @@ def load_corpus(corpus_dir) -> Corpus:
                     f"{manifest}:{lineno}: no clip file {name!r}")
         seq = read_sequence(root / mname)
         audio = read_audio(root / aname)
+        if 0 in (seq.frames, seq.num_vertices, audio.shape[1]):
+            raise SequenceFormatError(
+                f"{manifest}:{lineno}: an empty clip ({seq.frames} frames, "
+                f"{seq.num_vertices} vertices, audio dim {audio.shape[1]})")
         if audio.shape[0] != seq.frames:
             raise SequenceFormatError(
                 f"{root / aname} has {audio.shape[0]} frames but "

@@ -193,10 +193,9 @@ def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
         before, after = (k - 1) * d, 0
     else:
         before = after = (k - 1) // 2 * d
-    widths = [(0, 0)] * x.ndim
-    widths[-2] = (before, after)
     tape = isinstance(x, Tensor)
-    padded = np.pad(x.data if tape else x, widths)
+    padded = np.zeros(x.shape[:-2] + (before + T + after, x.shape[-1]))
+    padded[..., before:before + T, :] = x.data if tape else x
     taps = [padded[..., tap * d:tap * d + T, :] for tap in range(k)]
     if not tape:
         return tap_sum(taps, weight, bias)
@@ -347,10 +346,11 @@ def fit(params, epochs: int, lr: float, batches, step, log=None,
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; rolled back")
             loss.backward()
-            # bind no loop variable to a part: it would keep this batch's
-            # graph and gradients alive through the next backward
             for k in parts:
                 totals[k] = totals.get(k, 0.0) + float(parts[k].data)
+            # drop the graph now: kept, it would live through the next
+            # step's forward and backward (and through ``end_epoch``)
+            del parts, loss
             adam_step(params, lr)
             n_batches += 1
         if end_epoch is not None:

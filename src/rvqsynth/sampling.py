@@ -131,6 +131,8 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if y.shape[0] < 1:
+        raise ValueError("the driving signal has no frames")
     d_star = config.validate(model.config.depth)
     if config.strategy == "syncnet-rejection" and sync_model is None:
         raise ValueError("syncnet-rejection requires a trained sync model")
@@ -221,6 +223,10 @@ def distill(teacher: ARModel, codec, corpus, sampling_config: SamplingConfig,
     """
     if not np.array_equal(teacher.codebook.data, codec.codebook.data):
         raise ValueError("teacher and codec disagree on the codebook")
+    depth = teacher.config.depth
+    if sampling_config.validate(depth) < depth:
+        raise ValueError(f"distillation relabels all {depth} depths: "
+                         f"depth_limit must be {depth} or unset")
     cfg = student_config if student_config is not None else replace(
         teacher.config)
     rng = np.random.default_rng(cfg.seed + 1)

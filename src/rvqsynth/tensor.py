@@ -1,7 +1,9 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Everything runs in double precision with a fixed reduction order so that
-repeated runs with the same seed are bit-identical.
+repeated runs with the same seed are bit-identical. ``backward`` releases
+each interior node's gradient once that node's backward has consumed it;
+leaves (Parameters and user Tensors with ``requires_grad``) keep theirs.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ class Tensor:
     # -- autograd --------------------------------------------------------
 
     def backward(self):
+        """Add d(self)/d(leaf) to every leaf's ``grad``. Each interior node's
+        (one with a ``_backward``) gradient is set to ``None`` once used, so a
+        second backward over one graph starts them from zero."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -89,6 +94,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def _accumulate(self, grad: np.ndarray):
         # no gradient is ever written in place: the first one is kept uncopied

@@ -146,6 +146,11 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--strategy", "syncnet-rejection", "--n", "4",
                  "--out", str(tmp_path / "s.ckpt")]) == EXIT_CONFIG
+    # distillation relabels every depth of the teacher (depth 2 here)
+    assert main(["distill", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--strategy", "average", "--n", "3", "--depth-limit", "1",
+                 "--out", str(tmp_path / "s.ckpt")]) == EXIT_CONFIG
     # distillation needs training sequences
     corpus = tmp_path / "no_train"
     shutil.copytree(artifacts["corpus"], corpus)

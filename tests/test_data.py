@@ -219,3 +219,34 @@ def test_load_corpus_rejects_mismatched_clip(tmp_path, corpus, frames,
                 root / "audio_00003.rvqa")
     with pytest.raises(SequenceFormatError, match=f"{bad}_00003"):
         load_corpus(root)
+
+
+@pytest.mark.parametrize("frames,vertices,audio_dim", [
+    (0, 6, 4),      # no frames
+    (24, 0, 4),     # no vertices
+    (24, 6, 0),     # no audio dims
+])
+def test_load_corpus_rejects_empty_clips(tmp_path, corpus, frames, vertices,
+                                         audio_dim):
+    root = tmp_path / "corpus"
+    save_corpus(corpus, root)
+    for i in range(len(corpus.records)):
+        write_sequence(MotionSequence(np.zeros((frames, 3 * vertices)),
+                                      vertices, np.arange(min(3, vertices))),
+                       root / f"motion_{i:05d}.rvqm")
+        write_audio(np.zeros((frames, audio_dim)), root / f"audio_{i:05d}.rvqa")
+    manifest = root / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(
+        "vertices=6 audio_dim=4", f"vertices={vertices} audio_dim={audio_dim}"))
+    with pytest.raises(SequenceFormatError, match="manifest.txt:2: an empty clip"):
+        load_corpus(root)
+
+
+def test_load_corpus_without_clips_keeps_header_shape(tmp_path):
+    root = tmp_path / "corpus"
+    root.mkdir()
+    (root / "manifest.txt").write_text("# vertices=6 audio_dim=4 seed=3\n")
+    back = load_corpus(root)
+    assert back.records == []
+    assert (back.config.vertices, back.config.audio_dim, back.config.frames,
+            back.config.seed) == (6, 4, 1, 3)

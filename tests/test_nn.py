@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -440,6 +442,35 @@ def test_fit_nonfinite_loss_restores_epoch_start_and_raises():
     assert [row["epoch"] for row in logged] == [0]
     # epoch 1 took one finite step before the NaN; it is rolled back
     np.testing.assert_array_equal(p.data, at_end[0])
+
+
+def test_fit_holds_no_graph_at_end_epoch_or_after():
+    """The step's graph is released before ``end_epoch`` runs and nothing of
+    it outlives ``fit``: what tracemalloc still sees then is the parameter's
+    Adam state and gradient, far below one (4096, 8) activation."""
+    r = np.random.default_rng(17)
+    layer = Dense(8, 8, r)
+    x = r.normal(0.0, 1.0, (4096, 8))
+
+    def step(batch):
+        h = leaky_relu(layer(Tensor(x)), 0.1)
+        return {"loss": (h * h).mean()}
+
+    held = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+
+        def end_epoch(epoch):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+
+        fit(layer.parameters(), 2, 0.01, lambda: iter(range(2)), step,
+            end_epoch=end_epoch)
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3
+    assert max(held) < x.nbytes // 4, held
 
 
 def test_finite_difference_matches_analytic():

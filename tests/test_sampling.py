@@ -177,6 +177,12 @@ def test_generate_batch_needs_a_sample(stack):
                        n_samples=0)
 
 
+def test_generate_batch_needs_a_frame(stack):
+    codec, model, rec = stack
+    with pytest.raises(ValueError, match="no frames"):
+        generate_batch(model, codec, rec.audio[:0], rec.motion, SamplingConfig())
+
+
 def test_rejection_requires_sync_model(stack):
     codec, model, rec = stack
     with pytest.raises(ValueError):
@@ -391,6 +397,15 @@ def test_distill_rejects_syncnet_rejection(stack, tiny_corpus):
     with pytest.raises(ValueError, match="syncnet-rejection"):
         distill(model, codec, tiny_corpus,
                 SamplingConfig(strategy="syncnet-rejection", n=4))
+
+
+def test_distill_rejects_depth_limit_before_relabeling(stack, tiny_corpus,
+                                                      monkeypatch):
+    codec, model, _ = stack
+    monkeypatch.setattr(sampling, "relabel_grids", None)  # must not be reached
+    with pytest.raises(ValueError, match="depth_limit must be 2 or unset"):
+        distill(model, codec, tiny_corpus,
+                SamplingConfig(strategy="average", n=4, depth_limit=1))
 
 
 def test_distill_rejects_codebook_mismatch(stack, tiny_corpus):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rvqsynth.nn import attend
+from rvqsynth.nn import Conv1d, Dense, attend
 from rvqsynth.tensor import (ShapeError, Tensor, _unbroadcast, broadcast_to,
                              concat, cross_entropy, leaky_relu, log_softmax,
                              softmax, straight_through)
@@ -198,16 +198,65 @@ def test_reshape_and_swapaxes_pass_gradients_through():
 
 def test_backward_leaves_upstream_gradients_unmodified():
     """A first gradient is kept without a copy; a second one makes a new
-    array, so the node the first came from keeps its own."""
+    array, so the gradient handed to the node it came from is never changed
+    by later accumulation."""
     rng = np.random.default_rng(15)
     x = Tensor(rng.normal(0.0, 1.0, (2, 3)), requires_grad=True)
     w = rng.normal(0.0, 1.0, (2, 3))
     y = x + x
     flat = x.reshape(6)
+    handed = {}
+    for name, node in (("y", y), ("flat", flat)):
+        def capture(g, name=name, backward=node._backward):
+            handed[name] = g
+            backward(g)
+        node._backward = capture
     ((y * Tensor(w)).sum() + (flat * Tensor(w.reshape(6))).sum()).backward()
-    np.testing.assert_array_equal(y.grad, w)
-    np.testing.assert_array_equal(flat.grad, w.reshape(6))
+    np.testing.assert_array_equal(handed["y"], w)
+    np.testing.assert_array_equal(handed["flat"], w.reshape(6))
     np.testing.assert_array_equal(x.grad, w + w + w)
+
+
+def test_backward_releases_interior_gradients_and_keeps_leaves():
+    """Every node with a backward drops its gradient once it is used; a
+    Parameter and a user Tensor with requires_grad keep theirs, and every
+    node keeps its data and parents."""
+    r = np.random.default_rng(16)
+    x = Tensor(r.normal(0.0, 1.0, (2, 5, 3)), requires_grad=True)
+    layer = Dense(3, 4, r)
+    conv = Conv1d(4, 4, 3, r)
+    h = leaky_relu(conv(layer(x)), 0.1)
+    loss = (h * Tensor(r.normal(0.0, 1.0, h.shape))).sum() + (h * h).mean()
+    loss.backward()
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    interior = [n for n in nodes if n._backward is not None]
+    assert len(interior) > 5
+    for node in interior:
+        assert node.grad is None
+        assert node._parents and node.data is not None
+    leaves = [x, layer.weight, layer.bias, conv.weight, conv.bias]
+    assert all(any(n is leaf for n in nodes) for leaf in leaves)
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    assert all(n.grad is None for n in nodes if not n.requires_grad)
+
+
+def test_second_backward_over_one_graph_adds_the_same_gradient():
+    """Interior gradients start from zero in each backward, so a leaf
+    accumulates exactly the gradient of one pass per pass."""
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = x * 2.0
+    loss = (y + y).sum() + (y * y).sum()
+    loss.backward()
+    once = x.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, once + once)
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 2), ()])
