@@ -226,25 +226,22 @@ class ARModel(Module):
             v = block(v, kv)
         return prefix
 
-    def depth_step(self, h_av_t: np.ndarray, partial_rows: np.ndarray,
-                   cache: list) -> np.ndarray:
-        """Logits (N, |C|) for the next depth of N rows that drew
-        ``partial_rows`` (N, d); adds N to ``depth_row_count``.
+    def depth_step(self, x: np.ndarray, d: int, cache: list) -> np.ndarray:
+        """Logits (N, |C|) for depth ``d`` of N rows; adds N to
+        ``depth_row_count``. ``x`` is the rows' h_av (N, H) at d = 0, and
+        after that the sum (N, N_C) of the d codes each row drew.
 
         ``cache`` holds each layer's keys and values of the tokens before: at
-        d = 0 the ``depth_prefix`` of one style, repeated here to the N h_av
-        tokens ``h_av_t`` (N, H). Later steps feed the code prefix through
-        depth d - 1 over N cached rows.
+        d = 0 the ``depth_prefix`` of one style, repeated here to the N rows;
+        later steps feed the code prefix through depth d - 1 over them.
         """
-        N, d = partial_rows.shape
-        self.depth_row_count += N
+        self.depth_row_count += len(x)
         if d == 0:
-            cache[:] = [[np.broadcast_to(a, (N,) + a.shape[1:]) for a in kv]
+            cache[:] = [[np.broadcast_to(a, (len(x),) + a.shape[1:]) for a in kv]
                         for kv in cache]
-            v = h_av_t + self.depth_pos.data[1]
+            v = x + self.depth_pos.data[1]
         else:
-            codes = self.codebook.data[partial_rows].cumsum(axis=1)[:, -1]
-            v = self.prefix_proj(codes) + self.depth_pos.data[d + 1]
+            v = self.prefix_proj(x) + self.depth_pos.data[d + 1]
         v = v[:, None]
         for block, kv in zip(self.depth_blocks, cache):
             v = block(v, kv)

@@ -64,7 +64,7 @@ def sample_categorical(logits: np.ndarray, temperature: float,
     p /= p.sum(axis=-1, keepdims=True)
     cdf = np.cumsum(p, axis=-1)
     u = rng.random(logits.shape[:-1] + (1,))
-    return (u > cdf).sum(axis=-1)
+    return (u > cdf[..., :-1]).sum(axis=-1)  # never |C|, even if cdf[-1] < u
 
 
 def rvq_recursion(z: np.ndarray, codebook: np.ndarray, depth: int,

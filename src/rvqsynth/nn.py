@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, leaky_relu, softmax
+from .tensor import ShapeError, Tensor, leaky_relu, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -104,9 +104,11 @@ class Dense(Module):
 
 def dense(x, weight: Tensor, bias: Tensor | None = None):
     """``x @ W + b``, the bias added in place. An array ``x`` runs off the tape
-    as one 2-D GEMM over its folded leading axes; a Tensor makes one node
-    with one GEMM per leading index (≤1e-15 relative apart). Backward:
-    db = Σ g over the leading axes, dx = g Wᵀ, dW = xᵀ g as one GEMM."""
+    as one 2-D GEMM over its folded leading axes; a Tensor makes one node,
+    whose ``x @ W`` numpy folds the same way, with the same bits, except on
+    rows of one token (..., 1, C), which take one gemv each (≤1e-15 relative
+    apart). Backward: db = Σ g over the leading axes, dx = g Wᵀ (one GEMM per
+    leading index), dW = xᵀ g as one GEMM."""
     wd = weight.data
     if x.shape[-1] != wd.shape[0]:
         raise ShapeError(f"dense expects last dim {wd.shape[0]}, got {x.shape}")
@@ -236,9 +238,10 @@ class SelfAttention(Module):
         self.width = width
         self.heads = heads
         self.causal = causal
-        self.wq = Dense(width, width, rng)
-        self.wk = Dense(width, width, rng)
-        self.wv = Dense(width, width, rng)
+        # q, k and v in one GEMM: Dense drew three (W, W) blocks in turn
+        self.wqkv = Dense(width, 3 * width, rng)
+        blocks = np.split(self.wqkv.weight.data.reshape(3 * width, width), 3)
+        self.wqkv.weight.data = np.hstack(blocks)
         self.wo = Dense(width, width, rng)
 
     @property
@@ -249,49 +252,64 @@ class SelfAttention(Module):
     def __call__(self, x, cache: list | None = None):
         if x.ndim != 3 or x.shape[-1] != self.width:
             raise ShapeError(f"attention expects (B, L, {self.width}), got {x.shape}")
-        B, L, W = x.shape
-
-        def split(t):  # (B, heads, L, dh)
-            return t.reshape(B, L, self.heads, W // self.heads).swapaxes(1, 2)
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        if cache is not None:
-            if cache:
-                k = concat([cache[0], k], axis=2)
-                v = concat([cache[1], v], axis=2)
-            cache[:] = [k, v]
         # one row sees every row before it, so its mask would be all zeros
-        return self.wo(attend(q, k, v, L > 1 and (self.causal or cache is not None)))
+        masked = x.shape[1] > 1 and (self.causal or cache is not None)
+        return self.wo(attend(self.wqkv(x), self.heads, masked, cache))
 
 
-def attend(q, k, v, masked: bool):
-    """``softmax(q kᵀ/√dh + mask) v`` of (B, heads, L, dh) queries over (B, heads,
-    P + L, dh) keys and values, heads merged to (B, L, W); the mask hides from
-    row i the keys after P + i. Arrays give an array, Tensors one tape node:
-    with a the softmax, da = dO vᵀ, ds = (da − rowsum(da∘a))∘a/√dh, dq = ds k,
-    dv = aᵀ dO and dk = dsᵀ q, C-ordered (later sums run in memory order)."""
-    tape = isinstance(q, Tensor)
-    qd, kd, vd = (q.data, k.data, v.data) if tape else (q, k, v)
-    B, nh, L, dh = qd.shape
+def attend(qkv, heads: int, masked: bool, cache: list | None = None):
+    """``softmax(q kᵀ/√dh + mask) v`` of the (B, heads, L, dh) queries, keys and
+    values split from ``qkv`` (B, L, 3W), after the P rows ``cache`` holds (see
+    ``SelfAttention``), heads merged to (B, L, W); the mask hides from row i
+    the keys after P + i. Arrays give an array, a Tensor one tape node over
+    ``qkv`` and the cached Tensors: with a the softmax, da = dO vᵀ and ds =
+    (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and dv = aᵀ dO, C-ordered,
+    fill one (B, L, 3W) gradient and hand the cached rows theirs."""
+    tape = isinstance(qkv, Tensor)
+    x = qkv.data if tape else qkv
+    B, L, W3 = x.shape
+    dh = W3 // (3 * heads)
+    q, k, v = x.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    past = list(cache or ())
+    if past:
+        k, v = (np.concatenate([p.data if isinstance(p, Tensor) else p, new],
+                               axis=2) for p, new in zip(past, (k, v)))
+    P = k.shape[2] - L
     scale = 1.0 / np.sqrt(dh)
-    scores = (qd @ kd.swapaxes(-1, -2)) * scale
+    scores = (q @ k.swapaxes(-1, -2)) * scale
     if masked:
-        P = kd.shape[2] - L
         scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
     a = softmax(scores, axis=-1)
-    out = (a @ vd).swapaxes(1, 2).reshape(B, L, nh * dh)
-    if not tape:
-        return out
+    out = (a @ v).swapaxes(1, 2).reshape(B, L, W3 // 3)
 
-    def backward(g):
-        g = g.reshape(B, L, nh, dh).swapaxes(1, 2)
-        da = g @ vd.swapaxes(-1, -2)
-        ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
-        q._accumulate(ds @ kd)
-        k._accumulate(ds.swapaxes(-1, -2) @ qd)
-        v._accumulate(a.swapaxes(-1, -2) @ g)
+    def hand_back(grads, i, d):  # d: all P + L rows' dk (i = 1) or dv (2)
+        grads[i] = d[:, :, P:]
+        if P and isinstance(past[i - 1], Tensor):  # a copy, so d dies here
+            past[i - 1]._accumulate(d[:, :, :P].copy())
 
-    return Tensor._make(out, (q, k, v), backward)
+    def backward(g, i=0):  # i = 1 or 2: that of the cached keys or values
+        full = (np.zeros if i else np.empty)((B, L, 3, heads, dh))
+        grads = full.transpose(2, 0, 3, 1, 4)
+        if i:
+            hand_back(grads, i, g)
+        else:
+            g = g.reshape(B, L, heads, dh).swapaxes(1, 2)
+            da = g @ v.swapaxes(-1, -2)
+            ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+            np.matmul(ds, k, out=grads[0])
+            hand_back(grads, 1, ds.swapaxes(-1, -2) @ q)
+            hand_back(grads, 2, a.swapaxes(-1, -2) @ g)
+        qkv._accumulate(full.reshape(B, L, W3))
+
+    kv = [k, v]
+    if tape:  # later calls reach qkv and the cache through these keys, values
+        parents = (qkv, *(p for p in past if isinstance(p, Tensor)))
+        out = Tensor._make(out, parents, backward)
+        kv = [Tensor._make(t, parents, lambda g, i=i: backward(g, i))
+              for i, t in enumerate(kv, 1)]
+    if cache is not None:
+        cache[:] = kv
+    return out
 
 
 class TransformerBlock(Module):

@@ -86,21 +86,21 @@ def _sample_candidates(model: ARModel, h: np.ndarray, prefix: list,
 
     Depth 0 runs on the R context rows; its logits (so the draws keep their
     order) and each layer's keys and values are then repeated to the R·n
-    candidates, which run depths ≥ 1. Counts R·n passes per depth in
-    ``model.depth_pass_count``.
+    candidates, which run depths ≥ 1 on the running sum of the codes they
+    drew. Counts R·n passes per depth in ``model.depth_pass_count``.
     """
     R = h.shape[0]
     cache = list(prefix)
-    logits = np.repeat(model.depth_step(h, np.zeros((R, 0), np.int64), cache),
-                       n, axis=0)
+    logits = np.repeat(model.depth_step(h, 0, cache), n, axis=0)
     for kv in cache:
         kv[:] = [np.repeat(a, n, axis=0) for a in kv]
-    rows = np.zeros((R * n, 0), dtype=np.int64)
+    rows = np.zeros((R * n, d_star), dtype=np.int64)
     for d in range(d_star):
         if d:
-            logits = model.depth_step(None, rows, cache)
-        idx = sample_categorical(logits, temperature, rng)
-        rows = np.concatenate([rows, idx[:, None]], axis=1)
+            logits = model.depth_step(emb, d, cache)
+        rows[:, d] = sample_categorical(logits, temperature, rng)
+        code = model.codebook.data[rows[:, d]]
+        emb = code if d == 0 else emb + code
     model.depth_pass_count += R * n * d_star
     return rows.reshape(R, n, d_star)
 

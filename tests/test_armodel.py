@@ -123,7 +123,8 @@ def test_stream_matches_teacher_forced_logits(temporal, style_mode, D, T):
         h = stream.step(committed)
         cache = list(prefix)
         for d in range(D):
-            logits = model.depth_step(h, grids[:, t, :d], cache)
+            x = h if d == 0 else model.frame_embedding(grids[:, t, :d])
+            logits = model.depth_step(x, d, cache)
             np.testing.assert_allclose(logits, full[:, t, d], rtol=0,
                                        atol=1e-10)
         committed = model.frame_embedding(grids[:, t])
@@ -184,7 +185,8 @@ def test_shared_style_prefix_matches_repeated_style_oracle(temporal,
         lambda h_av, style, g: repeated_style_logits(model, h_av, style, g))
     assert np.abs(logits - ref).max() <= 1e-12 * np.abs(ref).max()
     # one bound for all parameters: some gradients are zero up to rounding
-    # (wk.bias: softmax is shift-invariant) and have no relative error
+    # (wqkv.bias's key block: softmax is shift-invariant) and have no
+    # relative error
     scale = max(np.abs(g).max() for g in ref_grads.values())
     assert scale > 0.0
     for name, g in grads.items():
@@ -241,8 +243,8 @@ def test_depth_pass_counter_counts_rows():
     model = make_model()
     h = np.zeros((3, TINY_AR.width))
     cache = model.depth_prefix(np.zeros((1, TINY_AR.width)))
-    model.depth_step(h, np.zeros((3, 0), dtype=np.int64), cache)
-    model.depth_step(h, np.zeros((3, 1), dtype=np.int64), cache)
+    model.depth_step(h, 0, cache)
+    model.depth_step(np.zeros((3, TINY_AR.code_dim)), 1, cache)
     assert model.depth_row_count == 6
     assert model.depth_pass_count == 0  # logical passes count in sampling
 

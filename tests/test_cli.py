@@ -296,3 +296,36 @@ def test_pipeline_is_deterministic(tmp_path):
             for path in sorted(root.rglob("*")) if path.is_file()})
     assert any(name.endswith("metrics.kv") for name in snapshots[0])
     assert snapshots[0] == snapshots[1]
+
+
+def test_checkpoint_with_separate_attention_projections_is_refused(
+        artifacts, tmp_path, capsys):
+    """An AR checkpoint from before the fused projection, with
+    ``attn.wq``/``wk``/``wv`` tensors, names the missing ``attn.wqkv``
+    weight in a ``ContainerError``; the CLI exits with 3."""
+    from rvqsynth.armodel import ARModel
+    from rvqsynth.checkpoint import ContainerError, load_container, save_container
+    from rvqsynth.nn import Parameter
+
+    arch, arrays, steps, seed, extra = load_container(artifacts["ar"])
+    params = {}
+    for name in (n for n in arrays if not n.endswith(("adam_m", "adam_v"))):
+        blocks = [(name, slice(None))]
+        if ".attn.wqkv." in name:
+            W = arrays[name].shape[-1] // 3
+            blocks = [(name.replace("wqkv", "w" + c), slice(i * W, (i + 1) * W))
+                      for i, c in enumerate("qkv")]
+        for new, cols in blocks:
+            p = params[new] = Parameter(arrays[name][..., cols])
+            p.adam_m = arrays[name + ".adam_m"][..., cols]
+            p.adam_v = arrays[name + ".adam_v"][..., cols]
+            p.adam_step = steps[name]
+    old = tmp_path / "separate_qkv.ckpt"
+    save_container(old, arch, params, seed, extra)
+    with pytest.raises(ContainerError, match=r"depth_blocks\.0\.attn\.wqkv\.weight"):
+        ARModel.load(old)
+    capsys.readouterr()
+    assert main(["generate", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", str(old),
+                 "--out", str(tmp_path / "g")]) == EXIT_ARTIFACT
+    assert "attn.wqkv.weight" in capsys.readouterr().err

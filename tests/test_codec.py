@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvqsynth.codec import (Codec, CodecConfig, reconstruction_mse,
-                            rvq_quantize_frames, train_codec, write_grid)
+                            rvq_quantize_frames, sample_categorical,
+                            train_codec, write_grid)
 from rvqsynth.nn import DivergenceError
 from rvqsynth.tensor import ShapeError
 
@@ -196,3 +197,45 @@ def test_grid_file_layout(tmp_path):
     write_grid(grid, 8, path)
     assert path.read_bytes() == (b"RVQJ" + struct.pack("<III", 2, 3, 8)
                                  + grid.astype("<u2").tobytes())
+
+
+class ConstantDraws:
+    """An rng stub whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+def categorical_rows(n=20_000, C=32):
+    return np.random.default_rng(4).normal(0.0, 3.0, (n, C))
+
+
+def test_sample_categorical_never_returns_codebook_size():
+    """``Generator.random``'s largest draw, 1 − 2⁻⁵³, lies above the last
+    cdf entry of rows that rounding leaves short of 1; such a draw takes
+    the last index, not |C|."""
+    logits = categorical_rows()
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    top = 1.0 - 2.0 ** -53
+    assert (np.cumsum(p, axis=-1)[:, -1] < top).any()
+    idx = sample_categorical(logits, 1.0, ConstantDraws(top))
+    assert idx.min() >= 0 and idx.max() == logits.shape[1] - 1
+
+
+@pytest.mark.parametrize("temperature", [0.3, 1.0, 4.0])
+def test_sample_categorical_keeps_in_range_draws(temperature):
+    """Every draw the count over the whole cdf put in range keeps its
+    index."""
+    logits = categorical_rows(5_000)
+    idx = sample_categorical(logits, temperature, np.random.default_rng(7))
+    z = logits / temperature
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    u = np.random.default_rng(7).random((logits.shape[0], 1))
+    old = (u > np.cumsum(p, axis=-1)).sum(axis=-1)
+    assert old.max() < logits.shape[1]
+    np.testing.assert_array_equal(idx, old)

@@ -7,7 +7,7 @@ from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
                          conv_stack, finite_difference_grad, fit)
 from rvqsynth import nn
-from rvqsynth.nn import attend
+from rvqsynth.nn import attend, dense
 from rvqsynth.tensor import ShapeError, Tensor, concat, leaky_relu, softmax
 
 
@@ -22,12 +22,13 @@ def test_dense_matches_manual():
     np.testing.assert_allclose(out, x @ layer.weight.data + layer.bias.data)
 
 
-@pytest.mark.parametrize("shape", [(6, 1, 5), (6, 2, 5), (6, 5)])
+@pytest.mark.parametrize("shape", [(6, 1, 5), (6, 2, 5), (6, 5), (2, 3, 2, 5)])
 @pytest.mark.parametrize("bias", [True, False])
 def test_dense_infer_matches_call(shape, bias):
-    """The array (inference) call against the Tensor call: bit for bit on
-    (N, C) input, to rounding where the array call folds (B, L, C) into one
-    GEMM."""
+    """The array (inference) call against the Tensor call, bit for bit:
+    numpy folds the leading axes of a C-contiguous Tensor's ``x @ W`` into
+    one GEMM, as the array call does. Rows of one token, (..., 1, C), are
+    the exception: numpy runs one gemv per row (apart to rounding)."""
     layer = Dense(5, 4, rng(), bias=bias)
     if bias:
         layer.bias.data = rng().normal(0.0, 1.0, 4)
@@ -36,7 +37,7 @@ def test_dense_infer_matches_call(shape, bias):
     assert type(out) is np.ndarray
     assert out.shape == shape[:-1] + (4,)
     want = layer(Tensor(x)).data
-    if len(shape) == 2:
+    if shape[-2] > 1:
         np.testing.assert_array_equal(out, want)
     np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
@@ -248,15 +249,27 @@ def tape_softmax(t: Tensor) -> Tensor:
     return Tensor._make(out, (t,), backward)
 
 
-def composed_attention(q, k, v, masked):
-    """``attend`` as a composition of tape ops: swapaxes, matmul, a scalar
-    multiply, the mask add, softmax, matmul, swapaxes and reshape."""
-    B, nh, L, dh = q.shape
+def composed_attention(qkv, heads, masked, cache=None):
+    """``attend`` as a composition of tape ops (or array ops for arrays): the
+    fused input split by getitem, reshape and swapaxes, the cache concat,
+    swapaxes, matmul, a scalar multiply, the mask add, softmax, matmul,
+    swapaxes and reshape."""
+    B, L, W3 = qkv.shape
+    W = W3 // 3
+    q, k, v = (qkv[:, :, i * W:(i + 1) * W].reshape(B, L, heads, W // heads)
+               .swapaxes(1, 2) for i in range(3))
+    if cache is not None:
+        if cache:
+            k = concat([cache[0], k], axis=2)
+            v = concat([cache[1], v], axis=2)
+        cache[:] = [k, v]
     P = k.shape[2] - L
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(W // heads))
     if masked:
         scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
-    return (tape_softmax(scores) @ v).swapaxes(1, 2).reshape(B, L, nh * dh)
+    a = (tape_softmax(scores) if isinstance(scores, Tensor)
+         else softmax(scores, axis=-1))
+    return (a @ v).swapaxes(1, 2).reshape(B, L, W)
 
 
 # (batch, heads, query rows L, cached rows P, masked)
@@ -265,11 +278,12 @@ ATTEND_CASES = [(2, 2, 4, 0, True), (2, 2, 4, 0, False), (2, 3, 3, 2, True),
 
 
 def attend_inputs(B, nh, L, P, seed=5):
+    """The fused (B, L, 3W) projection, the cached keys and values (B, nh,
+    P, dh), none when P = 0, and output weights (B, L, W)."""
     rng_ = np.random.default_rng(seed)
     dh = 3
-    return (rng_.normal(0.0, 1.0, (B, nh, L, dh)),
-            rng_.normal(0.0, 1.0, (B, nh, P + L, dh)),
-            rng_.normal(0.0, 1.0, (B, nh, P + L, dh)),
+    return (rng_.normal(0.0, 1.0, (B, L, 3 * nh * dh)),
+            [rng_.normal(0.0, 1.0, (B, nh, P, dh)) for _ in range(2 if P else 0)],
             rng_.normal(0.0, 1.0, (B, L, nh * dh)))
 
 
@@ -281,31 +295,36 @@ def assert_close_relative(got, want, what=""):
 
 @pytest.mark.parametrize("B,nh,L,P,masked", ATTEND_CASES)
 def test_attend_matches_composed_tape_ops(B, nh, L, P, masked):
-    q, k, v, w = attend_inputs(B, nh, L, P)
+    qkv, past, w = attend_inputs(B, nh, L, P)
 
     def run(fn):
-        ts = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
-        out = fn(*ts, masked)
+        ts = [Tensor(a.copy(), requires_grad=True) for a in [qkv] + past]
+        cache = ts[1:]
+        out = fn(ts[0], nh, masked, cache)
         (out * Tensor(w)).sum().backward()
-        return [out.data] + [t.grad for t in ts]
+        return [out.data] + [t.data for t in cache] + [t.grad for t in ts]
 
     new, ref = run(attend), run(composed_attention)
-    np.testing.assert_array_equal(new[0], ref[0])
-    np.testing.assert_array_equal(new[0], attend(q, k, v, masked))
-    for a, b, what in zip(new[1:], ref[1:], "qkv"):
+    for a, b in zip(new[:3], ref[:3]):   # the output and the cache left
+        np.testing.assert_array_equal(a, b)
+    cache = list(past)
+    np.testing.assert_array_equal(new[0], attend(qkv, nh, masked, cache))
+    for a, b in zip(new[1:3], cache):
+        np.testing.assert_array_equal(a, b)
+    for a, b, what in zip(new[3:], ref[3:], ["qkv", "cached k", "cached v"]):
         assert_close_relative(a, b, what)
 
 
 @pytest.mark.parametrize("B,nh,L,P,masked", ATTEND_CASES)
 def test_attend_grads_match_finite_differences(B, nh, L, P, masked):
-    q, k, v, w = attend_inputs(B, nh, L, P, seed=6)
-    ts = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
-    (attend(*ts, masked) * Tensor(w)).sum().backward()
+    qkv, past, w = attend_inputs(B, nh, L, P, seed=6)
+    ts = [Tensor(a.copy(), requires_grad=True) for a in [qkv] + past]
+    (attend(ts[0], nh, masked, ts[1:]) * Tensor(w)).sum().backward()
 
-    def loss(_):  # finite differences perturb q, k and v in place
-        return float((attend(q, k, v, masked) * w).sum())
+    def loss(_):  # finite differences perturb qkv and the cache in place
+        return float((attend(qkv, nh, masked, list(past)) * w).sum())
 
-    for t, array in zip(ts, (q, k, v)):
+    for t, array in zip(ts, [qkv] + past):
         np.testing.assert_allclose(t.grad, finite_difference_grad(loss, array),
                                    rtol=1e-6, atol=1e-7)
 
@@ -336,20 +355,81 @@ def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
     np.testing.assert_array_equal(new[0], ref[0])
     assert_close_relative(new[1], ref[1], "x0")
     assert_close_relative(new[2], ref[2], "x1")
-    # wk.bias has a zero gradient up to rounding (softmax is shift-invariant)
+    # the key block of wqkv.bias has a zero gradient up to rounding
+    # (softmax is shift-invariant)
     scale = max(np.abs(g).max() for g in ref[3].values())
     for name, g in new[3].items():
         assert np.abs(g - ref[3][name]).max() <= 1e-12 * scale, name
 
 
+def three_dense_attention(layer, x, cache):
+    """The layer with q, k and v from three Dense layers holding the column
+    blocks of ``wqkv``, joined for ``composed_attention``, then ``wo``."""
+    W = layer.width
+    qkv = concat([dense(x, layer.wqkv.weight[:, i * W:(i + 1) * W],
+                        layer.wqkv.bias[i * W:(i + 1) * W]) for i in range(3)],
+                 axis=2)
+    return layer.wo(composed_attention(qkv, layer.heads, x.shape[1] > 1, cache))
+
+
+# (width, heads, rows B, new rows L, cached rows P): the shapes of training
+# (B·T rows of D tokens after one style token) and of sampling (one token)
+ORACLE_CASES = [(8, 2, 3, 4, 0), (8, 2, 5, 1, 2), (64, 4, 16, 4, 1),
+                (64, 4, 1, 1, 1), (64, 4, 4, 1, 3), (64, 4, 160, 1, 2)]
+
+
+@pytest.mark.parametrize("W,heads,B,L,P", ORACLE_CASES)
+def test_fused_projection_matches_three_dense_layers(W, heads, B, L, P):
+    """Bit for bit forward, Tensors and arrays each, cache included; gradients
+    of the input, the cache and every parameter to 1e-12, since dx is one
+    K = 3W GEMM instead of three summed."""
+    layer = SelfAttention(W, heads, rng())
+    gen = np.random.default_rng(8)
+    for p in layer.parameters().values():
+        p.data = gen.normal(0.0, 0.3, p.data.shape)
+    x = gen.normal(0.0, 1.0, (B, L, W))
+    past = [gen.normal(0.0, 1.0, (B, heads, P, W // heads)) for _ in range(2)]
+    w = gen.normal(0.0, 1.0, (B, L, W))
+
+    def run(forward):
+        layer.zero_grad()
+        ts = [Tensor(a.copy(), requires_grad=True)
+              for a in [x] + (past if P else [])]
+        cache = ts[1:]
+        out = forward(ts[0], cache)
+        (out * Tensor(w)).sum().backward()
+        grads = [t.grad for t in ts]
+        grads += [p.grad for p in layer.parameters().values()]
+        return out.data, [t.data for t in cache], grads
+
+    new = run(layer)
+    ref = run(lambda xt, cache: three_dense_attention(layer, xt, cache))
+    np.testing.assert_array_equal(new[0], ref[0])
+    for a, b in zip(new[1], ref[1]):
+        np.testing.assert_array_equal(a, b)
+    caches = [list(past) if P else [] for _ in range(2)]
+    np.testing.assert_array_equal(layer(x, caches[0]),
+                                  three_dense_attention(layer, x, caches[1]))
+    for a, b in zip(*caches):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(new[2], ref[2]):
+        assert_close_relative(a, b)
+
+
 def test_attention_is_one_tape_node():
     """From the scores to the merged output, one node whose parents are the
-    per-head queries, keys and values."""
+    fused projection and the cached keys and values."""
     layer = SelfAttention(8, 2, rng())
-    out = layer(Tensor(rng().normal(0.0, 1.0, (3, 5, 8)), requires_grad=True))
-    merged = out._parents[0]   # wo: one dense node over (merged, W, b)
-    assert merged.shape == (3, 5, 8)
-    assert [p.shape for p in merged._parents] == [(3, 2, 5, 4)] * 3
+    x = Tensor(rng().normal(0.0, 1.0, (3, 5, 8)), requires_grad=True)
+    cache = [Tensor(rng().normal(0.0, 1.0, (3, 2, 2, 4)), requires_grad=True)
+             for _ in range(2)]
+    for past in ([], cache):
+        out = layer(x, list(past))
+        merged = out._parents[0]   # wo: one dense node over (merged, W, b)
+        assert merged.shape == (3, 5, 8)
+        assert merged._parents[1:] == tuple(past)
+        qkv = merged._parents[0]   # wqkv: one dense node over (x, W, b)
+        assert qkv.shape == (3, 5, 24) and qkv._parents[0] is x
 
 
 def test_transformer_block_grad_flows():

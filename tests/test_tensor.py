@@ -99,8 +99,13 @@ def test_softmax_grads():
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 1.0, (2, 2, 4, 3))
     w = rng.normal(0.0, 1.0, (2, 4, 6))
-    check_grad(lambda t: (attend(t, t, t, masked=True) * Tensor(w)).sum(), x)
-    check_grad(lambda t: (attend(t, t, t, masked=False) * Tensor(w)).sum(), x)
+
+    def fused(t):  # (B, heads, L, dh) heads merged, three times side by side
+        merged = t.swapaxes(1, 2).reshape(2, 4, 6)
+        return concat([merged, merged, merged], axis=2)
+
+    for masked in (True, False):
+        check_grad(lambda t: (attend(fused(t), 2, masked) * Tensor(w)).sum(), x)
     w = rng.normal(0.0, 1.0, 5)
     check_grad(lambda t: (log_softmax(t, axis=1) * Tensor(w)).sum(),
                rng.normal(0.0, 1.0, (4, 5)))
