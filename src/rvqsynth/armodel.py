@@ -19,8 +19,8 @@ import numpy as np
 
 from . import checkpoint
 from .codec import rvq_recursion, sample_categorical
-from .nn import (Conv1d, Dense, Module, Parameter, TransformerBlock, conv_stack,
-                 fit, operand, tap_sum)
+from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
+                 conv_stack, fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
                      leaky_relu, log_softmax, mean)
 
@@ -226,22 +226,22 @@ class ARModel(Module):
             v = block(v, kv)
         return prefix
 
+    def depth_caches(self, prefix: list, rows: int, depths: int) -> list:
+        """One ``KVCache`` per depth layer for ``rows`` rows and ``depths``
+        steps, slot 0 holding one style's ``depth_prefix`` in every row."""
+        return [KVCache(1 + depths, rows, self.config.width, self.config.heads)
+                .append(*(a.reshape(1, -1) for a in kv)) for kv in prefix]
+
     def depth_step(self, x: np.ndarray, d: int, cache: list) -> np.ndarray:
         """Logits (N, |C|) for depth ``d`` of N rows; adds N to
         ``depth_row_count``. ``x`` is the rows' h_av (N, H) at d = 0, and
         after that the sum (N, N_C) of the d codes each row drew.
 
-        ``cache`` holds each layer's keys and values of the tokens before: at
-        d = 0 the ``depth_prefix`` of one style, repeated here to the N rows;
-        later steps feed the code prefix through depth d - 1 over them.
+        ``cache`` holds each layer's ``KVCache`` (``depth_caches``) of the d + 1
+        tokens before; at d = 0 it may have n·N rows, n candidates per row.
         """
         self.depth_row_count += len(x)
-        if d == 0:
-            cache[:] = [[np.broadcast_to(a, (len(x),) + a.shape[1:]) for a in kv]
-                        for kv in cache]
-            v = x + self.depth_pos.data[1]
-        else:
-            v = self.prefix_proj(x) + self.depth_pos.data[d + 1]
+        v = (x if d == 0 else self.prefix_proj(x)) + self.depth_pos.data[d + 1]
         v = v[:, None]
         for block, kv in zip(self.depth_blocks, cache):
             v = block(v, kv)
@@ -290,8 +290,8 @@ class TemporalStream:
     Each causal conv keeps the rows of its input seen so far, as in Fast
     WaveNet generation, and computes one output row from them with
     ``tap_sum``, the kernel of ``conv1d``, so with convs a frame costs the
-    same at any position; the transformer variant keeps each temporal
-    block's keys and values.
+    same at any position; the transformer variant keeps a ``KVCache`` of
+    T positions per block. Past the last frame ``step`` raises ``ShapeError``.
     """
 
     def __init__(self, model: ARModel, audio_feats: np.ndarray,
@@ -314,12 +314,15 @@ class TemporalStream:
             self.inputs = [np.zeros((samples, (conv.kernel - 1) * conv.dilation
                                      + T, H)) for conv in model.temporal_convs]
         else:
-            self.caches = [[] for _ in model.temporal_blocks]
+            self.caches = [KVCache(T, samples, H, c.heads)
+                           for _ in model.temporal_blocks]
 
     def step(self, prev_emb: np.ndarray | None) -> np.ndarray:
         """h_av (S, H) of the next frame; ``prev_emb`` (S, N_C) is the
         embedding committed for the frame before, None at the first frame."""
         m, t = self.model, self.t
+        if t == len(self.audio):
+            raise ShapeError(f"the stream has only {t} frames")
         if prev_emb is None:
             shifted = np.broadcast_to(m.start_token.data,
                                       (self.samples, m.config.width))

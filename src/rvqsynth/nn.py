@@ -228,7 +228,8 @@ class SelfAttention(Module):
     ``cache`` (a list, empty at first; Tensors or arrays) carries the keys
     and values of earlier rows: it is left holding ``[k, v]`` of every row so
     far, each (B, heads, rows, W / heads), and the new rows attend to all
-    cached rows and causally among themselves, whatever ``causal`` says.
+    cached rows and causally among themselves, whatever ``causal`` says; a
+    ``KVCache`` (off the tape) takes one new row per call, see ``attend``.
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
@@ -249,7 +250,7 @@ class SelfAttention(Module):
         return {"kind": "attention", "width": self.width, "heads": self.heads,
                 "causal": self.causal}
 
-    def __call__(self, x, cache: list | None = None):
+    def __call__(self, x, cache=None):
         if x.ndim != 3 or x.shape[-1] != self.width:
             raise ShapeError(f"attention expects (B, L, {self.width}), got {x.shape}")
         # one row sees every row before it, so its mask would be all zeros
@@ -257,18 +258,54 @@ class SelfAttention(Module):
         return self.wo(attend(self.wqkv(x), self.heads, masked, cache))
 
 
-def attend(qkv, heads: int, masked: bool, cache: list | None = None):
+class KVCache:
+    """Preallocated keys and values ``k``, ``v`` (capacity, rows, W), heads
+    merged (each row the fused projection's column block), written below
+    ``fill``; ``E`` is the (W, heads) 0/1 head indicator, ``Et`` C-ordered."""
+
+    def __init__(self, capacity: int, rows: int, width: int, heads: int):
+        self.k, self.v = np.empty((2, capacity, rows, width))
+        self.fill = 0
+        self.E = np.repeat(np.eye(heads), width // heads, axis=0)
+        self.Et = self.E.T.copy()
+
+    def append(self, k: np.ndarray, v: np.ndarray) -> "KVCache":
+        """Write the next keys and values (B, W), row i to rows/B rows."""
+        if self.fill == len(self.k):
+            raise ShapeError(f"KV cache is full ({len(self.k)} positions)")
+        for buf, new in ((self.k, k), (self.v, v)):
+            buf[self.fill].reshape(len(new), -1, new.shape[-1])[:] = new[:, None]
+        self.fill += 1
+        return self
+
+
+def attend(qkv, heads: int, masked: bool, cache=None):
     """``softmax(q kᵀ/√dh + mask) v`` of the (B, heads, L, dh) queries, keys and
     values split from ``qkv`` (B, L, 3W), after the P rows ``cache`` holds (see
     ``SelfAttention``), heads merged to (B, L, W); the mask hides from row i
     the keys after P + i. Arrays give an array, a Tensor one tape node over
     ``qkv`` and the cached Tensors: with a the softmax, da = dO vᵀ and ds =
     (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and dv = aᵀ dO, C-ordered,
-    fill one (B, L, 3W) gradient and hand the cached rows theirs."""
+    fill one (B, L, 3W) gradient and hand the cached rows theirs.
+
+    A ``KVCache`` of n·B rows takes arrays of one row (L = 1), written to n
+    rows each; the rows read every n-th, K, V (P, B, W): s = ((K ⊙ q) E)/√dh,
+    a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over them."""
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
     B, L, W3 = x.shape
     dh = W3 // (3 * heads)
+    if isinstance(cache, KVCache):
+        if tape or L != 1 or cache.k.shape[1] % B:
+            raise ShapeError(f"a KVCache takes one row of arrays, not {x.shape}")
+        q, k, v = x[:, 0].reshape(B, 3, -1).transpose(1, 0, 2)
+        cache.append(k, v)
+        K, V = (a[:cache.fill, ::len(a[0]) // B] for a in (cache.k, cache.v))
+        s = ((K * q).reshape(-1, W3 // 3) @ cache.E).reshape(len(K), B, heads)
+        a = np.exp((s - s.max(axis=0)) * (1.0 / np.sqrt(dh)))
+        a /= a.sum(axis=0)
+        out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
+        return np.multiply(out, V, out=out).sum(axis=0)[:, None]
     q, k, v = x.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     past = list(cache or ())
     if past:
@@ -321,7 +358,7 @@ class TransformerBlock(Module):
         self.ff1 = Dense(width, ff_mult * width, rng)
         self.ff2 = Dense(ff_mult * width, width, rng)
 
-    def __call__(self, x, cache: list | None = None):
+    def __call__(self, x, cache=None):
         """``cache`` is the attention's; see ``SelfAttention``."""
         x = x + self.attn(x, cache)
         return x + self.ff2(leaky_relu(self.ff1(x), 0.1))

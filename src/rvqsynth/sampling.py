@@ -84,16 +84,16 @@ def _sample_candidates(model: ARModel, h: np.ndarray, prefix: list,
     each of the R context vectors ``h`` (R, H) over the style's
     ``model.depth_prefix``; returns (R, n, d_star).
 
-    Depth 0 runs on the R context rows; its logits (so the draws keep their
-    order) and each layer's keys and values are then repeated to the R·n
-    candidates, which run depths ≥ 1 on the running sum of the codes they
-    drew. Counts R·n passes per depth in ``model.depth_pass_count``.
+    Depth 0 runs on the R context rows over ``model.depth_caches`` of R·n
+    candidates and writes its keys and values, and its logits when n > 1 (so
+    the draws keep their order), to them; they run depths ≥ 1 on the running
+    sum of their codes. Counts R·n passes per depth in ``depth_pass_count``.
     """
     R = h.shape[0]
-    cache = list(prefix)
-    logits = np.repeat(model.depth_step(h, 0, cache), n, axis=0)
-    for kv in cache:
-        kv[:] = [np.repeat(a, n, axis=0) for a in kv]
+    cache = model.depth_caches(prefix, R * n, d_star)
+    logits = model.depth_step(h, 0, cache)
+    if n > 1:
+        logits = np.repeat(logits, n, axis=0)
     rows = np.zeros((R * n, d_star), dtype=np.int64)
     for d in range(d_star):
         if d:

@@ -121,7 +121,7 @@ def test_stream_matches_teacher_forced_logits(temporal, style_mode, D, T):
     committed = None
     for t in range(T):
         h = stream.step(committed)
-        cache = list(prefix)
+        cache = model.depth_caches(prefix, S, D)
         for d in range(D):
             x = h if d == 0 else model.frame_embedding(grids[:, t, :d])
             logits = model.depth_step(x, d, cache)
@@ -239,10 +239,42 @@ def test_sequence_log_probs_encodes_once_for_all_grids(temporal, style_mode,
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_depth_caches_spread_depth_zero_to_the_candidates():
+    """At depth 0, R rows over caches of R·n rows give the logits of the same
+    rows over caches of R rows, and leave each row's keys and values in its
+    n candidates' rows, as ``np.repeat(…, n, axis=0)`` would."""
+    model = make_model(replace(TINY_AR, depth_layers=2))
+    R, n = 3, 4
+    h = np.random.default_rng(9).normal(0.0, 1.0, (R, TINY_AR.width))
+    prefix = model.depth_prefix(np.ones((1, TINY_AR.width)))
+    wide, narrow = (model.depth_caches(prefix, rows, TINY_AR.depth)
+                    for rows in (R * n, R))
+    np.testing.assert_array_equal(model.depth_step(h, 0, wide),
+                                  model.depth_step(h, 0, narrow))
+    for w, c in zip(wide, narrow):
+        assert w.fill == c.fill == 2
+        for a, b in ((w.k, c.k), (w.v, c.v)):
+            np.testing.assert_array_equal(a[:2], np.repeat(b[:2], n, axis=1))
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+def test_stream_refuses_a_step_past_the_last_frame(temporal):
+    model = make_model(replace(TINY_AR, temporal=temporal, temporal_layers=1))
+    y, s = random_inputs(TINY_AR, T=3)
+    stream = model.start_stream(*model.context_features(y, s), 2)
+    committed = None
+    for _ in range(3):
+        stream.step(committed)
+        committed = np.zeros((2, TINY_AR.code_dim))
+    with pytest.raises(ShapeError, match="3 frames"):
+        stream.step(committed)
+
+
 def test_depth_pass_counter_counts_rows():
     model = make_model()
     h = np.zeros((3, TINY_AR.width))
-    cache = model.depth_prefix(np.zeros((1, TINY_AR.width)))
+    cache = model.depth_caches(model.depth_prefix(np.zeros((1, TINY_AR.width))),
+                               3, TINY_AR.depth)
     model.depth_step(h, 0, cache)
     model.depth_step(np.zeros((3, TINY_AR.code_dim)), 1, cache)
     assert model.depth_row_count == 6

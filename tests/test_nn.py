@@ -329,6 +329,78 @@ def test_attend_grads_match_finite_differences(B, nh, L, P, masked):
                                    rtol=1e-6, atol=1e-7)
 
 
+def merged(split):
+    """List-cache keys or values (B, heads, P, dh) as a KVCache holds them,
+    (P, B, W) with the heads merged."""
+    B, nh, P, dh = split.shape
+    return split.transpose(2, 0, 1, 3).reshape(P, B, nh * dh)
+
+
+@pytest.mark.parametrize("nh", [1, 2, 4])
+@pytest.mark.parametrize("B", [1, 3, 160])
+def test_kv_cache_attend_matches_list_cache(B, nh):
+    """One row at a time over a KVCache against the list-cache ``attend``
+    at every fill from 0 to capacity − 1: the output to 1e-12 relative, the
+    keys and values written bit for bit with the heads merged."""
+    capacity, dh = 4, 3
+    W = nh * dh
+    steps = np.random.default_rng(7).normal(0.0, 1.0, (capacity, B, 1, 3 * W))
+    cache, past = nn.KVCache(capacity, B, W, nh), []
+    for fill, qkv in enumerate(steps):
+        assert cache.fill == fill
+        out = attend(qkv, nh, False, cache)
+        assert out.shape == (B, 1, W)
+        assert_close_relative(out, attend(qkv, nh, False, past), f"fill {fill}")
+        for got, split in zip((cache.k, cache.v), past):
+            np.testing.assert_array_equal(got[:fill + 1], merged(split))
+
+
+@pytest.mark.parametrize("nh", [1, 2, 4])
+@pytest.mark.parametrize("R,n", [(1, 4), (3, 2), (8, 20)])
+def test_kv_cache_strided_rows_write_to_their_candidates(R, n, nh):
+    """R rows over a cache of R·n rows, as at the sampler's first depth,
+    read every n-th cache row and write their keys and values to n rows
+    each, as ``np.repeat(…, n, axis=0)`` would; the R·n candidates' next
+    step then matches a list cache repeated to them."""
+    dh = 3
+    W = nh * dh
+    rng_ = np.random.default_rng(8)
+    style = rng_.normal(0.0, 1.0, (2, 1, W))  # one row's keys and values
+    cache = nn.KVCache(3, R * n, W, nh)
+    cache.append(*style)
+    past = [np.broadcast_to(a.reshape(1, nh, 1, dh), (R, nh, 1, dh))
+            for a in style]
+    qkv = rng_.normal(0.0, 1.0, (R, 1, 3 * W))
+    assert_close_relative(attend(qkv, nh, False, cache),
+                          attend(qkv, nh, False, past))
+    for got, split in zip((cache.k, cache.v), past):
+        np.testing.assert_array_equal(got[:2], np.repeat(merged(split), n, axis=1))
+    qkv = rng_.normal(0.0, 1.0, (R * n, 1, 3 * W))
+    past = [np.repeat(a, n, axis=0) for a in past]
+    assert_close_relative(attend(qkv, nh, False, cache),
+                          attend(qkv, nh, False, past))
+
+
+def test_kv_cache_refuses_a_write_past_capacity():
+    cache = nn.KVCache(2, 3, 4, 2)
+    for _ in range(2):
+        attend(np.ones((3, 1, 12)), 2, False, cache)
+    keys = cache.k.copy()
+    with pytest.raises(ShapeError, match="full"):
+        attend(np.zeros((3, 1, 12)), 2, False, cache)
+    assert cache.fill == 2
+    np.testing.assert_array_equal(cache.k, keys)
+
+
+@pytest.mark.parametrize("qkv", [Tensor(np.zeros((3, 1, 12))),
+                                 np.zeros((3, 2, 12)), np.zeros((2, 1, 12))])
+def test_kv_cache_takes_one_row_of_arrays_dividing_its_rows(qkv):
+    cache = nn.KVCache(4, 3, 4, 2)
+    with pytest.raises(ShapeError):
+        attend(qkv, 2, False, cache)
+    assert cache.fill == 0
+
+
 @pytest.mark.parametrize("causal", [False, True])
 def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
     """Through the projections and the K/V cache: rows after a cached
