@@ -228,24 +228,25 @@ class ARModel(Module):
 
     def depth_caches(self, prefix: list, rows: int, depths: int) -> list:
         """One ``KVCache`` per depth layer for ``rows`` rows and ``depths``
-        steps, slot 0 holding one style's ``depth_prefix`` in every row."""
+        steps, slot 0 holding one style's ``depth_prefix`` in every row; a
+        sampler rewinds them to ``fill`` = 1 for each frame."""
         return [KVCache(1 + depths, rows, self.config.width, self.config.heads)
                 .append(*(a.reshape(1, -1) for a in kv)) for kv in prefix]
 
     def depth_step(self, x: np.ndarray, d: int, cache: list) -> np.ndarray:
         """Logits (N, |C|) for depth ``d`` of N rows; adds N to
         ``depth_row_count``. ``x`` is the rows' h_av (N, H) at d = 0, and
-        after that the sum (N, N_C) of the d codes each row drew.
+        after that the sum (N, N_C) of the d codes each row drew; each row's
+        token runs through the blocks as one (N, H) decode row.
 
         ``cache`` holds each layer's ``KVCache`` (``depth_caches``) of the d + 1
         tokens before; at d = 0 it may have n·N rows, n candidates per row.
         """
         self.depth_row_count += len(x)
         v = (x if d == 0 else self.prefix_proj(x)) + self.depth_pos.data[d + 1]
-        v = v[:, None]
         for block, kv in zip(self.depth_blocks, cache):
             v = block(v, kv)
-        return self.head(v[:, -1])
+        return self.head(v)
 
     # -- scoring -----------------------------------------------------------
 
@@ -291,7 +292,8 @@ class TemporalStream:
     WaveNet generation, and computes one output row from them with
     ``tap_sum``, the kernel of ``conv1d``, so with convs a frame costs the
     same at any position; the transformer variant keeps a ``KVCache`` of
-    T positions per block. Past the last frame ``step`` raises ``ShapeError``.
+    T positions per block and runs each frame through the blocks as one
+    (S, H) decode row. Past the last frame ``step`` raises ``ShapeError``.
     """
 
     def __init__(self, model: ARModel, audio_feats: np.ndarray,
@@ -339,10 +341,9 @@ class TemporalStream:
                 x = x + leaky_relu(tap_sum(taps, conv.weight.data,
                                            conv.bias.data), 0.1)
         else:
-            x = (x + m.temporal_pos.data[t])[:, None]
+            x = x + m.temporal_pos.data[t]
             for block, cache in zip(m.temporal_blocks, self.caches):
                 x = block(x, cache)
-            x = x[:, 0]
         self.t = t + 1
         return x
 

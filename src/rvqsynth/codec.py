@@ -59,10 +59,10 @@ def sample_categorical(logits: np.ndarray, temperature: float,
     if temperature == 0.0:
         return np.argmin(-logits, axis=-1)
     z = logits / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(z)
+    z -= z.max(axis=-1, keepdims=True)
+    p = np.exp(z, out=z)
     p /= p.sum(axis=-1, keepdims=True)
-    cdf = np.cumsum(p, axis=-1)
+    cdf = np.cumsum(p, axis=-1, out=p)
     u = rng.random(logits.shape[:-1] + (1,))
     return (u > cdf[..., :-1]).sum(axis=-1)  # never |C|, even if cdf[-1] < u
 

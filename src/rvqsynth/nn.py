@@ -2,7 +2,8 @@
 
 Each layer reports its hyperparameters as plain data through ``spec``;
 checkpoints store the model's config dict instead. All layers operate on
-batched sequences of shape (B, T, C); Dense also accepts (N, C).
+batched sequences of shape (B, T, C); Dense also accepts (N, C), and
+attention and blocks over a ``KVCache`` take one decode row (B, C).
 
 Each layer has one forward. A ``Tensor`` input is recorded on the tape; an
 ``np.ndarray`` input runs the same code off the tape and returns an array,
@@ -104,11 +105,12 @@ class Dense(Module):
 
 def dense(x, weight: Tensor, bias: Tensor | None = None):
     """``x @ W + b``, the bias added in place. An array ``x`` runs off the tape
-    as one 2-D GEMM over its folded leading axes; a Tensor makes one node,
-    whose ``x @ W`` numpy folds the same way, with the same bits, except on
-    rows of one token (..., 1, C), which take one gemv each (≤1e-15 relative
-    apart). Backward: db = Σ g over the leading axes, dx = g Wᵀ (one GEMM per
-    leading index), dW = xᵀ g as one GEMM."""
+    as one 2-D GEMM over its folded leading axes (a 2-D product is returned
+    as it is); a Tensor makes one node, whose ``x @ W`` numpy folds the same
+    way, with the same bits, except on rows of one token (..., 1, C), which
+    take one gemv each (≤1e-15 relative apart). Backward: db = Σ g over the
+    leading axes, dx = g Wᵀ (one GEMM per leading index), dW = xᵀ g as one
+    GEMM."""
     wd = weight.data
     if x.shape[-1] != wd.shape[0]:
         raise ShapeError(f"dense expects last dim {wd.shape[0]}, got {x.shape}")
@@ -118,7 +120,7 @@ def dense(x, weight: Tensor, bias: Tensor | None = None):
     if bias is not None:
         out += bias.data
     if not tape:
-        return out.reshape(x.shape[:-1] + wd.shape[1:])
+        return out if x.ndim <= 2 else out.reshape(x.shape[:-1] + wd.shape[1:])
 
     def backward(g):
         if bias is not None:
@@ -227,9 +229,10 @@ class SelfAttention(Module):
 
     ``cache`` (a list, empty at first; Tensors or arrays) carries the keys
     and values of earlier rows: it is left holding ``[k, v]`` of every row so
-    far, each (B, heads, rows, W / heads), and the new rows attend to all
-    cached rows and causally among themselves, whatever ``causal`` says; a
-    ``KVCache`` (off the tape) takes one new row per call, see ``attend``.
+    far, each (B, heads, rows, W / heads), and the new rows (B, L, W) attend
+    to all cached rows and causally among themselves, whatever ``causal``
+    says; over a ``KVCache`` (see ``attend``) an array (B, W) of one decode
+    row per sequence gives (B, W).
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
@@ -251,17 +254,20 @@ class SelfAttention(Module):
                 "causal": self.causal}
 
     def __call__(self, x, cache=None):
-        if x.ndim != 3 or x.shape[-1] != self.width:
-            raise ShapeError(f"attention expects (B, L, {self.width}), got {x.shape}")
+        decode = isinstance(cache, KVCache)
+        if x.ndim != 3 - decode or x.shape[-1] != self.width:
+            raise ShapeError(f"attention expects ({'B' if decode else 'B, L'}, "
+                             f"{self.width}), got {x.shape}")
         # one row sees every row before it, so its mask would be all zeros
-        masked = x.shape[1] > 1 and (self.causal or cache is not None)
+        masked = not decode and x.shape[1] > 1 and (self.causal or cache is not None)
         return self.wo(attend(self.wqkv(x), self.heads, masked, cache))
 
 
 class KVCache:
     """Preallocated keys and values ``k``, ``v`` (capacity, rows, W), heads
     merged (each row the fused projection's column block), written below
-    ``fill``; ``E`` is the (W, heads) 0/1 head indicator, ``Et`` C-ordered."""
+    ``fill`` (set back to rewind); ``E`` is the (W, heads) 0/1 head
+    indicator, ``Et`` C-ordered."""
 
     def __init__(self, capacity: int, rows: int, width: int, heads: int):
         self.k, self.v = np.empty((2, capacity, rows, width))
@@ -288,24 +294,27 @@ def attend(qkv, heads: int, masked: bool, cache=None):
     (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and dv = aᵀ dO, C-ordered,
     fill one (B, L, 3W) gradient and hand the cached rows theirs.
 
-    A ``KVCache`` of n·B rows takes arrays of one row (L = 1), written to n
-    rows each; the rows read every n-th, K, V (P, B, W): s = ((K ⊙ q) E)/√dh,
-    a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over them."""
+    A ``KVCache`` of n·B rows takes an array ``qkv`` (B, 3W), one decode row
+    per sequence, written to n cache rows each, and returns (B, W) (``masked``
+    is not read); the rows read every n-th, K, V (P, B, W): s = ((K ⊙ q)
+    E)/√dh, a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over them."""
+    dh = qkv.shape[-1] // (3 * heads)
+    if isinstance(cache, KVCache):
+        if isinstance(qkv, Tensor) or qkv.ndim != 2 or cache.k.shape[1] % len(qkv):
+            raise ShapeError(f"a KVCache takes rows (B, 3W) of an array, not {qkv.shape}")
+        B = len(qkv)
+        q, k, v = qkv.reshape(B, 3, -1).transpose(1, 0, 2)
+        cache.append(k, v)
+        K, V = (a[:cache.fill, ::len(a[0]) // B] for a in (cache.k, cache.v))
+        s = ((K * q).reshape(-1, heads * dh) @ cache.E).reshape(len(K), B, heads)
+        s -= s.max(axis=0)
+        a = np.exp(np.multiply(s, 1.0 / np.sqrt(dh), out=s), out=s)
+        a /= a.sum(axis=0)
+        out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
+        return np.multiply(out, V, out=out).sum(axis=0)
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
     B, L, W3 = x.shape
-    dh = W3 // (3 * heads)
-    if isinstance(cache, KVCache):
-        if tape or L != 1 or cache.k.shape[1] % B:
-            raise ShapeError(f"a KVCache takes one row of arrays, not {x.shape}")
-        q, k, v = x[:, 0].reshape(B, 3, -1).transpose(1, 0, 2)
-        cache.append(k, v)
-        K, V = (a[:cache.fill, ::len(a[0]) // B] for a in (cache.k, cache.v))
-        s = ((K * q).reshape(-1, W3 // 3) @ cache.E).reshape(len(K), B, heads)
-        a = np.exp((s - s.max(axis=0)) * (1.0 / np.sqrt(dh)))
-        a /= a.sum(axis=0)
-        out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
-        return np.multiply(out, V, out=out).sum(axis=0)[:, None]
     q, k, v = x.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     past = list(cache or ())
     if past:

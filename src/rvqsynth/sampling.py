@@ -36,15 +36,15 @@ class SamplingConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.strategy != "default" and self.k > self.n:
+        if self.strategy == "knn" and self.k > self.n:
             raise ValueError("k must be <= n")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
         d = depth if self.depth_limit is None else self.depth_limit
         if not 1 <= d <= depth:
             raise ValueError(f"depth_limit must be in [1, {depth}]")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
+        if not 0.0 <= self.temperature < np.inf:  # NaN fails both comparisons
+            raise ValueError("temperature must be finite and >= 0")
         return d
 
 
@@ -77,32 +77,34 @@ def syncnet_reject(embs: np.ndarray, scores: np.ndarray,
     return embs[np.sort(keep)]
 
 
-def _sample_candidates(model: ARModel, h: np.ndarray, prefix: list,
+def _sample_candidates(model: ARModel, h: np.ndarray, caches: list,
                        n: int, d_star: int, temperature: float,
-                       rng: np.random.Generator) -> np.ndarray:
+                       rng: np.random.Generator):
     """Draw ``n`` code rows of ``d_star`` depths from the depth model for
-    each of the R context vectors ``h`` (R, H) over the style's
-    ``model.depth_prefix``; returns (R, n, d_star).
+    each of the R context vectors ``h`` (R, H); returns the rows (R, n,
+    d_star) and their ``model.frame_embedding`` (R, n, N_C), bit for bit.
 
-    Depth 0 runs on the R context rows over ``model.depth_caches`` of R·n
-    candidates and writes its keys and values, and its logits when n > 1 (so
-    the draws keep their order), to them; they run depths ≥ 1 on the running
-    sum of their codes. Counts R·n passes per depth in ``depth_pass_count``.
+    Depth 0 runs on the R context rows over ``caches``, ``model.depth_caches``
+    of R·n candidates rewound here to the style prefix, and writes its keys
+    and values, and its logits when n > 1 (so the draws keep their order), to
+    them; they run depths ≥ 1 on the running sum of their codes, which is the
+    embedding. Counts R·n passes per depth in ``depth_pass_count``.
     """
     R = h.shape[0]
-    cache = model.depth_caches(prefix, R * n, d_star)
-    logits = model.depth_step(h, 0, cache)
+    for cache in caches:
+        cache.fill = 1
+    logits = model.depth_step(h, 0, caches)
     if n > 1:
         logits = np.repeat(logits, n, axis=0)
     rows = np.zeros((R * n, d_star), dtype=np.int64)
     for d in range(d_star):
         if d:
-            logits = model.depth_step(emb, d, cache)
+            logits = model.depth_step(emb, d, caches)
         rows[:, d] = sample_categorical(logits, temperature, rng)
         code = model.codebook.data[rows[:, d]]
         emb = code if d == 0 else emb + code
     model.depth_pass_count += R * n * d_star
-    return rows.reshape(R, n, d_star)
+    return rows.reshape(R, n, d_star), emb.reshape(R, n, -1)
 
 
 def _aggregate(cand_embs: np.ndarray, config: SamplingConfig,
@@ -141,15 +143,14 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     T = y.shape[0]
     audio, style = model.context_features(y, s)
     stream = model.start_stream(audio, style, S)
-    prefix = model.depth_prefix(style[None])
+    caches = model.depth_caches(model.depth_prefix(style[None]), S * N, d_star)
     grids = np.zeros((S, T, d_star), dtype=np.int64)
     committed = None  # (S, NC) embeddings of the frame before
     R = model.audio_radius
     for t in range(T):
         h = stream.step(committed)  # (S, H)
-        cand_rows = _sample_candidates(model, h, prefix, N, d_star,
-                                       config.temperature, rng)
-        cand_embs = model.frame_embedding(cand_rows)  # (S, N, NC)
+        cand_rows, cand_embs = _sample_candidates(model, h, caches, N, d_star,
+                                                  config.temperature, rng)
         if config.strategy == "default":
             grids[:, t] = cand_rows[:, 0]
             committed = cand_embs[:, 0]
@@ -203,11 +204,11 @@ def relabel_grids(teacher: ARModel, codec, prepared,
         se = None if teacher.config.style_mode == "depth" else Tensor(style[None])
         h_av = teacher.temporal_context(Tensor(audio[None]), frame_embs[None],
                                         se).data[0]  # (T, H)
-        cand_rows = _sample_candidates(teacher, h_av,
-                                       teacher.depth_prefix(style[None]),
-                                       config.n, d_star, config.temperature, rng)
-        res = _aggregate(teacher.frame_embedding(cand_rows), config,
-                         codec.codebook.data, d_star)
+        caches = teacher.depth_caches(teacher.depth_prefix(style[None]),
+                                      len(h_av) * config.n, d_star)
+        _, cand_embs = _sample_candidates(teacher, h_av, caches, config.n,
+                                          d_star, config.temperature, rng)
+        res = _aggregate(cand_embs, config, codec.codebook.data, d_star)
         relabeled.append(res.grid)
     return relabeled
 

@@ -57,6 +57,23 @@ def test_generate_writes_samples(artifacts):
     assert os.path.isfile(os.path.join(out, "sample_001.rvqj"))
 
 
+@pytest.mark.parametrize("strategy", ["average", "syncnet-rejection"])
+def test_generate_with_fewer_candidates_than_k(artifacts, tmp_path, strategy):
+    """Only knn reads ``--k`` (default 3), so two candidates are enough for
+    the other strategies."""
+    sync = []
+    if strategy == "syncnet-rejection":
+        sync = ["--sync", str(tmp_path / "sync2.ckpt")]
+        assert main(["train-sync", "--data", artifacts["corpus"], "--variant",
+                     "2", "--window", "8", "--epochs", "1", "--out",
+                     sync[1]]) == EXIT_OK
+    assert main(["generate", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--out", str(tmp_path / "g"), "--strategy", strategy,
+                 "--n", "2"] + sync) == EXIT_OK
+    assert os.path.isfile(tmp_path / "g" / "sample_000.rvqm")
+
+
 def test_generate_is_reproducible(artifacts):
     outs = []
     for name in ("rep_a", "rep_b"):
@@ -125,6 +142,13 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--out", str(tmp_path / "g"),
                  "--strategy", "bogus"]) == EXIT_CONFIG
+    # a temperature that is not a finite number >= 0
+    for bad in ("nan", "inf", "-1"):
+        assert main(["generate", "--data", artifacts["corpus"],
+                     "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                     "--out", str(tmp_path / "gt"),
+                     "--temperature", bad]) == EXIT_CONFIG, bad
+    assert not (tmp_path / "gt").exists()
     # a clip longer than the transformer temporal model's max_frames (256)
     long_corpus = str(tmp_path / "long_corpus")
     assert main(["gen-data", "--speakers", "3", "--seqs", "1", "--frames",

@@ -339,18 +339,20 @@ def merged(split):
 @pytest.mark.parametrize("nh", [1, 2, 4])
 @pytest.mark.parametrize("B", [1, 3, 160])
 def test_kv_cache_attend_matches_list_cache(B, nh):
-    """One row at a time over a KVCache against the list-cache ``attend``
-    at every fill from 0 to capacity − 1: the output to 1e-12 relative, the
-    keys and values written bit for bit with the heads merged."""
+    """One row (B, 3W) at a time over a KVCache against the list-cache
+    ``attend`` of the same rows as sequences of one, at every fill from 0 to
+    capacity − 1: the output (B, W) to 1e-12 relative, the keys and values
+    written bit for bit with the heads merged."""
     capacity, dh = 4, 3
     W = nh * dh
-    steps = np.random.default_rng(7).normal(0.0, 1.0, (capacity, B, 1, 3 * W))
+    steps = np.random.default_rng(7).normal(0.0, 1.0, (capacity, B, 3 * W))
     cache, past = nn.KVCache(capacity, B, W, nh), []
     for fill, qkv in enumerate(steps):
         assert cache.fill == fill
         out = attend(qkv, nh, False, cache)
-        assert out.shape == (B, 1, W)
-        assert_close_relative(out, attend(qkv, nh, False, past), f"fill {fill}")
+        assert out.shape == (B, W)
+        assert_close_relative(out, attend(qkv[:, None], nh, False, past)[:, 0],
+                              f"fill {fill}")
         for got, split in zip((cache.k, cache.v), past):
             np.testing.assert_array_equal(got[:fill + 1], merged(split))
 
@@ -370,35 +372,52 @@ def test_kv_cache_strided_rows_write_to_their_candidates(R, n, nh):
     cache.append(*style)
     past = [np.broadcast_to(a.reshape(1, nh, 1, dh), (R, nh, 1, dh))
             for a in style]
-    qkv = rng_.normal(0.0, 1.0, (R, 1, 3 * W))
+    qkv = rng_.normal(0.0, 1.0, (R, 3 * W))
     assert_close_relative(attend(qkv, nh, False, cache),
-                          attend(qkv, nh, False, past))
+                          attend(qkv[:, None], nh, False, past)[:, 0])
     for got, split in zip((cache.k, cache.v), past):
         np.testing.assert_array_equal(got[:2], np.repeat(merged(split), n, axis=1))
-    qkv = rng_.normal(0.0, 1.0, (R * n, 1, 3 * W))
+    qkv = rng_.normal(0.0, 1.0, (R * n, 3 * W))
     past = [np.repeat(a, n, axis=0) for a in past]
     assert_close_relative(attend(qkv, nh, False, cache),
-                          attend(qkv, nh, False, past))
+                          attend(qkv[:, None], nh, False, past)[:, 0])
 
 
 def test_kv_cache_refuses_a_write_past_capacity():
     cache = nn.KVCache(2, 3, 4, 2)
     for _ in range(2):
-        attend(np.ones((3, 1, 12)), 2, False, cache)
+        attend(np.ones((3, 12)), 2, False, cache)
     keys = cache.k.copy()
     with pytest.raises(ShapeError, match="full"):
-        attend(np.zeros((3, 1, 12)), 2, False, cache)
+        attend(np.zeros((3, 12)), 2, False, cache)
     assert cache.fill == 2
     np.testing.assert_array_equal(cache.k, keys)
 
 
-@pytest.mark.parametrize("qkv", [Tensor(np.zeros((3, 1, 12))),
-                                 np.zeros((3, 2, 12)), np.zeros((2, 1, 12))])
+@pytest.mark.parametrize("qkv", [Tensor(np.zeros((3, 12))),
+                                 np.zeros((3, 2, 12)), np.zeros((2, 12)),
+                                 np.zeros((3, 1, 12))])
 def test_kv_cache_takes_one_row_of_arrays_dividing_its_rows(qkv):
+    """A KVCache takes an array (B, 3W) whose B divides its rows: a Tensor,
+    a sequence (B, L, 3W), even of one row, or a B that does not divide
+    is refused before anything is written."""
     cache = nn.KVCache(4, 3, 4, 2)
     with pytest.raises(ShapeError):
         attend(qkv, 2, False, cache)
     assert cache.fill == 0
+
+
+@pytest.mark.parametrize("x,match", [(np.zeros((3, 1, 4)), r"expects \(B, 4\)"),
+                                     (Tensor(np.zeros((3, 4))), "of an array")])
+def test_attention_over_a_kv_cache_takes_decode_rows_of_arrays(x, match):
+    """Through the layer too: with a KVCache a sequence (B, L, W), even of
+    one row, or a Tensor raises ShapeError and leaves ``fill`` as it was."""
+    layer = SelfAttention(4, 2, rng())
+    cache = nn.KVCache(4, 3, 4, 2).append(np.ones((1, 4)), np.ones((1, 4)))
+    with pytest.raises(ShapeError, match=match):
+        layer(x, cache)
+    assert cache.fill == 1
+    assert layer(np.ones((3, 4)), cache).shape == (3, 4)
 
 
 @pytest.mark.parametrize("causal", [False, True])

@@ -91,9 +91,20 @@ def test_sampling_config_validation():
                 SamplingConfig(strategy="knn", n=2, k=5),
                 SamplingConfig(keep_fraction=0.0),
                 SamplingConfig(depth_limit=9),
-                SamplingConfig(temperature=-1.0)]:
+                SamplingConfig(temperature=-1.0),
+                SamplingConfig(temperature=float("nan")),
+                SamplingConfig(temperature=float("inf"))]:
         with pytest.raises(ValueError):
             bad.validate(4)
+
+
+@pytest.mark.parametrize("strategy", ["average", "syncnet-rejection"])
+def test_only_knn_needs_k_candidates(strategy):
+    """``k`` is read by knn alone, so fewer candidates than ``k`` are fine
+    for the other strategies."""
+    assert SamplingConfig(strategy=strategy, n=2).validate(4) == 4
+    with pytest.raises(ValueError, match="k must"):
+        SamplingConfig(strategy="knn", n=2).validate(4)
 
 
 # -- generation ------------------------------------------------------------------
@@ -266,10 +277,15 @@ def repeated_rows_candidates(model, h, style, n, d_star, temperature, rng):
 
 def use_repeated_rows_oracle(monkeypatch, model):
     """Route sampling through the oracle; it gets the style embedding where
-    ``_sample_candidates`` gets the style's depth prefix."""
+    ``_sample_candidates`` gets the caches over the style's depth prefix,
+    and its rows' embeddings are gathered by ``frame_embedding``."""
+    def oracle(model, h, style, *args):
+        rows = repeated_rows_candidates(model, h, style, *args)
+        return rows, model.frame_embedding(rows)
+
     monkeypatch.setattr(model, "depth_prefix", lambda styles: styles[0])
-    monkeypatch.setattr(sampling, "_sample_candidates",
-                        repeated_rows_candidates)
+    monkeypatch.setattr(model, "depth_caches", lambda style, rows, depths: style)
+    monkeypatch.setattr(sampling, "_sample_candidates", oracle)
 
 
 PREFIX_CODEC = CodecConfig(input_dim=12, depth=3, codebook_size=5, code_dim=4,
@@ -346,6 +362,63 @@ def test_generation_counts_passes_and_rows(tiny_corpus, monkeypatch):
     assert model.depth_pass_count - passes == S * N * T * d_star
     assert model.depth_row_count - rows == T * (S + S * N * (d_star - 1))
     assert prefixes == [1]
+
+
+def test_generation_allocates_the_depth_caches_once(tiny_corpus, monkeypatch):
+    """One set of depth caches per ``generate_batch`` call, rewound for each
+    frame; relabeling allocates one per sequence."""
+    codec, model = prefix_model("depth", "transformer")
+    sizes = []
+    depth_caches = model.depth_caches
+    monkeypatch.setattr(model, "depth_caches", lambda prefix, rows, depths: (
+        sizes.append((rows, depths)) or depth_caches(prefix, rows, depths)))
+    rec = tiny_corpus.records[0]
+    for strategy, n in (("default", 1), ("average", 4)):
+        sizes.clear()
+        generate_batch(model, codec, rec.audio, rec.motion,
+                       SamplingConfig(strategy=strategy, n=n, depth_limit=2), 3)
+        assert sizes == [(3 * n, 2)]
+    sizes.clear()
+    prepared = prepare_sequences(codec, tiny_corpus, tiny_corpus.records[:2],
+                                 np.random.default_rng(0))
+    relabel_grids(model, codec, prepared, SamplingConfig(strategy="average", n=2),
+                  np.random.default_rng(1))
+    assert sizes == [(2 * len(p.grid), 3) for p in prepared]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("d_star", [1, 2, 3])
+def test_rewound_caches_give_the_logits_of_fresh_ones(monkeypatch, n, d_star):
+    """Candidates over caches allocated once and rewound for every frame get
+    the logits, at every depth, and the draws of caches made fresh for each
+    frame, bit for bit; their embeddings are ``frame_embedding`` of their
+    rows, bit for bit."""
+    _, model = prefix_model("depth", "conv")
+    R, H = 3, model.config.width
+    prefix = model.depth_prefix(np.ones((1, H)))
+    frames = np.random.default_rng(2).normal(0.0, 1.0, (4, R, H))
+    logits = []
+    depth_step = model.depth_step
+    monkeypatch.setattr(model, "depth_step", lambda *args: (
+        logits.append(depth_step(*args)) or logits[-1]))
+
+    def run(caches):
+        logits.clear()
+        rng = np.random.default_rng(5)
+        drawn = [sampling._sample_candidates(model, h, caches(), n, d_star,
+                                             1.0, rng) for h in frames]
+        for rows, embs in drawn:
+            assert rows.shape == (R, n, d_star)
+            np.testing.assert_array_equal(embs, model.frame_embedding(rows))
+        return list(logits), [rows for rows, _ in drawn]
+
+    once = model.depth_caches(prefix, R * n, d_star)
+    rewound = run(lambda: once)
+    fresh = run(lambda: model.depth_caches(prefix, R * n, d_star))
+    assert len(rewound[0]) == len(frames) * d_star
+    for got, want in zip(rewound, fresh, strict=True):
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("temporal", ["conv", "transformer"])
