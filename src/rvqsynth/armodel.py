@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import checkpoint
+from .config import option
 from .codec import rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
                  conv_stack, fit, operand, tap_sum)
@@ -30,25 +31,26 @@ class ARConfig:
     code_dim: int = 16
     codebook_size: int = 32
     depth: int = 4
-    width: int = 64
+    width: int = option(64, "model width")
     audio_dim: int = 8
     motion_dim: int = 60
     max_frames: int = 256
-    depth_layers: int = 2
-    heads: int = 4
-    temporal: str = "conv"          # "conv" or "transformer"
+    depth_layers: int = option(2, "depth-model attention layers")
+    heads: int = option(4, "attention heads")
+    temporal: str = option("conv", "temporal model kind (conv|transformer)")
     temporal_dilations: tuple = (1, 2, 4, 8)
-    temporal_layers: int = 2        # transformer temporal variant
+    temporal_layers: int = option(2, "transformer temporal layers")
     audio_layers: int = 2
     audio_kernel: int = 3
-    style_mode: str = "depth"       # "depth" (ours) or "temporal" (ablation)
-    lr: float = 1e-3
-    epochs: int = 40
-    batch: int = 16
-    seed: int = 0
-    stochastic_targets: bool = False
+    style_mode: str = option("depth", "style token target (depth|temporal)")
+    lr: float = option(1e-3, "Adam learning rate")
+    epochs: int = option(40, "training epochs")
+    batch: int = option(16, "batch size")
+    seed: int = option(0, "training seed")
+    stochastic_targets: bool = option(
+        False, "sample target grids from quantizer softmax")
     stochastic_tau: float = 0.05
-    soft_targets: bool = False
+    soft_targets: bool = option(False, "smooth targets over near-tied codes")
     soft_eps: float = 0.1
     soft_alpha: float = 0.1
 

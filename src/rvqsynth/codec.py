@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
+from .config import option
 from .nn import Conv1d, Module, Parameter, conv_stack, fit
 from .tensor import ShapeError, Tensor, straight_through
 
@@ -31,16 +32,17 @@ class QuantizationResult:
 @dataclass
 class CodecConfig:
     input_dim: int = 60         # 3V
-    depth: int = 4
-    codebook_size: int = 32
-    code_dim: int = 16
+    depth: int = option(4, "RVQ depth D")
+    codebook_size: int = option(32, "codebook size |C|")
+    code_dim: int = option(16, "code dimension N_C")
     hidden: int | None = None   # defaults to 4 * code_dim
-    beta: float = 0.25
-    lr: float = 2e-3
-    epochs: int = 60
-    batch: int = 16
-    recon_all_depths: bool = True
-    seed: int = 0
+    beta: float = option(0.25, "commitment loss weight")
+    lr: float = option(2e-3, "Adam learning rate")
+    epochs: int = option(60, "training epochs")
+    batch: int = option(16, "batch size")
+    recon_all_depths: bool = option(
+        True, "also reconstruct at random truncated depths")
+    seed: int = option(0, "training seed")
 
     def __post_init__(self):
         if self.hidden is None:

@@ -3,11 +3,16 @@
 Lines are ``key = value`` pairs; ``#`` starts a comment; ``include <path>``
 splices another file (relative to the including file). Later assignments win.
 Every run writes a resolved snapshot next to its outputs for reproducibility.
+A config dataclass declares each setting the command line reads as an
+:func:`option` field; :func:`options` turns those fields into options.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import typing
+from dataclasses import field, fields
 
 from .checkpoint import write_atomic
 
@@ -49,15 +54,18 @@ def _parse(path, seen) -> dict:
 
 
 def coerce(raw: dict, schema: dict) -> dict:
-    """Validate ``raw`` against {key: converter}; unknown keys are rejected."""
+    """Convert each value of ``raw`` by its type in ``schema`` {key: type};
+    unknown keys, and numbers that are negative, infinite or NaN, are
+    rejected: no option takes one."""
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     out = {}
     for key, value in raw.items():
-        conv = schema[key]
         try:
-            out[key] = conv(value)
+            out[key] = number = _CONVERTERS[schema[key]](value)
+            if isinstance(number, (int, float)) and not 0 <= number < math.inf:
+                raise ValueError("not a finite number >= 0")  # NaN fails both
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
     return out
@@ -78,3 +86,37 @@ def write_snapshot(path, resolved: dict):
     """Write the resolved configuration as sorted key=value lines."""
     text = "".join(f"{key}={resolved[key]}\n" for key in sorted(resolved))
     write_atomic(path, [text.encode("utf-8")])
+
+
+def _opt_int(value):
+    return None if str(value).lower() in ("", "none") else int(value)
+
+
+# Option type -> converter of its raw string.
+_CONVERTERS = {int: int, float: float, str: str, bool: parse_bool,
+               int | None: _opt_int}
+
+
+def option(default, help: str, flag: str = ""):
+    """A dataclass field that the command line sets, as ``--flag`` or, by
+    default, ``--`` and the field name with dashes; the field's type hint
+    picks the converter."""
+    return field(default=default, metadata={"help": help, "flag": flag})
+
+
+def _option_fields(cls) -> dict:
+    return {f.metadata["flag"] or f.name.replace("_", "-"): f
+            for f in fields(cls) if "help" in f.metadata}
+
+
+def options(cls) -> dict:
+    """{option name: (type, default, help)} for ``cls``'s option fields."""
+    hints = typing.get_type_hints(cls)
+    return {name: (hints[f.name], f.default, f.metadata["help"])
+            for name, f in _option_fields(cls).items()}
+
+
+def build(cls, resolved: dict):
+    """A ``cls`` whose option fields take their ``resolved`` values."""
+    return cls(**{f.name: resolved[name]
+                  for name, f in _option_fields(cls).items()})

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_atomic
+from .config import option
 
 SEQ_MAGIC = b"RVQM"
 AUDIO_MAGIC = b"RVQA"
@@ -75,13 +76,13 @@ class SequenceRecord:
 
 @dataclass
 class CorpusConfig:
-    num_speakers: int = 64
-    seqs_per_speaker: int = 16
-    frames: int = 32
-    vertices: int = 20
-    audio_dim: int = 8
-    upper_noise: float = 1.0
-    seed: int = 0
+    num_speakers: int = option(64, "number of synthetic speakers", "speakers")
+    seqs_per_speaker: int = option(16, "sequences per speaker", "seqs")
+    frames: int = option(32, "frames per sequence")
+    vertices: int = option(20, "mesh vertices")
+    audio_dim: int = option(8, "driving-signal feature dim")
+    upper_noise: float = option(1.0, "upper-region noise multiplier")
+    seed: int = option(0, "corpus RNG seed")
 
 
 @dataclass

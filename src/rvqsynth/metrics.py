@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint
+from .config import option
 from .data import SequenceFormatError, style_reference
 from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_stack, fit,
                  operand)
@@ -100,19 +101,19 @@ def _normalize_rows(t, eps: float = 1e-12):
 
 @dataclass
 class SyncConfig:
-    variant: int = 2
+    variant: int = option(2, "1 = fusion scorer, 2 = cosine embeddings")
     motion_dim: int = 60
     audio_dim: int = 8
-    width: int = 24
-    emb_dim: int = 16
+    width: int = option(24, "conv width")
+    emb_dim: int = option(16, "embedding dimension")
     temperature: float = 0.07
-    lr: float = 3e-3
+    lr: float = option(3e-3, "Adam learning rate")
     epochs: int = 12
     batch: int = 64
     clips_per_batch: int = 16
     shifts: tuple = (0, 1, 2, 4)
-    window: int = 20
-    seed: int = 0
+    window: int = option(20, "scoring window in frames")
+    seed: int = option(0, "training seed")
 
     def __post_init__(self):
         self.shifts = tuple(self.shifts)
@@ -340,14 +341,14 @@ def shift_detection_rate(net: SyncNet, records, shift: int = 1,
 @dataclass
 class StyleConfig:
     motion_dim: int = 60
-    width: int = 48
-    emb_dim: int = 24
-    margin: float = 0.3
-    scale: float = 16.0
-    lr: float = 1e-3
-    epochs: int = 10
-    batch: int = 32
-    seed: int = 0
+    width: int = option(48, "conv width")
+    emb_dim: int = option(24, "embedding dimension")
+    margin: float = option(0.3, "angular margin")
+    scale: float = option(16.0, "logit scale")
+    lr: float = option(1e-3, "Adam learning rate")
+    epochs: int = option(10, "training epochs")
+    batch: int = option(32, "batch size")
+    seed: int = option(0, "training seed")
     num_classes: int = 0  # set on the trained net's copy of the config
 
 

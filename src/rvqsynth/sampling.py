@@ -15,6 +15,7 @@ import numpy as np
 
 from .armodel import ARConfig, ARModel, prepare_sequences
 from .codec import rvq_quantize_frames, sample_categorical
+from .config import option
 from .nn import fit
 from .tensor import Tensor, cross_entropy
 
@@ -23,15 +24,17 @@ STRATEGIES = ("default", "knn", "average", "syncnet-rejection")
 
 @dataclass
 class SamplingConfig:
-    strategy: str = "default"
-    n: int = 1
-    k: int = 3
-    keep_fraction: float = 1.0
-    depth_limit: int | None = None
-    temperature: float = 1.0
-    seed: int = 0
+    strategy: str = option(
+        "default", f"sampling strategy ({'|'.join(STRATEGIES)})")
+    n: int = option(1, "candidate codes drawn per frame")
+    k: int = option(3, "neighborhood size for knn aggregation")
+    keep_fraction: float = option(1.0, "fraction kept by syncnet-rejection")
+    depth_limit: int | None = option(None, "truncate generation to d* depths")
+    temperature: float = option(1.0, "sampling temperature (0 = greedy)")
+    seed: int = option(0, "sampling seed")
 
-    def validate(self, depth: int):
+    def check(self):
+        """Every check that needs no model depth; see :meth:`validate`."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n < 1:
@@ -40,11 +43,16 @@ class SamplingConfig:
             raise ValueError("k must be <= n")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        d = depth if self.depth_limit is None else self.depth_limit
-        if not 1 <= d <= depth:
-            raise ValueError(f"depth_limit must be in [1, {depth}]")
+        if self.depth_limit is not None and self.depth_limit < 1:
+            raise ValueError("depth_limit must be >= 1")
         if not 0.0 <= self.temperature < np.inf:  # NaN fails both comparisons
             raise ValueError("temperature must be finite and >= 0")
+
+    def validate(self, depth: int):
+        self.check()
+        d = depth if self.depth_limit is None else self.depth_limit
+        if d > depth:
+            raise ValueError(f"depth_limit must be in [1, {depth}]")
         return d
 
 

@@ -5,14 +5,19 @@ these tests cover wiring, config resolution, and the exit-code contract with
 deliberately tiny models.
 """
 
+import argparse
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rvqsynth.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_OK, main)
+from rvqsynth.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_OK, build_parser,
+                          command_options, main)
+from rvqsynth.config import coerce
 from rvqsynth.data import read_sequence
 
 
@@ -197,6 +202,92 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--out", str(tmp_path / "g"),
                  "--strategy", "syncnet-rejection"]) == EXIT_ARTIFACT
+    # the sampling options are checked before any artifact is read
+    assert main(["generate", "--data", artifacts["corpus"],
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--out", str(tmp_path / "g"), "--strategy",
+                 "syncnet-rejection", "--temperature", "nan"]) == EXIT_CONFIG
+    assert main(["generate", "--data", str(tmp_path / "nowhere"),
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--out", str(tmp_path / "g"),
+                 "--strategy", "bogus"]) == EXIT_CONFIG
+    # no option takes a negative, infinite or NaN number (float, then int)
+    assert main(CODEC + ["--data", artifacts["corpus"], "--lr", "nan",
+                         "--out", str(tmp_path / "c.ckpt")]) == EXIT_CONFIG
+    assert main(AR + ["--data", artifacts["corpus"],
+                      "--codec", artifacts["codec"], "--epochs", "-1",
+                      "--out", str(tmp_path / "a.ckpt")]) == EXIT_CONFIG
+    assert not (tmp_path / "c.ckpt").exists()
+    assert not (tmp_path / "a.ckpt").exists()
+
+
+def test_entry_point_reports_config_error_without_traceback(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rvqsynth", "generate", "--data", "corpus",
+         "--codec", "codec.ckpt", "--ar", "ar.ckpt", "--out", "gen",
+         "--temperature", "nan"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("error: config:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_config_snapshots_are_pinned(artifacts):
+    corpus, codec, ar = artifacts["corpus"], artifacts["codec"], artifacts["ar"]
+    assert Path(corpus, "config.resolved").read_text() == (
+        f"audio-dim=4\nframes=24\nout={corpus}\nseed=0\nseqs=4\n"
+        "speakers=6\nupper-noise=1.0\nvertices=4\n")
+    assert Path(ar + ".config").read_text() == (
+        f"batch=16\ncodec={codec}\ndata={corpus}\ndepth-layers=1\nepochs=1\n"
+        f"heads=2\nlr=0.001\nout={ar}\nseed=0\nsoft-targets=False\n"
+        "stochastic-targets=False\nstyle-mode=depth\ntemporal=conv\n"
+        "temporal-layers=2\nwidth=8\n")
+
+
+SAMPLING = ["depth-limit", "k", "keep-fraction", "n", "seed", "strategy",
+            "temperature"]
+OPTION_NAMES = {
+    "gen-data": ["audio-dim", "frames", "out", "seed", "seqs", "speakers",
+                 "upper-noise", "vertices"],
+    "train-codec": ["batch", "beta", "code-dim", "codebook-size", "data",
+                    "depth", "epochs", "lr", "out", "recon-all-depths", "seed"],
+    "train-ar": ["batch", "codec", "data", "depth-layers", "epochs", "heads",
+                 "lr", "out", "seed", "soft-targets", "stochastic-targets",
+                 "style-mode", "temporal", "temporal-layers", "width"],
+    "train-sync": ["data", "emb-dim", "epochs", "lr", "out", "seed", "variant",
+                   "width", "window"],
+    "train-style": ["batch", "data", "emb-dim", "epochs", "lr", "margin", "out",
+                    "scale", "seed", "width"],
+    "generate": sorted(SAMPLING + ["ar", "clip", "codec", "data", "out",
+                                   "samples", "sync"]),
+    "distill": sorted(SAMPLING + ["ar", "codec", "data", "epochs", "lr",
+                                  "out"]),
+    "evaluate": sorted(SAMPLING + ["ar", "clips", "codec", "data", "out",
+                                   "samples", "style", "sync", "sync1",
+                                   "sync2"]),
+}
+
+
+def test_option_surface_is_pinned():
+    """Every subcommand keeps its option names, and each option's default
+    converts back to itself from its string, as it would from a config file."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(OPTION_NAMES)
+    for command, names in OPTION_NAMES.items():
+        flags = {flag[2:] for action in sub.choices[command]._actions
+                 for flag in action.option_strings if flag.startswith("--")}
+        assert sorted(flags - {"help", "config"}) == names, command
+        for key, (kind, default, _) in command_options(command).items():
+            if kind is str and default is None:
+                continue  # a required path has no default
+            assert coerce({key: str(default)}, {key: kind}) == {key: default}
+    assert sum(map(len, OPTION_NAMES.values())) == 97
+    assert command_options("train-ar")["epochs"][1] == 30
+    assert command_options("train-sync")["epochs"][1] is None
 
 
 def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
