@@ -199,6 +199,8 @@ def cmd_train_style(r: dict, cfg: metrics.StyleConfig) -> int:
 
 def cmd_generate(r: dict, scfg: SamplingConfig) -> int:
     scfg.check()
+    if r["samples"] < 1:
+        raise ConfigError(f"--samples must be at least 1, got {r['samples']}")
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     model = _load_ar(r["ar"], r["codec"])
@@ -256,6 +258,8 @@ def format_table(results: dict) -> str:
 
 def cmd_evaluate(r: dict, scfg: SamplingConfig) -> int:
     scfg.check()
+    if min(r["samples"], r["clips"]) < 1:
+        raise ConfigError(f"need a clip and a sample, got {r['clips']} and {r['samples']}")
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     model = _load_ar(r["ar"], r["codec"])

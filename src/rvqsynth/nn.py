@@ -267,20 +267,24 @@ class KVCache:
     """Preallocated keys and values ``k``, ``v`` (capacity, rows, W), heads
     merged (each row the fused projection's column block), written below
     ``fill`` (set back to rewind); ``E`` is the (W, heads) 0/1 head
-    indicator, ``Et`` C-ordered."""
+    indicator, ``Et`` C-ordered, ``scale`` 1/√(W/heads), made once."""
 
     def __init__(self, capacity: int, rows: int, width: int, heads: int):
         self.k, self.v = np.empty((2, capacity, rows, width))
         self.fill = 0
         self.E = np.repeat(np.eye(heads), width // heads, axis=0)
         self.Et = self.E.T.copy()
+        self.scale = 1.0 / np.sqrt(width // heads)
 
     def append(self, k: np.ndarray, v: np.ndarray) -> "KVCache":
         """Write the next keys and values (B, W), row i to rows/B rows."""
+        B, W = k.shape
+        if self.k.shape[1] % B:
+            raise ShapeError(f"{B} rows do not divide the KV cache's {self.k.shape[1]}")
         if self.fill == len(self.k):
             raise ShapeError(f"KV cache is full ({len(self.k)} positions)")
-        for buf, new in ((self.k, k), (self.v, v)):
-            buf[self.fill].reshape(len(new), -1, new.shape[-1])[:] = new[:, None]
+        self.k[self.fill].reshape(B, -1, W)[:] = k[:, None]
+        self.v[self.fill].reshape(B, -1, W)[:] = v[:, None]
         self.fill += 1
         return self
 
@@ -297,21 +301,22 @@ def attend(qkv, heads: int, masked: bool, cache=None):
     A ``KVCache`` of n·B rows takes an array ``qkv`` (B, 3W), one decode row
     per sequence, written to n cache rows each, and returns (B, W) (``masked``
     is not read); the rows read every n-th, K, V (P, B, W): s = ((K ⊙ q)
-    E)/√dh, a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over them."""
-    dh = qkv.shape[-1] // (3 * heads)
+    E)·``scale``, a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over
+    them, reduced by the ufuncs themselves (see ``sample_categorical``)."""
     if isinstance(cache, KVCache):
-        if isinstance(qkv, Tensor) or qkv.ndim != 2 or cache.k.shape[1] % len(qkv):
+        if isinstance(qkv, Tensor) or qkv.ndim != 2:
             raise ShapeError(f"a KVCache takes rows (B, 3W) of an array, not {qkv.shape}")
-        B = len(qkv)
-        q, k, v = qkv.reshape(B, 3, -1).transpose(1, 0, 2)
-        cache.append(k, v)
-        K, V = (a[:cache.fill, ::len(a[0]) // B] for a in (cache.k, cache.v))
-        s = ((K * q).reshape(-1, heads * dh) @ cache.E).reshape(len(K), B, heads)
-        s -= s.max(axis=0)
-        a = np.exp(np.multiply(s, 1.0 / np.sqrt(dh), out=s), out=s)
-        a /= a.sum(axis=0)
+        B, W = len(qkv), qkv.shape[1] // 3
+        cache.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
+        K = cache.k[:cache.fill, ::len(cache.k[0]) // B]
+        V = cache.v[:cache.fill, ::len(cache.v[0]) // B]
+        s = ((K * qkv[:, :W]).reshape(-1, W) @ cache.E).reshape(len(K), B, heads)
+        s -= np.maximum.reduce(s, axis=0)
+        a = np.exp(np.multiply(s, cache.scale, out=s), out=s)
+        a /= np.add.reduce(a, axis=0)
         out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
-        return np.multiply(out, V, out=out).sum(axis=0)
+        return np.add.reduce(np.multiply(out, V, out=out), axis=0)
+    dh = qkv.shape[-1] // (3 * heads)
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
     B, L, W3 = x.shape

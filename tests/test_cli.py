@@ -211,6 +211,13 @@ def test_exit_code_config_errors(artifacts, tmp_path):
                  "--codec", artifacts["codec"], "--ar", artifacts["ar"],
                  "--out", str(tmp_path / "g"),
                  "--strategy", "bogus"]) == EXIT_CONFIG
+    # so are the counts that belong to the command line alone
+    assert main(["generate", "--data", str(tmp_path / "nowhere"),
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--out", str(tmp_path / "g"), "--samples", "0"]) == EXIT_CONFIG
+    assert main(["evaluate", "--data", str(tmp_path / "nowhere"),
+                 "--codec", artifacts["codec"], "--ar", artifacts["ar"],
+                 "--samples", "2", "--clips", "0"]) == EXIT_CONFIG
     # no option takes a negative, infinite or NaN number (float, then int)
     assert main(CODEC + ["--data", artifacts["corpus"], "--lr", "nan",
                          "--out", str(tmp_path / "c.ckpt")]) == EXIT_CONFIG

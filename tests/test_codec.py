@@ -239,3 +239,33 @@ def test_sample_categorical_keeps_in_range_draws(temperature):
     old = (u > np.cumsum(p, axis=-1)).sum(axis=-1)
     assert old.max() < logits.shape[1]
     np.testing.assert_array_equal(idx, old)
+
+
+def sample_categorical_reference(logits, temperature, rng):
+    """``sample_categorical`` as it was written with the ndarray methods and
+    ``np.cumsum``, before it called the ufuncs themselves."""
+    if temperature == 0.0:
+        return np.argmin(-logits, axis=-1)
+    z = logits / temperature
+    z -= z.max(axis=-1, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= p.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(p, axis=-1, out=p)
+    u = rng.random(logits.shape[:-1] + (1,))
+    return (u > cdf[..., :-1]).sum(axis=-1)
+
+
+@pytest.mark.parametrize("draws", ["generator", 0.0, 0.5, 1.0 - 2.0 ** -53])
+@pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (4, 32), (160, 32)])
+def test_sample_categorical_matches_method_reference(shape, temperature, draws):
+    """The ufunc reductions against the method-call body: the same indices
+    and dtype, with a real Generator (same seed on both sides) or a stub
+    whose every draw is one value, including 1 − 2⁻⁵³."""
+    logits = np.random.default_rng(sum(shape)).normal(0.0, 3.0, shape)
+    make = ((lambda: np.random.default_rng(3)) if draws == "generator"
+            else (lambda: ConstantDraws(draws)))
+    got = sample_categorical(logits, temperature, make())
+    want = sample_categorical_reference(logits, temperature, make())
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)

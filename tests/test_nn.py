@@ -394,6 +394,60 @@ def test_kv_cache_refuses_a_write_past_capacity():
     np.testing.assert_array_equal(cache.k, keys)
 
 
+def test_kv_cache_append_refuses_rows_not_dividing_its_rows():
+    """Called directly, ``append`` refuses a block (B, W) whose B does not
+    divide the cache's rows with ``ShapeError`` before anything is written."""
+    cache = nn.KVCache(3, 6, 4, 2).append(np.ones((2, 4)), np.ones((2, 4)))
+    keys, values = cache.k.copy(), cache.v.copy()
+    for B in (4, 5, 7):
+        with pytest.raises(ShapeError, match="divide"):
+            cache.append(np.zeros((B, 4)), np.zeros((B, 4)))
+    assert cache.fill == 1
+    np.testing.assert_array_equal(cache.k, keys)
+    np.testing.assert_array_equal(cache.v, values)
+
+
+def attend_cached_reference(qkv, heads, cache):
+    """``attend``'s KVCache branch as it was before the cache held its scale:
+    a tuple-loop append, generator slices and the ndarray reductions."""
+    dh = qkv.shape[-1] // (3 * heads)
+    B = len(qkv)
+    q, k, v = qkv.reshape(B, 3, -1).transpose(1, 0, 2)
+    if cache.fill == len(cache.k):
+        raise ShapeError("full")
+    for buf, new in ((cache.k, k), (cache.v, v)):
+        buf[cache.fill].reshape(len(new), -1, new.shape[-1])[:] = new[:, None]
+    cache.fill += 1
+    K, V = (a[:cache.fill, ::len(a[0]) // B] for a in (cache.k, cache.v))
+    s = ((K * q).reshape(-1, heads * dh) @ cache.E).reshape(len(K), B, heads)
+    s -= s.max(axis=0)
+    a = np.exp(np.multiply(s, 1.0 / np.sqrt(dh), out=s), out=s)
+    a /= a.sum(axis=0)
+    out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
+    return np.multiply(out, V, out=out).sum(axis=0)
+
+
+@pytest.mark.parametrize("nh", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 4])
+def test_kv_cache_attend_matches_method_reference(n, nh):
+    """B rows over a cache of n·B rows against the reference kernel on its
+    own cache: outputs and cache contents bit for bit at every fill from 1
+    to capacity; then a full cache raises ShapeError and keeps ``fill``."""
+    B, capacity, dh = 3, 5, 4
+    W = nh * dh
+    steps = np.random.default_rng(9).normal(0.0, 1.0, (capacity, B, 3 * W))
+    cache, ref = nn.KVCache(capacity, n * B, W, nh), nn.KVCache(capacity, n * B, W, nh)
+    for fill, qkv in enumerate(steps, 1):
+        got, want = attend(qkv, nh, False, cache), attend_cached_reference(qkv, nh, ref)
+        assert cache.fill == ref.fill == fill
+        assert got.tobytes() == want.tobytes(), f"fill {fill}"
+        assert cache.k[:fill].tobytes() == ref.k[:fill].tobytes()
+        assert cache.v[:fill].tobytes() == ref.v[:fill].tobytes()
+    with pytest.raises(ShapeError, match="full"):
+        attend(steps[0], nh, False, cache)
+    assert cache.fill == capacity
+
+
 @pytest.mark.parametrize("qkv", [Tensor(np.zeros((3, 12))),
                                  np.zeros((3, 2, 12)), np.zeros((2, 12)),
                                  np.zeros((3, 1, 12))])
