@@ -169,13 +169,12 @@ class ARModel(Module):
 
     def depth_logits_full(self, h_av: Tensor, style_emb: Tensor,
                           grids: np.ndarray) -> Tensor:
-        """Teacher-forced logits (B, T, D, |C|). Each sequence's ``depth_prefix``
-        is repeated to its T frames, whose D tokens run over it."""
+        """Teacher-forced logits (B, T, D, |C|). Each layer's ``depth_prefix``
+        block (B, 1, 2H) is repeated to its T frames, whose D tokens attend to it."""
         B, T, H = h_av.shape
         D, C = self.config.depth, self.config.codebook_size
-        cache = [[broadcast_to(a.reshape((B, 1) + a.shape[1:]),
-                               (B, T) + a.shape[1:]).reshape((B * T,) + a.shape[1:])
-                  for a in kv] for kv in self.depth_prefix(style_emb)]
+        cache = [broadcast_to(kv, (B, T, 2 * H)).reshape(B * T, 1, 2 * H)
+                 for kv in self.depth_prefix(style_emb)]
         v = h_av.reshape(B * T, 1, H)
         if D > 1:
             codes = np.cumsum(self.codebook.data[grids][:, :, :D - 1], axis=2)
@@ -213,19 +212,23 @@ class ARModel(Module):
         return TemporalStream(self, audio_feats, style_emb, samples)
 
     def depth_prefix(self, style_emb) -> list:
-        """Each depth layer's ``[k, v]`` (B, heads, 1, H / heads) of the style
-        tokens of style embeddings (B, H), on the tape for a Tensor. The style
-        token is the first causal position and sees only itself, so one prefix
-        serves every frame and row drawn with its style."""
+        """Each depth layer's keys and values ``[k | v]`` (B, 1, 2H) of the
+        style tokens of style embeddings (B, H), on the tape for a Tensor. The
+        style token is the first causal position and sees only itself, so one
+        prefix serves every frame and row drawn with its style."""
         B, H = style_emb.shape
         if self.config.style_mode == "depth":
             v = self.style_proj(style_emb)
         else:
             v = broadcast_to(operand(style_emb, self.style_const), (B, H))
         v = (v + operand(style_emb, self.depth_pos)[0]).reshape(B, 1, H)
-        prefix = [[] for _ in self.depth_blocks]
-        for block, kv in zip(self.depth_blocks, prefix):
-            v = block(v, kv)
+        prefix = []
+        for block in self.depth_blocks:
+            # a lone token's softmax is exactly 1: its attention is its value
+            qkv = block.attn.wqkv(v)
+            prefix.append(qkv[..., H:])
+            v = v + block.attn.wo(qkv[..., 2 * H:])
+            v = v + block.ff2(leaky_relu(block.ff1(v), 0.1))
         return prefix
 
     def depth_caches(self, prefix: list, rows: int, depths: int) -> list:
@@ -233,7 +236,7 @@ class ARModel(Module):
         steps, slot 0 holding one style's ``depth_prefix`` in every row; a
         sampler rewinds them to ``fill`` = 1 for each frame."""
         return [KVCache(1 + depths, rows, self.config.width, self.config.heads)
-                .append(*(a.reshape(1, -1) for a in kv)) for kv in prefix]
+                .append(*np.split(kv[0], 2, axis=1)) for kv in prefix]
 
     def depth_step(self, x: np.ndarray, d: int, cache: list) -> np.ndarray:
         """Logits (N, |C|) for depth ``d`` of N rows; adds N to
@@ -358,7 +361,7 @@ def stochastic_grid(z: np.ndarray, codebook: np.ndarray, depth: int,
     """Boltzmann-sample quantizer indices instead of the argmin at each depth."""
     return rvq_recursion(
         z, codebook, depth,
-        lambda d, d2: sample_categorical(-d2, max(tau, 1e-9), rng)).grid
+        lambda d, d2: sample_categorical(-d2, tau, rng)).grid
 
 
 def soft_target_distributions(z: np.ndarray, grid: np.ndarray,

@@ -56,10 +56,10 @@ def squared_distances(x: np.ndarray, codebook: np.ndarray) -> np.ndarray:
 
 def sample_categorical(logits: np.ndarray, temperature: float,
                        rng: np.random.Generator) -> np.ndarray:
-    """One inverse-CDF draw per row from softmax(logits / temperature);
-    temperature 0 takes the argmax (lowest index on ties). The ufuncs skip
-    numpy's wrappers: at (4, 32) np.cumsum takes 2.6 µs, np.add.accumulate 1.1."""
-    if temperature == 0.0:
+    """One inverse-CDF draw per row from softmax(logits / temperature); below
+    1e-9, where that may overflow, the argmax (lowest index on ties). The ufuncs
+    skip numpy's wrappers: at (4, 32) np.cumsum 2.6 µs, np.add.accumulate 1.1."""
+    if temperature < 1e-9:
         return np.argmin(-logits, axis=-1)
     z = logits / temperature
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)
@@ -139,14 +139,12 @@ class Codec(Module):
         return rvq_quantize_frames(z, self.codebook.data, d)
 
     def decode(self, grid, depth_limit: int | None = None) -> np.ndarray:
-        """Decode a CodeGrid (or QuantizationResult) to motion space.
+        """Decode a CodeGrid to motion space.
 
         A (T, D) grid gives (T, 3V) motion; a stack of grids (..., T, D)
         is decoded in one pass to (..., T, 3V), each sequence with the same
         bits as on its own.
         """
-        if isinstance(grid, QuantizationResult):
-            grid = grid.grid
         grid = np.asarray(grid)
         if grid.ndim < 2:
             raise ShapeError(f"expected a (..., T, D) grid, got {grid.shape}")

@@ -103,9 +103,8 @@ class Corpus:
         return [r for r in self.records if r.split == name]
 
     def speakers(self, split: str | None = None) -> list:
-        ids = sorted({r.speaker_id for r in self.records
-                      if split is None or r.split == split})
-        return ids
+        return sorted({r.speaker_id for r in self.records
+                       if split is None or r.split == split})
 
 
 def _grid_level(slot: int, rng: np.random.Generator) -> float:
@@ -169,9 +168,7 @@ def _speaker_mixing(bases: SharedBases, channels: np.ndarray,
 
 def make_speaker(speaker_id: int, vertices: int, audio_dim: int,
                  upper_noise: float, rng: np.random.Generator,
-                 bases: SharedBases | None = None) -> SpeakerProfile:
-    if bases is None:
-        bases = shared_bases(vertices, audio_dim, rng)
+                 bases: SharedBases) -> SpeakerProfile:
     rank = bases.offset_lip.shape[0]
     coeffs = lambda: rng.normal(0.0, 1.0, size=rank)
     return SpeakerProfile(

@@ -405,7 +405,7 @@ class StyleNet(Module):
 def train_style_net(corpus, config: StyleConfig | None = None, log=None):
     """Angular-margin training over the train-split speakers."""
     records = corpus.split("train")
-    speakers = sorted({r.speaker_id for r in records})
+    speakers = corpus.speakers("train")
     if len(speakers) < 2:
         raise ValueError("style training needs at least 2 speakers")
     cfg = replace(config if config is not None else StyleConfig(),

@@ -2,8 +2,9 @@
 
 Each layer reports its hyperparameters as plain data through ``spec``;
 checkpoints store the model's config dict instead. All layers operate on
-batched sequences of shape (B, T, C); Dense also accepts (N, C), and
-attention and blocks over a ``KVCache`` take one decode row (B, C).
+batched sequences of shape (B, T, C); Dense also accepts (N, C), attention
+and blocks may put earlier rows' keys and values (B, P, 2C) before them,
+and over a ``KVCache`` they take one decode row (B, C).
 
 Each layer has one forward. A ``Tensor`` input is recorded on the tape; an
 ``np.ndarray`` input runs the same code off the tape and returns an array,
@@ -227,12 +228,11 @@ def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
 class SelfAttention(Module):
     """Multi-head self-attention with an optional causal mask.
 
-    ``cache`` (a list, empty at first; Tensors or arrays) carries the keys
-    and values of earlier rows: it is left holding ``[k, v]`` of every row so
-    far, each (B, heads, rows, W / heads), and the new rows (B, L, W) attend
-    to all cached rows and causally among themselves, whatever ``causal``
-    says; over a ``KVCache`` (see ``attend``) an array (B, W) of one decode
-    row per sequence gives (B, W).
+    ``cache`` is None, the keys and values of P earlier rows as one block
+    (B, P, 2W) (a Tensor or an array; see ``attend``), or a ``KVCache``. Over
+    a block the new rows (B, L, W) attend to the P rows and causally among
+    themselves, whatever ``causal`` says; over a ``KVCache`` an array (B, W)
+    of one decode row per sequence gives (B, W).
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
@@ -279,6 +279,8 @@ class KVCache:
     def append(self, k: np.ndarray, v: np.ndarray) -> "KVCache":
         """Write the next keys and values (B, W), row i to rows/B rows."""
         B, W = k.shape
+        if v.shape != k.shape or W != self.k.shape[2]:
+            raise ShapeError(f"KV cache width {self.k.shape[2]}: got {k.shape}, {v.shape}")
         if self.k.shape[1] % B:
             raise ShapeError(f"{B} rows do not divide the KV cache's {self.k.shape[1]}")
         if self.fill == len(self.k):
@@ -291,12 +293,13 @@ class KVCache:
 
 def attend(qkv, heads: int, masked: bool, cache=None):
     """``softmax(q kᵀ/√dh + mask) v`` of the (B, heads, L, dh) queries, keys and
-    values split from ``qkv`` (B, L, 3W), after the P rows ``cache`` holds (see
-    ``SelfAttention``), heads merged to (B, L, W); the mask hides from row i
-    the keys after P + i. Arrays give an array, a Tensor one tape node over
-    ``qkv`` and the cached Tensors: with a the softmax, da = dO vᵀ and ds =
-    (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and dv = aᵀ dO, C-ordered,
-    fill one (B, L, 3W) gradient and hand the cached rows theirs.
+    values split from ``qkv`` (B, L, 3W), heads merged to (B, L, W), after the
+    P rows of a block ``cache`` (B, P, 2W) of their ``[k | v]`` columns; the
+    mask hides from row i the keys after P + i. Arrays give an array, a
+    Tensor one tape node over ``qkv`` and a Tensor block: with a the softmax,
+    da = dO vᵀ and ds = (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and
+    dv = aᵀ dO, the last two over all P + L rows, fill the (B, L, 3W) gradient
+    of ``qkv`` and the (B, P, 2W) one of the block.
 
     A ``KVCache`` of n·B rows takes an array ``qkv`` (B, 3W), one decode row
     per sequence, written to n cache rows each, and returns (B, W) (``masked``
@@ -316,51 +319,42 @@ def attend(qkv, heads: int, masked: bool, cache=None):
         a /= np.add.reduce(a, axis=0)
         out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
         return np.add.reduce(np.multiply(out, V, out=out), axis=0)
-    dh = qkv.shape[-1] // (3 * heads)
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
     B, L, W3 = x.shape
+    dh = W3 // (3 * heads)
     q, k, v = x.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    past = list(cache or ())
-    if past:
-        k, v = (np.concatenate([p.data if isinstance(p, Tensor) else p, new],
-                               axis=2) for p, new in zip(past, (k, v)))
-    P = k.shape[2] - L
+    P = 0 if cache is None else cache.shape[1]
+    if P:
+        past = cache.data if isinstance(cache, Tensor) else cache
+        k, v = (np.concatenate([p, new], axis=2) for p, new in zip(
+            past.reshape(B, P, 2, heads, dh).transpose(2, 0, 3, 1, 4), (k, v)))
     scale = 1.0 / np.sqrt(dh)
     scores = (q @ k.swapaxes(-1, -2)) * scale
     if masked:
         scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
     a = softmax(scores, axis=-1)
     out = (a @ v).swapaxes(1, 2).reshape(B, L, W3 // 3)
+    if not tape:
+        return out
 
-    def hand_back(grads, i, d):  # d: all P + L rows' dk (i = 1) or dv (2)
-        grads[i] = d[:, :, P:]
-        if P and isinstance(past[i - 1], Tensor):  # a copy, so d dies here
-            past[i - 1]._accumulate(d[:, :, :P].copy())
-
-    def backward(g, i=0):  # i = 1 or 2: that of the cached keys or values
-        full = (np.zeros if i else np.empty)((B, L, 3, heads, dh))
-        grads = full.transpose(2, 0, 3, 1, 4)
-        if i:
-            hand_back(grads, i, g)
-        else:
-            g = g.reshape(B, L, heads, dh).swapaxes(1, 2)
-            da = g @ v.swapaxes(-1, -2)
-            ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
-            np.matmul(ds, k, out=grads[0])
-            hand_back(grads, 1, ds.swapaxes(-1, -2) @ q)
-            hand_back(grads, 2, a.swapaxes(-1, -2) @ g)
+    def backward(g):
+        g = g.reshape(B, L, heads, dh).swapaxes(1, 2)
+        da = g @ v.swapaxes(-1, -2)
+        ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+        full, past = np.empty((B, L, 3, heads, dh)), np.empty((B, P, 2, heads, dh))
+        grads, kv = full.transpose(2, 0, 3, 1, 4), past.transpose(2, 0, 3, 1, 4)
+        np.matmul(ds, k, out=grads[0])
+        d = np.empty((B, heads, P + L, dh))  # dk, then dv, of all P + L rows
+        for i, (x, y) in enumerate(((ds, q), (a, g))):
+            np.matmul(x.swapaxes(-1, -2), y, out=d)
+            grads[i + 1], kv[i] = d[:, :, P:], d[:, :, :P]
         qkv._accumulate(full.reshape(B, L, W3))
+        if isinstance(cache, Tensor):
+            cache._accumulate(past.reshape(B, P, W3 - W3 // 3))
 
-    kv = [k, v]
-    if tape:  # later calls reach qkv and the cache through these keys, values
-        parents = (qkv, *(p for p in past if isinstance(p, Tensor)))
-        out = Tensor._make(out, parents, backward)
-        kv = [Tensor._make(t, parents, lambda g, i=i: backward(g, i))
-              for i, t in enumerate(kv, 1)]
-    if cache is not None:
-        cache[:] = kv
-    return out
+    block = (cache,) if isinstance(cache, Tensor) else ()
+    return Tensor._make(out, (qkv, *block), backward)
 
 
 class TransformerBlock(Module):
@@ -373,7 +367,8 @@ class TransformerBlock(Module):
         self.ff2 = Dense(ff_mult * width, width, rng)
 
     def __call__(self, x, cache=None):
-        """``cache`` is the attention's; see ``SelfAttention``."""
+        """``cache`` is the attention's: None, the (B, P, 2W) keys and values
+        of earlier rows, or a ``KVCache``; see ``SelfAttention``."""
         x = x + self.attn(x, cache)
         return x + self.ff2(leaky_relu(self.ff1(x), 0.1))
 

@@ -9,7 +9,7 @@ from rvqsynth.armodel import (ARConfig, ARModel, prepare_sequences,
                               soft_target_distributions, stochastic_grid,
                               train_ar)
 from rvqsynth.codec import CodecConfig, train_codec
-from rvqsynth.nn import TransformerBlock
+from rvqsynth.nn import Dense, operand
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
                              cross_entropy, log_softmax)
 
@@ -194,15 +194,16 @@ def test_shared_style_prefix_matches_repeated_style_oracle(temporal,
 
 
 def test_training_runs_each_style_token_once(monkeypatch):
-    """The depth blocks see B style rows, then B·T rows of D tokens."""
+    """The depth blocks (their fused projections) see B style rows, then B·T
+    rows of D tokens."""
     cfg = ARConfig(code_dim=4, codebook_size=5, depth=3, width=8,
                    audio_dim=4, motion_dim=12, heads=2, depth_layers=2)
     model = make_model(cfg)
     seen = []
-    call = TransformerBlock.__call__
-    monkeypatch.setattr(TransformerBlock, "__call__", lambda block, x, cache=None:
-                        seen.append((model.depth_blocks.index(block), x.shape))
-                        or call(block, x, cache))
+    wqkvs = [block.attn.wqkv for block in model.depth_blocks]
+    call = Dense.__call__
+    monkeypatch.setattr(Dense, "__call__", lambda layer, x: (
+        layer in wqkvs and seen.append((wqkvs.index(layer), x.shape))) or call(layer, x))
     B, T = 2, 5
     y, s = random_inputs(cfg, T)
     grids = np.random.default_rng(3).integers(0, 5, (B, T, 3))
@@ -210,6 +211,58 @@ def test_training_runs_each_style_token_once(monkeypatch):
                          np.broadcast_to(s, (B,) + s.shape), grids)
     assert seen == [(0, (B, 1, 8)), (1, (B, 1, 8)),
                     (0, (B * T, 3, 8)), (1, (B * T, 3, 8))]
+
+
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("D", [1, 2, 4])
+def test_lone_style_token_matches_the_block_call(style_mode, D, monkeypatch):
+    """``depth_prefix`` runs each layer's style token through its projection,
+    its value, ``wo`` and the feed-forward. Against the token run through
+    ``TransformerBlock.__call__``, with each block taken from the projection
+    its attention computes, the prefix blocks (arrays and Tensors) and every
+    parameter gradient of a loss through ``depth_logits_full`` match bit for
+    bit."""
+    cfg = ARConfig(code_dim=4, codebook_size=5, depth=D, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=2,
+                   style_mode=style_mode)
+    model = make_model(cfg)
+    B, T, H = 3, 7, cfg.width
+    rng = np.random.default_rng(9)
+    y = rng.normal(0.0, 1.0, (B, T, cfg.audio_dim))
+    s = rng.normal(0.0, 1.0, (B, 5, cfg.motion_dim))
+    grids = rng.integers(0, cfg.codebook_size, (B, T, D))
+    lone = model.depth_prefix
+
+    def block_call_prefix(style_emb):
+        if style_mode == "depth":
+            v = model.style_proj(style_emb)
+        else:
+            v = broadcast_to(operand(style_emb, model.style_const), (style_emb.shape[0], H))
+        v = (v + operand(style_emb, model.depth_pos)[0]).reshape(-1, 1, H)
+        projected = []
+        for block in model.depth_blocks:
+            with monkeypatch.context() as patch:
+                patch.setattr(block.attn, "wqkv", lambda x, dense=block.attn.wqkv:
+                              projected.append(dense(x)) or projected[-1])
+                v = block(v)
+        return [qkv[..., H:] for qkv in projected]
+
+    for style in (np.ones((1, H)), model.encode_style(Tensor(s))):
+        for a, b in zip(lone(style), block_call_prefix(style), strict=True):
+            a, b = (getattr(t, "data", t) for t in (a, b))
+            assert a.shape == (style.shape[0], 1, 2 * H) and a.tobytes() == b.tobytes()
+
+    def grads(depth_prefix):
+        model.zero_grad()
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "depth_prefix", depth_prefix)
+            logits = model.forward_logits(y, s, grids)
+        cross_entropy(logits.reshape(-1, cfg.codebook_size),
+                      grids.reshape(-1)).backward()
+        return {name: None if p.grad is None else p.grad.tobytes()
+                for name, p in model.trainable_parameters().items()}
+
+    assert grads(lone) == grads(block_call_prefix)
 
 
 @pytest.mark.parametrize("temporal,style_mode", [

@@ -116,15 +116,17 @@ def test_array_call_matches_tensor_call(name):
 @pytest.mark.parametrize("block", [False, True])
 @pytest.mark.parametrize("causal", [False, True])
 def test_cached_attention_in_chunks_matches_causal_call(causal, block):
-    """Rows fed in chunks of 1, 3 and 1 over a K/V cache attend causally,
-    whatever ``causal`` says."""
+    """Rows fed in chunks of 1, 3 and 1, each over the key/value block of the
+    rows before it (empty at first), attend causally, whatever ``causal``
+    says."""
     layer = (TransformerBlock if block else SelfAttention)(6, 2, rng(),
                                                           causal=causal)
     attn = layer.attn if block else layer
     x = np.random.default_rng(1).normal(0.0, 1.0, (2, 5, 6))
-    cache = []
-    chunks = [layer(x[:, lo:hi], cache) for lo, hi in ((0, 1), (1, 4), (4, 5))]
-    assert [a.shape[2] for a in cache] == [5, 5]
+    kv, chunks = np.zeros((2, 0, 12)), []
+    for lo, hi in ((0, 1), (1, 4), (4, 5)):
+        chunks.append(layer(x[:, lo:hi], kv))
+        kv = np.concatenate([kv, attn.wqkv(x[:, lo:hi])[..., 6:]], axis=1)
     attn.causal = True
     np.testing.assert_allclose(np.concatenate(chunks, axis=1), layer(x),
                                rtol=1e-12, atol=1e-12)
@@ -251,19 +253,15 @@ def tape_softmax(t: Tensor) -> Tensor:
 
 def composed_attention(qkv, heads, masked, cache=None):
     """``attend`` as a composition of tape ops (or array ops for arrays): the
-    fused input split by getitem, reshape and swapaxes, the cache concat,
-    swapaxes, matmul, a scalar multiply, the mask add, softmax, matmul,
-    swapaxes and reshape."""
+    key/value block concat, the fused input split by getitem, reshape and
+    swapaxes, swapaxes, matmul, a scalar multiply, the mask add, softmax,
+    matmul, swapaxes and reshape."""
     B, L, W3 = qkv.shape
     W = W3 // 3
-    q, k, v = (qkv[:, :, i * W:(i + 1) * W].reshape(B, L, heads, W // heads)
-               .swapaxes(1, 2) for i in range(3))
-    if cache is not None:
-        if cache:
-            k = concat([cache[0], k], axis=2)
-            v = concat([cache[1], v], axis=2)
-        cache[:] = [k, v]
-    P = k.shape[2] - L
+    kv = qkv[:, :, W:] if cache is None else concat([cache, qkv[:, :, W:]], axis=1)
+    P = kv.shape[1] - L
+    q, k, v = (t[:, :, i * W:(i + 1) * W].reshape(B, -1, heads, W // heads)
+               .swapaxes(1, 2) for t, i in ((qkv, 0), (kv, 0), (kv, 1)))
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(W // heads))
     if masked:
         scores = scores + np.triu(np.full((L, P + L), -1e30), k=P + 1)
@@ -278,13 +276,13 @@ ATTEND_CASES = [(2, 2, 4, 0, True), (2, 2, 4, 0, False), (2, 3, 3, 2, True),
 
 
 def attend_inputs(B, nh, L, P, seed=5):
-    """The fused (B, L, 3W) projection, the cached keys and values (B, nh,
-    P, dh), none when P = 0, and output weights (B, L, W)."""
+    """The fused (B, L, 3W) projection, the earlier rows' key/value block
+    (B, P, 2W) in a list, empty when P = 0, and output weights (B, L, W)."""
     rng_ = np.random.default_rng(seed)
-    dh = 3
-    return (rng_.normal(0.0, 1.0, (B, L, 3 * nh * dh)),
-            [rng_.normal(0.0, 1.0, (B, nh, P, dh)) for _ in range(2 if P else 0)],
-            rng_.normal(0.0, 1.0, (B, L, nh * dh)))
+    W = 3 * nh
+    return (rng_.normal(0.0, 1.0, (B, L, 3 * W)),
+            [rng_.normal(0.0, 1.0, (B, P, 2 * W))] if P else [],
+            rng_.normal(0.0, 1.0, (B, L, W)))
 
 
 def assert_close_relative(got, want, what=""):
@@ -299,19 +297,14 @@ def test_attend_matches_composed_tape_ops(B, nh, L, P, masked):
 
     def run(fn):
         ts = [Tensor(a.copy(), requires_grad=True) for a in [qkv] + past]
-        cache = ts[1:]
-        out = fn(ts[0], nh, masked, cache)
+        out = fn(ts[0], nh, masked, *ts[1:])
         (out * Tensor(w)).sum().backward()
-        return [out.data] + [t.data for t in cache] + [t.grad for t in ts]
+        return [out.data] + [t.grad for t in ts]
 
     new, ref = run(attend), run(composed_attention)
-    for a, b in zip(new[:3], ref[:3]):   # the output and the cache left
-        np.testing.assert_array_equal(a, b)
-    cache = list(past)
-    np.testing.assert_array_equal(new[0], attend(qkv, nh, masked, cache))
-    for a, b in zip(new[1:3], cache):
-        np.testing.assert_array_equal(a, b)
-    for a, b, what in zip(new[3:], ref[3:], ["qkv", "cached k", "cached v"]):
+    np.testing.assert_array_equal(new[0], ref[0])
+    np.testing.assert_array_equal(new[0], attend(qkv, nh, masked, *past))
+    for a, b, what in zip(new[1:], ref[1:], ["qkv", "key/value block"]):
         assert_close_relative(a, b, what)
 
 
@@ -319,42 +312,81 @@ def test_attend_matches_composed_tape_ops(B, nh, L, P, masked):
 def test_attend_grads_match_finite_differences(B, nh, L, P, masked):
     qkv, past, w = attend_inputs(B, nh, L, P, seed=6)
     ts = [Tensor(a.copy(), requires_grad=True) for a in [qkv] + past]
-    (attend(ts[0], nh, masked, ts[1:]) * Tensor(w)).sum().backward()
+    (attend(ts[0], nh, masked, *ts[1:]) * Tensor(w)).sum().backward()
 
-    def loss(_):  # finite differences perturb qkv and the cache in place
-        return float((attend(qkv, nh, masked, list(past)) * w).sum())
+    def loss(_):  # finite differences perturb qkv and the block in place
+        return float((attend(qkv, nh, masked, *past) * w).sum())
 
     for t, array in zip(ts, [qkv] + past):
         np.testing.assert_allclose(t.grad, finite_difference_grad(loss, array),
                                    rtol=1e-6, atol=1e-7)
 
 
-def merged(split):
-    """List-cache keys or values (B, heads, P, dh) as a KVCache holds them,
-    (P, B, W) with the heads merged."""
-    B, nh, P, dh = split.shape
-    return split.transpose(2, 0, 1, 3).reshape(P, B, nh * dh)
+@pytest.mark.parametrize("P", [0, 1, 3])
+def test_attend_over_a_block_is_the_tail_of_the_causal_call(P):
+    """L rows over the key/value block of P earlier rows give the last L rows
+    of the causal call over all P + L rows, to 1e-12 relative; the gradients
+    of ``qkv`` and the block are that call's for those rows and columns (to
+    1e-12 relative, the earlier rows' queries getting 0), the composed ops'
+    and the finite differences'."""
+    nh, L = 2, 3
+    full, _, w = attend_inputs(2, nh, P + L, 0, seed=10)
+    W = full.shape[-1] // 3
+    # copies: finite differences perturb them in place through reshape(-1)
+    inputs = [full[:, P:].copy()] + ([full[:, :P, W:].copy()] if P else [])
+    w = w[:, P:]
+    assert_close_relative(attend(inputs[0], nh, True, *inputs[1:]),
+                          attend(full, nh, True)[:, P:])
+
+    def grads(fn, *arrays):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        (fn(ts[0], nh, True, *ts[1:]) * Tensor(w)).sum().backward()
+        return [t.grad for t in ts]
+
+    got = grads(attend, *inputs)
+    whole = grads(lambda t, *args: attend(t, *args)[:, P:], full)[0]
+    assert not whole[:, :P, :W].any()
+    for g, want, what in zip(got, (whole[:, P:], whole[:, :P, W:]), ("qkv", "block")):
+        assert_close_relative(g, want, what)
+    for g, want, what in zip(got, grads(composed_attention, *inputs),
+                             ("qkv", "block")):
+        assert_close_relative(g, want, what)
+
+    def loss(_):  # finite differences perturb qkv and the block in place
+        return float((attend(inputs[0], nh, True, *inputs[1:]) * w).sum())
+
+    for g, array in zip(got, inputs):
+        np.testing.assert_allclose(g, finite_difference_grad(loss, array),
+                                   rtol=1e-6, atol=1e-7)
+
+
+def slots(block):
+    """A key/value block (B, P, 2W) as a KVCache holds it: keys and values
+    (P, B, W) each, heads merged."""
+    return np.split(block.swapaxes(0, 1), 2, axis=-1)
 
 
 @pytest.mark.parametrize("nh", [1, 2, 4])
 @pytest.mark.parametrize("B", [1, 3, 160])
 def test_kv_cache_attend_matches_list_cache(B, nh):
-    """One row (B, 3W) at a time over a KVCache against the list-cache
-    ``attend`` of the same rows as sequences of one, at every fill from 0 to
-    capacity − 1: the output (B, W) to 1e-12 relative, the keys and values
-    written bit for bit with the heads merged."""
+    """One row (B, 3W) at a time over a KVCache against ``attend`` of the
+    same rows as sequences of one over the key/value block of the rows
+    before, at every fill from 0 to capacity − 1: the output (B, W) to
+    1e-12 relative, the keys and values written bit for bit with the heads
+    merged."""
     capacity, dh = 4, 3
     W = nh * dh
     steps = np.random.default_rng(7).normal(0.0, 1.0, (capacity, B, 3 * W))
-    cache, past = nn.KVCache(capacity, B, W, nh), []
+    cache, past = nn.KVCache(capacity, B, W, nh), np.zeros((B, 0, 2 * W))
     for fill, qkv in enumerate(steps):
         assert cache.fill == fill
         out = attend(qkv, nh, False, cache)
         assert out.shape == (B, W)
         assert_close_relative(out, attend(qkv[:, None], nh, False, past)[:, 0],
                               f"fill {fill}")
-        for got, split in zip((cache.k, cache.v), past):
-            np.testing.assert_array_equal(got[:fill + 1], merged(split))
+        past = np.concatenate([past, qkv[:, None, W:]], axis=1)
+        for got, want in zip((cache.k, cache.v), slots(past)):
+            np.testing.assert_array_equal(got[:fill + 1], want)
 
 
 @pytest.mark.parametrize("nh", [1, 2, 4])
@@ -363,22 +395,22 @@ def test_kv_cache_strided_rows_write_to_their_candidates(R, n, nh):
     """R rows over a cache of R·n rows, as at the sampler's first depth,
     read every n-th cache row and write their keys and values to n rows
     each, as ``np.repeat(…, n, axis=0)`` would; the R·n candidates' next
-    step then matches a list cache repeated to them."""
+    step then matches a key/value block repeated to them."""
     dh = 3
     W = nh * dh
     rng_ = np.random.default_rng(8)
     style = rng_.normal(0.0, 1.0, (2, 1, W))  # one row's keys and values
     cache = nn.KVCache(3, R * n, W, nh)
     cache.append(*style)
-    past = [np.broadcast_to(a.reshape(1, nh, 1, dh), (R, nh, 1, dh))
-            for a in style]
+    past = np.broadcast_to(np.concatenate(style, axis=1), (R, 1, 2 * W))
     qkv = rng_.normal(0.0, 1.0, (R, 3 * W))
     assert_close_relative(attend(qkv, nh, False, cache),
                           attend(qkv[:, None], nh, False, past)[:, 0])
-    for got, split in zip((cache.k, cache.v), past):
-        np.testing.assert_array_equal(got[:2], np.repeat(merged(split), n, axis=1))
+    past = np.concatenate([past, qkv[:, None, W:]], axis=1)
+    for got, want in zip((cache.k, cache.v), slots(past)):
+        np.testing.assert_array_equal(got[:2], np.repeat(want, n, axis=1))
     qkv = rng_.normal(0.0, 1.0, (R * n, 3 * W))
-    past = [np.repeat(a, n, axis=0) for a in past]
+    past = np.repeat(past, n, axis=0)
     assert_close_relative(attend(qkv, nh, False, cache),
                           attend(qkv[:, None], nh, False, past)[:, 0])
 
@@ -405,6 +437,18 @@ def test_kv_cache_append_refuses_rows_not_dividing_its_rows():
     assert cache.fill == 1
     np.testing.assert_array_equal(cache.k, keys)
     np.testing.assert_array_equal(cache.v, values)
+
+
+@pytest.mark.parametrize("k_width,v_width", [(6, 6), (8, 6)])
+def test_kv_cache_append_refuses_a_width_not_its_own(k_width, v_width):
+    """Keys or values (B, W') with W' not the cache's width raise ShapeError
+    before anything is written, even when only the values are wrong."""
+    cache = nn.KVCache(3, 4, 8, 2)
+    keys, values = cache.k.tobytes(), cache.v.tobytes()
+    with pytest.raises(ShapeError, match="width 8"):
+        cache.append(np.zeros((2, k_width)), np.zeros((2, v_width)))
+    assert cache.fill == 0
+    assert cache.k.tobytes() == keys and cache.v.tobytes() == values
 
 
 def attend_cached_reference(qkv, heads, cache):
@@ -476,8 +520,9 @@ def test_attention_over_a_kv_cache_takes_decode_rows_of_arrays(x, match):
 
 @pytest.mark.parametrize("causal", [False, True])
 def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
-    """Through the projections and the K/V cache: rows after a cached
-    prefix, with every input and parameter gradient."""
+    """Through the projections and a key/value block: rows after the block
+    of the rows before them (whose own call is over an empty block, so
+    causal), with every input and parameter gradient."""
     layer = SelfAttention(6, 2, rng(), causal=causal)
     for p in layer.parameters().values():
         p.data = np.random.default_rng(2).normal(0.0, 1.0, p.data.shape)
@@ -488,8 +533,8 @@ def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
         layer.zero_grad()
         x0 = Tensor(data[:, :3].copy(), requires_grad=True)
         x1 = Tensor(data[:, 3:].copy(), requires_grad=True)
-        cache = []
-        out = concat([layer(x0, cache), layer(x1, cache)], axis=1)
+        first = layer(x0, np.zeros((2, 0, 12)))
+        out = concat([first, layer(x1, layer.wqkv(x0)[:, :, 6:])], axis=1)
         (out * Tensor(w)).sum().backward()
         grads = {n: p.grad for n, p in layer.parameters().items()}
         return out.data, x0.grad, x1.grad, grads
@@ -507,7 +552,7 @@ def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
         assert np.abs(g - ref[3][name]).max() <= 1e-12 * scale, name
 
 
-def three_dense_attention(layer, x, cache):
+def three_dense_attention(layer, x, cache=None):
     """The layer with q, k and v from three Dense layers holding the column
     blocks of ``wqkv``, joined for ``composed_attention``, then ``wo``."""
     W = layer.width
@@ -525,54 +570,47 @@ ORACLE_CASES = [(8, 2, 3, 4, 0), (8, 2, 5, 1, 2), (64, 4, 16, 4, 1),
 
 @pytest.mark.parametrize("W,heads,B,L,P", ORACLE_CASES)
 def test_fused_projection_matches_three_dense_layers(W, heads, B, L, P):
-    """Bit for bit forward, Tensors and arrays each, cache included; gradients
-    of the input, the cache and every parameter to 1e-12, since dx is one
-    K = 3W GEMM instead of three summed."""
+    """Bit for bit forward, Tensors and arrays each, over a key/value block of
+    P rows; gradients of the input, the block and every parameter to 1e-12,
+    since dx is one K = 3W GEMM instead of three summed."""
     layer = SelfAttention(W, heads, rng())
     gen = np.random.default_rng(8)
     for p in layer.parameters().values():
         p.data = gen.normal(0.0, 0.3, p.data.shape)
     x = gen.normal(0.0, 1.0, (B, L, W))
-    past = [gen.normal(0.0, 1.0, (B, heads, P, W // heads)) for _ in range(2)]
+    past = gen.normal(0.0, 1.0, (B, P, 2 * W)) if P else None
     w = gen.normal(0.0, 1.0, (B, L, W))
 
     def run(forward):
         layer.zero_grad()
         ts = [Tensor(a.copy(), requires_grad=True)
-              for a in [x] + (past if P else [])]
-        cache = ts[1:]
-        out = forward(ts[0], cache)
+              for a in [x] + ([past] if P else [])]
+        out = forward(ts[0], *ts[1:])
         (out * Tensor(w)).sum().backward()
         grads = [t.grad for t in ts]
         grads += [p.grad for p in layer.parameters().values()]
-        return out.data, [t.data for t in cache], grads
+        return out.data, grads
 
     new = run(layer)
-    ref = run(lambda xt, cache: three_dense_attention(layer, xt, cache))
+    ref = run(lambda xt, *cache: three_dense_attention(layer, xt, *cache))
     np.testing.assert_array_equal(new[0], ref[0])
+    np.testing.assert_array_equal(layer(x, past),
+                                  three_dense_attention(layer, x, past))
     for a, b in zip(new[1], ref[1]):
-        np.testing.assert_array_equal(a, b)
-    caches = [list(past) if P else [] for _ in range(2)]
-    np.testing.assert_array_equal(layer(x, caches[0]),
-                                  three_dense_attention(layer, x, caches[1]))
-    for a, b in zip(*caches):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(new[2], ref[2]):
         assert_close_relative(a, b)
 
 
 def test_attention_is_one_tape_node():
     """From the scores to the merged output, one node whose parents are the
-    fused projection and the cached keys and values."""
+    fused projection and, when given, the Tensor key/value block."""
     layer = SelfAttention(8, 2, rng())
     x = Tensor(rng().normal(0.0, 1.0, (3, 5, 8)), requires_grad=True)
-    cache = [Tensor(rng().normal(0.0, 1.0, (3, 2, 2, 4)), requires_grad=True)
-             for _ in range(2)]
-    for past in ([], cache):
-        out = layer(x, list(past))
+    block = Tensor(rng().normal(0.0, 1.0, (3, 2, 16)), requires_grad=True)
+    for past in ((), (block,)):
+        out = layer(x, *past)
         merged = out._parents[0]   # wo: one dense node over (merged, W, b)
         assert merged.shape == (3, 5, 8)
-        assert merged._parents[1:] == tuple(past)
+        assert merged._parents[1:] == past
         qkv = merged._parents[0]   # wqkv: one dense node over (x, W, b)
         assert qkv.shape == (3, 5, 24) and qkv._parents[0] is x
 

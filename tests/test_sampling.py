@@ -249,11 +249,12 @@ def test_batched_rejection_matches_per_candidate_oracle(stack, monkeypatch,
 def repeated_rows_candidates(model, h, style, n, d_star, temperature, rng):
     """Reference oracle: the depth loop before the shared prefix. Each
     context vector is repeated to its n candidate rows, and every row feeds
-    its own style and h_av tokens at depth 0."""
+    its own style and h_av tokens at depth 0. Each layer's tokens attend to
+    the key/value block of the layer's earlier inputs, from its ``wqkv``."""
     h_rows = np.repeat(h, n, axis=0)
     N, H = h_rows.shape
     rows = np.zeros((N, 0), dtype=np.int64)
-    cache = [[] for _ in model.depth_blocks]
+    cache = [np.zeros((N, 0, 2 * H)) for _ in model.depth_blocks]
     for d in range(d_star):
         if d == 0:
             v = np.empty((N, 2, H))
@@ -267,8 +268,10 @@ def repeated_rows_candidates(model, h, style, n, d_star, temperature, rng):
             prefix = model.codebook.data[rows].cumsum(axis=1)[:, -1]
             v = model.prefix_proj(prefix) + model.depth_pos.data[d + 1]
             v = v[:, None]
-        for block, kv in zip(model.depth_blocks, cache):
-            v = block(v, kv)
+        for i, block in enumerate(model.depth_blocks):
+            kv = block.attn.wqkv(v)[..., H:]
+            v = block(v, cache[i])
+            cache[i] = np.concatenate([cache[i], kv], axis=1)
         idx = sample_categorical(model.head(v[:, -1]), temperature, rng)
         rows = np.concatenate([rows, idx[:, None]], axis=1)
     model.depth_pass_count += N * d_star
