@@ -342,16 +342,16 @@ def attend(qkv, heads: int, masked: bool, cache=None):
         g = g.reshape(B, L, heads, dh).swapaxes(1, 2)
         da = g @ v.swapaxes(-1, -2)
         ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
-        full, past = np.empty((B, L, 3, heads, dh)), np.empty((B, P, 2, heads, dh))
-        grads, kv = full.transpose(2, 0, 3, 1, 4), past.transpose(2, 0, 3, 1, 4)
+        full, dpast = np.empty((B, L, 3, heads, dh)), np.empty((B, P, 2, heads, dh))
+        grads, kv = full.transpose(2, 0, 3, 1, 4), dpast.transpose(2, 0, 3, 1, 4)
         np.matmul(ds, k, out=grads[0])
         d = np.empty((B, heads, P + L, dh))  # dk, then dv, of all P + L rows
-        for i, (x, y) in enumerate(((ds, q), (a, g))):
-            np.matmul(x.swapaxes(-1, -2), y, out=d)
+        for i, (lhs, rhs) in enumerate(((ds, q), (a, g))):
+            np.matmul(lhs.swapaxes(-1, -2), rhs, out=d)
             grads[i + 1], kv[i] = d[:, :, P:], d[:, :, :P]
         qkv._accumulate(full.reshape(B, L, W3))
         if isinstance(cache, Tensor):
-            cache._accumulate(past.reshape(B, P, W3 - W3 // 3))
+            cache._accumulate(dpast.reshape(B, P, W3 - W3 // 3))
 
     block = (cache,) if isinstance(cache, Tensor) else ()
     return Tensor._make(out, (qkv, *block), backward)
