@@ -13,7 +13,6 @@ tape: ``TemporalStream`` steps the temporal model one frame at a time and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -144,17 +143,18 @@ class ARModel(Module):
             raise ShapeError("style reference needs at least one frame")
         return mean(conv_stack(s, self.style_convs), axis=1)
 
-    def temporal_context(self, audio_feats: Tensor, frame_embs: np.ndarray,
-                         style_emb: Optional[Tensor] = None) -> Tensor:
-        """h_av over all frames. ``frame_embs`` holds e~(j_t) per frame; the
-        model reads it shifted by one so h_av[t] sees only rows < t."""
-        B, T, H = audio_feats.shape
-        code_in = self.code_proj(Tensor(frame_embs))
-        start = broadcast_to(self.start_token.reshape(1, 1, H), (B, 1, H))
+    def temporal_context(self, audio_feats, frame_embs: np.ndarray,
+                         style_emb=None):
+        """h_av (B, T, H), on the tape for Tensor ``audio_feats``. ``frame_embs``
+        (B, T, N_C) holds e~(j_t), read shifted by one so h_av[t] sees only rows
+        < t; the audio features and the style may have one row for all B."""
+        B, T, H = len(frame_embs), *audio_feats.shape[1:]
+        code_in = self.code_proj(operand(audio_feats, frame_embs))
+        start = broadcast_to(operand(code_in, self.start_token).reshape(1, 1, H), (B, 1, H))
         shifted = concat([start, code_in[:, :-1, :]], axis=1) if T > 1 else start
         h = audio_feats + shifted
         if self.config.style_mode == "temporal" and style_emb is not None:
-            h = h + self.style_proj(style_emb).reshape(B, 1, H)
+            h = h + self.style_proj(style_emb).reshape(-1, 1, H)
         if self.config.temporal == "conv":
             for conv in self.temporal_convs:
                 h = h + leaky_relu(conv(h), 0.1)
@@ -162,15 +162,14 @@ class ARModel(Module):
             if T > self.config.max_frames:
                 raise ShapeError(f"{T} frames exceed the transformer temporal "
                                  f"model's max_frames={self.config.max_frames}")
-            h = h + self.temporal_pos[:T]
+            h = h + operand(h, self.temporal_pos)[:T]
             for block in self.temporal_blocks:
                 h = block(h)
         return h
 
-    def depth_logits_full(self, h_av: Tensor, style_emb: Tensor,
-                          grids: np.ndarray) -> Tensor:
-        """Teacher-forced logits (B, T, D, |C|). Each layer's ``depth_prefix``
-        block (B, 1, 2H) is repeated to its T frames, whose D tokens attend to it."""
+    def depth_logits_full(self, h_av, style_emb, grids: np.ndarray):
+        """Teacher-forced logits (B, T, D, |C|), on the tape for a Tensor ``h_av``.
+        The D tokens of all B·T frames attend to each layer's ``depth_prefix``."""
         B, T, H = h_av.shape
         D, C = self.config.depth, self.config.codebook_size
         cache = [broadcast_to(kv, (B, T, 2 * H)).reshape(B * T, 1, 2 * H)
@@ -178,9 +177,9 @@ class ARModel(Module):
         v = h_av.reshape(B * T, 1, H)
         if D > 1:
             codes = np.cumsum(self.codebook.data[grids][:, :, :D - 1], axis=2)
-            v = concat([v, self.prefix_proj(Tensor(codes.reshape(B * T, D - 1, -1)))],
+            v = concat([v, self.prefix_proj(operand(v, codes.reshape(B * T, D - 1, -1)))],
                        axis=1)
-        v = v + self.depth_pos[1:].reshape(1, D, H)
+        v = v + operand(v, self.depth_pos)[1:].reshape(1, D, H)
         for block, kv in zip(self.depth_blocks, cache):
             v = block(v, kv)
         return self.head(v).reshape(B, T, D, C)
@@ -261,15 +260,11 @@ class ARModel(Module):
 
     def sequence_log_probs(self, grids: np.ndarray, y: np.ndarray,
                            s: np.ndarray) -> np.ndarray:
-        """Teacher-forced log-probabilities of many grids for one (y, s). Each
-        encoder runs once; its features are copied to the G grids, not
-        broadcast, since BLAS takes no stride-0 operand."""
-        G = grids.shape[0]
-        audio, style = (Tensor(np.repeat(f[None], G, axis=0))
-                        for f in self.context_features(y, s))
+        """Teacher-forced log-probabilities of many grids for one (y, s), off
+        the tape. Each encoder runs once, and its one row serves the G grids."""
+        audio, style = (f[None] for f in self.context_features(y, s))
         h_av = self.temporal_context(audio, self.frame_embedding(grids), style)
-        logits = self.depth_logits_full(h_av, style, grids)
-        logp = log_softmax(logits, axis=-1).data
+        logp = log_softmax(self.depth_logits_full(h_av, style, grids), axis=-1)
         picked = np.take_along_axis(logp, grids[..., None], axis=-1)[..., 0]
         return picked.sum(axis=(1, 2))
 

@@ -302,6 +302,17 @@ def write_sequence(seq: MotionSequence, path):
         np.ascontiguousarray(seq.deformations, dtype="<f8").tobytes()])
 
 
+def _payload(raw: bytes, off: int, end: int, path) -> np.ndarray:
+    """The float64 values ``raw[off:end]`` of a file that ends at ``end``."""
+    if len(raw) != end:
+        raise (TruncatedPayloadError if len(raw) < end else SequenceFormatError)(
+            f"{path} has {len(raw)} bytes where its header says {end}")
+    data = np.frombuffer(raw[off:end], dtype="<f8").astype(np.float64)
+    if not np.isfinite(data).all():
+        raise SequenceFormatError(f"non-finite values in {path}")
+    return data
+
+
 def read_sequence(path) -> MotionSequence:
     raw = Path(path).read_bytes()
     if len(raw) < 4 or raw[:4] != SEQ_MAGIC:
@@ -313,14 +324,11 @@ def read_sequence(path) -> MotionSequence:
         raise FormatVersionError(f"unsupported sequence version {version}")
     n_lip = struct.unpack("<I", raw[16:20])[0]
     off = 20 + 4 * n_lip
-    end = off + 8 * T * 3 * V
-    if len(raw) < end:
-        raise TruncatedPayloadError(f"truncated payload in {path}")
+    data = _payload(raw, off, off + 8 * T * 3 * V, path)
     lip = np.frombuffer(raw[20:off], dtype="<u4").astype(np.int64)
     if lip.size and lip.max() >= V:
         raise SequenceFormatError(
             f"lip index {lip.max()} is not below the {V} vertices in {path}")
-    data = np.frombuffer(raw[off:end], dtype="<f8").astype(np.float64)
     return MotionSequence(data.reshape(T, 3 * V), V, lip)
 
 
@@ -340,10 +348,7 @@ def read_audio(path) -> np.ndarray:
     version, T, dim = struct.unpack("<III", raw[4:16])
     if version != SEQ_VERSION:
         raise FormatVersionError(f"unsupported audio version {version}")
-    end = 16 + 8 * T * dim
-    if len(raw) < end:
-        raise TruncatedPayloadError(f"truncated payload in {path}")
-    return np.frombuffer(raw[16:end], dtype="<f8").astype(np.float64).reshape(T, dim)
+    return _payload(raw, 16, 16 + 8 * T * dim, path).reshape(T, dim)
 
 
 def save_corpus(corpus: Corpus, out_dir):

@@ -78,8 +78,10 @@ class Module:
 
 
 def operand(x, p):
-    """``p`` for a Tensor input ``x``, so the tape records it; else its array."""
-    return p if p is None or isinstance(x, Tensor) else p.data
+    """``p`` on the tape for a Tensor input ``x`` (an array as a constant), else an array."""
+    if isinstance(x, Tensor):
+        return p if p is None or isinstance(p, Tensor) else Tensor(p)
+    return p.data if isinstance(p, Tensor) else p
 
 
 def _init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -294,12 +296,13 @@ class KVCache:
 def attend(qkv, heads: int, masked: bool, cache=None):
     """``softmax(q kᵀ/√dh + mask) v`` of the (B, heads, L, dh) queries, keys and
     values split from ``qkv`` (B, L, 3W), heads merged to (B, L, W), after the
-    P rows of a block ``cache`` (B, P, 2W) of their ``[k | v]`` columns; the
-    mask hides from row i the keys after P + i. Arrays give an array, a
-    Tensor one tape node over ``qkv`` and a Tensor block: with a the softmax,
-    da = dO vᵀ and ds = (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and
-    dv = aᵀ dO, the last two over all P + L rows, fill the (B, L, 3W) gradient
-    of ``qkv`` and the (B, P, 2W) one of the block.
+    P rows of a block ``cache`` (B, P, 2W) of their ``[k | v]`` columns (a
+    block of another shape raises ``ShapeError``); the mask hides from row i
+    the keys after P + i. Arrays give an array, a Tensor one tape node over
+    ``qkv`` and a Tensor block: with a the softmax, da = dO vᵀ and
+    ds = (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and dv = aᵀ dO, the
+    last two over all P + L rows, fill the (B, L, 3W) gradient of ``qkv`` and
+    the (B, P, 2W) one of the block.
 
     A ``KVCache`` of n·B rows takes an array ``qkv`` (B, 3W), one decode row
     per sequence, written to n cache rows each, and returns (B, W) (``masked``
@@ -322,6 +325,9 @@ def attend(qkv, heads: int, masked: bool, cache=None):
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
     B, L, W3 = x.shape
+    if cache is not None and (cache.ndim != 3 or cache.shape[::2] != (B, W3 - W3 // 3)):
+        raise ShapeError(f"a key/value block for rows {x.shape} must be "
+                         f"({B}, P, {W3 - W3 // 3}), got {cache.shape}")
     dh = W3 // (3 * heads)
     q, k, v = x.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     P = 0 if cache is None else cache.shape[1]

@@ -17,7 +17,7 @@ from .armodel import ARConfig, ARModel, prepare_sequences
 from .codec import rvq_quantize_frames, sample_categorical
 from .config import option
 from .nn import fit
-from .tensor import Tensor, cross_entropy
+from .tensor import cross_entropy
 
 STRATEGIES = ("default", "knn", "average", "syncnet-rejection")
 
@@ -197,10 +197,10 @@ def relabel_grids(teacher: ARModel, codec, prepared,
                   config: SamplingConfig, rng: np.random.Generator):
     """Build aggregated-and-reprojected target grids for each sequence.
 
-    Temporal context is computed teacher-forced on the ground-truth grid;
-    depth-model candidates are sampled without teacher forcing, aggregated,
-    and reprojected to the codebook. There is no sync model here, so
-    syncnet-rejection is refused.
+    Temporal context is computed teacher-forced on the ground-truth grid, off
+    the tape; depth-model candidates are sampled without teacher forcing,
+    aggregated, and reprojected to the codebook. There is no sync model here,
+    so syncnet-rejection is refused.
     """
     d_star = config.validate(teacher.config.depth)
     if config.strategy == "syncnet-rejection":
@@ -208,10 +208,8 @@ def relabel_grids(teacher: ARModel, codec, prepared,
     relabeled = []
     for p in prepared:
         audio, style = teacher.context_features(p.audio, p.style)
-        frame_embs = teacher.frame_embedding(p.grid)
-        se = None if teacher.config.style_mode == "depth" else Tensor(style[None])
-        h_av = teacher.temporal_context(Tensor(audio[None]), frame_embs[None],
-                                        se).data[0]  # (T, H)
+        frame_embs = teacher.frame_embedding(p.grid)[None]
+        h_av = teacher.temporal_context(audio[None], frame_embs, style[None])[0]  # (T, H)
         caches = teacher.depth_caches(teacher.depth_prefix(style[None]),
                                       len(h_av) * config.n, d_star)
         _, cand_embs = _sample_candidates(teacher, h_av, caches, config.n,

@@ -291,10 +291,13 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+def log_softmax(t, axis: int = -1):
+    """``t`` minus its log-sum-exp along ``axis``; an array gives an array."""
+    x = t.data if isinstance(t, Tensor) else t
+    shifted = x - x.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    if not isinstance(t, Tensor):
+        return out
 
     def backward(g):
         t._accumulate(g - np.exp(out) * g.sum(axis=axis, keepdims=True))

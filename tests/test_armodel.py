@@ -269,8 +269,9 @@ def test_lone_style_token_matches_the_block_call(style_mode, D, monkeypatch):
     ("conv", "depth"), ("transformer", "depth"), ("conv", "temporal")])
 def test_sequence_log_probs_encodes_once_for_all_grids(temporal, style_mode,
                                                        monkeypatch):
-    """Each encoder runs once for G grids and the log-probabilities match
-    the G-copy oracle, which runs both encoders on G copies of (y, s)."""
+    """Each encoder runs once for G grids, its one row reaches
+    ``temporal_context`` uncopied, and the log-probabilities match the G-copy
+    oracle, which runs both encoders on G copies of (y, s)."""
     cfg = replace(TINY_AR, temporal=temporal, style_mode=style_mode)
     model = make_model(cfg)
     y, s = random_inputs(cfg, T=5)
@@ -282,14 +283,41 @@ def test_sequence_log_probs_encodes_once_for_all_grids(temporal, style_mode,
     logp = log_softmax(logits, axis=-1).data
     want = np.take_along_axis(logp, grids[..., None], -1)[..., 0].sum(axis=(1, 2))
     calls = []
-    for name in ("encode_audio", "encode_style"):
-        def counted(x, name=name, encode=getattr(model, name)):
+    for name in ("encode_audio", "encode_style", "temporal_context"):
+        def counted(x, *rest, name=name, encode=getattr(model, name)):
             calls.append((name, x.shape[0]))
-            return encode(x)
+            return encode(x, *rest)
         monkeypatch.setattr(model, name, counted)
     got = model.sequence_log_probs(grids, y, s)
-    assert calls == [("encode_audio", 1), ("encode_style", 1)]
+    assert calls == [("encode_audio", 1), ("encode_style", 1),
+                     ("temporal_context", 1)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("B", [1, 3])
+def test_teacher_forced_arrays_match_the_tape(temporal, style_mode, B):
+    """``temporal_context`` and ``depth_logits_full`` given arrays return
+    arrays within 1e-12 relative of their Tensor path. The arrays hold one
+    row of audio features and style for the B grids, the Tensors B copies."""
+    cfg = ARConfig(code_dim=4, codebook_size=5, depth=3, width=8,
+                   audio_dim=4, motion_dim=12, heads=2, depth_layers=2,
+                   temporal=temporal, temporal_layers=2, style_mode=style_mode)
+    model = make_model(cfg)
+    y, s = random_inputs(cfg, T=7)
+    grids = np.random.default_rng(4).integers(0, cfg.codebook_size, (B, 7, 3))
+    frame_embs = model.frame_embedding(grids)
+    audio, style = (f[None] for f in model.context_features(y, s))
+    h_av = model.temporal_context(audio, frame_embs, style)
+    logits = model.depth_logits_full(h_av, style, grids)
+    audio, style = (Tensor(np.repeat(f, B, axis=0)) for f in (audio, style))
+    h_ref = model.temporal_context(audio, frame_embs, style)
+    ref = model.depth_logits_full(h_ref, style, grids)
+    for got, want in ((h_av, h_ref), (logits, ref)):
+        assert type(got) is np.ndarray and isinstance(want, Tensor)
+        assert got.shape == want.shape
+        assert np.abs(got - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
 
 def test_depth_caches_spread_depth_zero_to_the_candidates():

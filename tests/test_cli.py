@@ -18,7 +18,7 @@ import pytest
 from rvqsynth.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_OK, build_parser,
                           command_options, main)
 from rvqsynth.config import coerce
-from rvqsynth.data import read_sequence
+from rvqsynth.data import read_sequence, write_audio
 
 
 GEN = ["gen-data", "--speakers", "6", "--seqs", "4", "--frames", "24",
@@ -370,6 +370,21 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
     assert main(["evaluate", "--data", str(corpus), "--codec", artifacts["codec"],
                  "--ar", artifacts["ar"]]) == EXIT_ARTIFACT
     assert "no test split" in capsys.readouterr().err
+
+
+def test_generate_refuses_a_non_finite_test_clip(artifacts, tmp_path, capsys):
+    """A NaN frame in a test clip's audio is a malformed sequence file."""
+    corpus = tmp_path / "nan_corpus"
+    shutil.copytree(artifacts["corpus"], corpus)
+    line = next(line for line in (corpus / "manifest.txt").read_text().splitlines()
+                if "\ttest\t" in line)
+    audio = corpus / line.split("\t")[3]
+    feats = np.frombuffer(audio.read_bytes()[16:], dtype="<f8").reshape(24, 4).copy()
+    feats[5] = np.nan
+    write_audio(feats, audio)
+    assert main(["generate", "--data", str(corpus), "--codec", artifacts["codec"],
+                 "--ar", artifacts["ar"], "--out", str(tmp_path / "g")]) == EXIT_ARTIFACT
+    assert "non-finite values" in capsys.readouterr().err
 
 
 def test_exit_code_checksum_mismatch(artifacts, tmp_path):

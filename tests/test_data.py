@@ -138,6 +138,33 @@ def test_sequence_file_error_taxonomy(tmp_path):
         read_sequence(bad)
 
 
+def clip_files(tmp_path, values):
+    """A sequence file and an audio file holding ``values`` (T, 12)."""
+    seq, audio = tmp_path / "clip.rvqm", tmp_path / "clip.rvqa"
+    write_sequence(MotionSequence(values, 4, np.arange(2)), seq)
+    write_audio(values, audio)
+    return [(read_sequence, seq), (read_audio, audio)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_readers_refuse_non_finite_values(tmp_path, bad):
+    values = np.zeros((4, 12))
+    values[2, 5] = bad
+    for read, path in clip_files(tmp_path, values):
+        with pytest.raises(SequenceFormatError, match="non-finite"):
+            read(path)
+
+
+@pytest.mark.parametrize("extra", [1, 8])
+def test_readers_refuse_bytes_after_the_payload(tmp_path, extra):
+    """A file longer than its header says is malformed, not truncated."""
+    for read, path in clip_files(tmp_path, np.ones((4, 12))):
+        path.write_bytes(path.read_bytes() + bytes(extra))
+        with pytest.raises(SequenceFormatError, match="header says") as info:
+            read(path)
+        assert not isinstance(info.value, TruncatedPayloadError)
+
+
 def test_sequence_file_rejects_lip_index_beyond_vertices(tmp_path):
     path = tmp_path / "clip.rvqm"
     write_sequence(MotionSequence(np.zeros((4, 12)), 4, np.arange(4)), path)

@@ -451,6 +451,19 @@ def test_kv_cache_append_refuses_a_width_not_its_own(k_width, v_width):
     assert cache.k.tobytes() == keys and cache.v.tobytes() == values
 
 
+@pytest.mark.parametrize("block_shape", [(2, 1, 6), (3, 1, 8), (3, 0, 8), (2, 8)])
+@pytest.mark.parametrize("tape", [False, True])
+def test_attend_refuses_a_block_not_of_its_rows(block_shape, tape):
+    """Rows (B, L, 3W) take a key/value block (B, P, 2W) only: another width,
+    another B or another rank raises ShapeError, not numpy's reshape error."""
+    qkv, block = np.zeros((2, 3, 12)), np.zeros(block_shape)
+    if tape:
+        qkv, block = Tensor(qkv, requires_grad=True), Tensor(block, requires_grad=True)
+    with pytest.raises(ShapeError, match=r"key/value block .* \(2, P, 8\)"):
+        attend(qkv, 2, True, block)
+    assert attend(qkv, 2, True, np.zeros((2, 1, 8))).shape == (2, 3, 4)
+
+
 def attend_cached_reference(qkv, heads, cache):
     """``attend``'s KVCache branch as it was before the cache held its scale:
     a tuple-loop append, generator slices and the ndarray reductions."""

@@ -428,20 +428,29 @@ def test_rewound_caches_give_the_logits_of_fresh_ones(monkeypatch, n, d_star):
 @pytest.mark.parametrize("style_mode", ["depth", "temporal"])
 def test_generation_runs_off_the_tape(tiny_corpus, monkeypatch, style_mode,
                                       temporal):
-    """Generation hands arrays to every layer, so it records no tape node."""
+    """Generation, scoring and relabeling hand arrays to every layer, so they
+    record no tape node."""
     codec, model = prefix_model(style_mode, temporal)
     sync = SyncNet(SyncConfig(variant=2, motion_dim=12, audio_dim=4, width=8,
                               emb_dim=6, window=8, batch=8, clips_per_batch=2,
                               seed=2))
+    rec = tiny_corpus.records[1]
+    prepared = prepare_sequences(codec, tiny_corpus, tiny_corpus.records[:2],
+                                 np.random.default_rng(0))
+    grids = np.random.default_rng(1).integers(0, 5, (4, len(rec.audio), 3))
     made = []
     make = Tensor._make
     monkeypatch.setattr(Tensor, "_make", staticmethod(
         lambda *args: made.append(1) or make(*args)))
-    rec = tiny_corpus.records[1]
     for strategy in STRATEGIES:
         generate_batch(model, codec, rec.audio, rec.motion,
                        SamplingConfig(strategy=strategy, n=3, k=2,
                                       keep_fraction=0.5), 2, sync)
+    model.sequence_log_probs(grids, rec.audio, rec.motion)
+    for strategy in ("default", "average", "knn"):
+        relabel_grids(model, codec, prepared,
+                      SamplingConfig(strategy=strategy, n=3, k=2),
+                      np.random.default_rng(2))
     assert made == []
 
 

@@ -330,7 +330,11 @@ def test_concat_and_broadcast_to_keep_arrays_off_the_tape(monkeypatch):
     wide = broadcast_to(b, (2, 4))
     assert type(wide) is np.ndarray
     np.testing.assert_array_equal(wide, np.ones((2, 4)))
+    x = np.random.default_rng(14).normal(0.0, 3.0, (3, 4, 5))
+    logp = log_softmax(x, axis=1)
+    assert type(logp) is np.ndarray
     assert made == []
+    assert logp.tobytes() == log_softmax(Tensor(x), axis=1).data.tobytes()
     assert isinstance(concat([a, Tensor(b)], axis=1), Tensor)
 
 
