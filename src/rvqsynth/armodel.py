@@ -20,7 +20,7 @@ from . import checkpoint
 from .config import option
 from .codec import rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
-                 conv_stack, fit, operand, tap_sum)
+                 affine, conv_stack, decode_step, fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
                      leaky_relu, log_softmax, mean)
 
@@ -230,27 +230,32 @@ class ARModel(Module):
             v = v + block.ff2(leaky_relu(block.ff1(v), 0.1))
         return prefix
 
-    def depth_caches(self, prefix: list, rows: int, depths: int) -> list:
+    def depth_caches(self, prefix: list, rows: int, depths: int) -> "DepthCaches":
         """One ``KVCache`` per depth layer for ``rows`` rows and ``depths``
-        steps, slot 0 holding one style's ``depth_prefix`` in every row; a
-        sampler rewinds them to ``fill`` = 1 for each frame."""
-        return [KVCache(1 + depths, rows, self.config.width, self.config.heads)
-                .append(*np.split(kv[0], 2, axis=1)) for kv in prefix]
+        steps, slot 0 holding one style's ``depth_prefix`` in every row (a
+        sampler rewinds them to ``fill`` = 1 for each frame), with the arrays
+        ``depth_step`` runs on, read now: once per call, as Adam rebinds them."""
+        caches = DepthCaches(KVCache(1 + depths, rows, self.config.width, self.config.heads)
+                             .append(*np.split(kv[0], 2, axis=1)) for kv in prefix)
+        caches.blocks = [block.arrays() for block in self.depth_blocks]
+        caches.prefix_proj, caches.head, caches.pos = (
+            self.prefix_proj.arrays(), self.head.arrays(), self.depth_pos.data)
+        return caches
 
-    def depth_step(self, x: np.ndarray, d: int, cache: list) -> np.ndarray:
+    def depth_step(self, x: np.ndarray, d: int, caches: "DepthCaches") -> np.ndarray:
         """Logits (N, |C|) for depth ``d`` of N rows; adds N to
         ``depth_row_count``. ``x`` is the rows' h_av (N, H) at d = 0, and
         after that the sum (N, N_C) of the d codes each row drew; each row's
-        token runs through the blocks as one (N, H) decode row.
+        token runs through ``decode_step`` as one (N, H) decode row.
 
-        ``cache`` holds each layer's ``KVCache`` (``depth_caches``) of the d + 1
+        ``caches`` (``depth_caches``) holds each layer's ``KVCache`` of the d + 1
         tokens before; at d = 0 it may have n·N rows, n candidates per row.
         """
         self.depth_row_count += len(x)
-        v = (x if d == 0 else self.prefix_proj(x)) + self.depth_pos.data[d + 1]
-        for block, kv in zip(self.depth_blocks, cache):
-            v = block(v, kv)
-        return self.head(v)
+        v = (affine(x, *caches.prefix_proj) if d else x) + caches.pos[d + 1]
+        for cache, arrays in zip(caches, caches.blocks):
+            v = decode_step(v, cache, arrays)
+        return affine(v, *caches.head)
 
     # -- scoring -----------------------------------------------------------
 
@@ -283,8 +288,12 @@ class ARModel(Module):
             codec_checksum=extra.get("codec_checksum", "")))[0]
 
 
+class DepthCaches(list):
+    """Per-layer ``KVCache``s with ``blocks``, ``prefix_proj``, ``head``, ``pos``."""
+
+
 class TemporalStream:
-    """The temporal stage run one frame at a time, off the tape.
+    """The temporal stage run a frame at a time, off the tape, on arrays read at the start.
 
     ``step`` returns h_av of the next frame for every sequence, given the
     depth-summed code embedding each sequence committed for the frame before.
@@ -292,7 +301,7 @@ class TemporalStream:
     WaveNet generation, and computes one output row from them with
     ``tap_sum``, the kernel of ``conv1d``, so with convs a frame costs the
     same at any position; the transformer variant keeps a ``KVCache`` of
-    T positions per block and runs each frame through the blocks as one
+    T positions per block and runs each frame through ``decode_step`` as one
     (S, H) decode row. Past the last frame ``step`` raises ``ShapeError``.
     """
 
@@ -303,47 +312,40 @@ class TemporalStream:
         if c.temporal == "transformer" and T > c.max_frames:
             raise ShapeError(f"{T} frames exceed the transformer temporal "
                              f"model's max_frames={c.max_frames}")
-        self.model = model
-        self.audio = audio_feats
-        self.samples = samples
-        self.t = 0
-        self.style_term = None
-        if c.style_mode == "temporal":
-            self.style_term = model.style_proj(
-                np.broadcast_to(style_emb, (samples, H)))
+        self.audio, self.t = audio_feats, 0
+        self.start = np.broadcast_to(model.start_token.data, (samples, H))
+        self.code_proj = model.code_proj.arrays()
+        self.style_term = (model.style_proj(np.broadcast_to(style_emb, (samples, H)))
+                           if c.style_mode == "temporal" else None)
+        self.convs, self.blocks = [], []
         if c.temporal == "conv":
             # input rows, each behind the conv's causal zero padding
-            self.inputs = [np.zeros((samples, (conv.kernel - 1) * conv.dilation
-                                     + T, H)) for conv in model.temporal_convs]
+            self.convs = [(np.zeros((samples, (conv.kernel - 1) * conv.dilation + T, H)),
+                           conv.dilation, conv.weight.data, conv.bias.data)
+                          for conv in model.temporal_convs]
         else:
-            self.caches = [KVCache(T, samples, H, c.heads)
-                           for _ in model.temporal_blocks]
+            self.pos = model.temporal_pos.data
+            self.blocks = [(KVCache(T, samples, H, c.heads), block.arrays())
+                           for block in model.temporal_blocks]
 
     def step(self, prev_emb: np.ndarray | None) -> np.ndarray:
         """h_av (S, H) of the next frame; ``prev_emb`` (S, N_C) is the
         embedding committed for the frame before, None at the first frame."""
-        m, t = self.model, self.t
+        t = self.t
         if t == len(self.audio):
             raise ShapeError(f"the stream has only {t} frames")
-        if prev_emb is None:
-            shifted = np.broadcast_to(m.start_token.data,
-                                      (self.samples, m.config.width))
-        else:
-            shifted = m.code_proj(prev_emb)
-        x = self.audio[t] + shifted
+        x = self.audio[t] + (self.start if prev_emb is None
+                             else affine(prev_emb, *self.code_proj))
         if self.style_term is not None:
             x = x + self.style_term
-        if m.config.temporal == "conv":
-            for conv, rows in zip(m.temporal_convs, self.inputs):
-                k, d = conv.kernel, conv.dilation
-                rows[:, (k - 1) * d + t] = x
-                taps = [rows[:, t + tap * d] for tap in range(k)]
-                x = x + leaky_relu(tap_sum(taps, conv.weight.data,
-                                           conv.bias.data), 0.1)
-        else:
-            x = x + m.temporal_pos.data[t]
-            for block, cache in zip(m.temporal_blocks, self.caches):
-                x = block(x, cache)
+        for rows, d, weight, bias in self.convs:
+            rows[:, (len(weight) - 1) * d + t] = x
+            taps = [rows[:, t + tap * d] for tap in range(len(weight))]
+            x = x + leaky_relu(tap_sum(taps, weight, bias), 0.1)
+        if self.blocks:
+            x = x + self.pos[t]
+        for cache, arrays in self.blocks:
+            x = decode_step(x, cache, arrays)
         self.t = t + 1
         return x
 

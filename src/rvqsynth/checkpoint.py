@@ -112,6 +112,8 @@ def load_container(path):
             raise ContainerError(f"tensor {entry['name']!r} in {path} is not finite")
         arrays[entry["name"]] = arr.reshape(entry["shape"])
         offset = end
+    if offset != len(raw):
+        raise ContainerError(f"{len(raw) - offset} bytes after the last tensor in {path}")
     return header["arch"], arrays, header["steps"], header["seed"], header["extra"]
 
 

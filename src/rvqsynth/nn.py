@@ -3,8 +3,8 @@
 Each layer reports its hyperparameters as plain data through ``spec``;
 checkpoints store the model's config dict instead. All layers operate on
 batched sequences of shape (B, T, C); Dense also accepts (N, C), attention
-and blocks may put earlier rows' keys and values (B, P, 2C) before them,
-and over a ``KVCache`` they take one decode row (B, C).
+and blocks may put earlier rows' keys and values (B, P, 2C) before them.
+Decoding runs ``decode_step`` on a block's ``arrays`` over a ``KVCache``.
 
 Each layer has one forward. A ``Tensor`` input is recorded on the tape; an
 ``np.ndarray`` input runs the same code off the tape and returns an array,
@@ -104,6 +104,17 @@ class Dense(Module):
 
     def __call__(self, x):
         return dense(x, self.weight, self.bias)
+
+    def arrays(self) -> tuple:
+        """The weight and bias arrays as they are now, for ``affine``."""
+        return self.weight.data, self.bias.data
+
+
+def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``dense`` of rows (N, C) on arrays: ``x @ weight``, then ``+= bias``."""
+    out = x @ weight
+    out += bias
+    return out
 
 
 def dense(x, weight: Tensor, bias: Tensor | None = None):
@@ -230,11 +241,9 @@ def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
 class SelfAttention(Module):
     """Multi-head self-attention with an optional causal mask.
 
-    ``cache`` is None, the keys and values of P earlier rows as one block
-    (B, P, 2W) (a Tensor or an array; see ``attend``), or a ``KVCache``. Over
-    a block the new rows (B, L, W) attend to the P rows and causally among
-    themselves, whatever ``causal`` says; over a ``KVCache`` an array (B, W)
-    of one decode row per sequence gives (B, W).
+    ``cache`` is None or the keys and values of P earlier rows as one block
+    (B, P, 2W), a Tensor or an array (see ``attend``): the new rows (B, L, W)
+    attend to them and causally among themselves, whatever ``causal`` says.
     """
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator,
@@ -256,12 +265,10 @@ class SelfAttention(Module):
                 "causal": self.causal}
 
     def __call__(self, x, cache=None):
-        decode = isinstance(cache, KVCache)
-        if x.ndim != 3 - decode or x.shape[-1] != self.width:
-            raise ShapeError(f"attention expects ({'B' if decode else 'B, L'}, "
-                             f"{self.width}), got {x.shape}")
+        if x.ndim != 3 or x.shape[-1] != self.width:
+            raise ShapeError(f"attention expects (B, L, {self.width}), got {x.shape}")
         # one row sees every row before it, so its mask would be all zeros
-        masked = not decode and x.shape[1] > 1 and (self.causal or cache is not None)
+        masked = x.shape[1] > 1 and (self.causal or cache is not None)
         return self.wo(attend(self.wqkv(x), self.heads, masked, cache))
 
 
@@ -292,6 +299,26 @@ class KVCache:
         self.fill += 1
         return self
 
+    def attend(self, qkv: np.ndarray) -> np.ndarray:
+        """Attention (B, W) of decode rows, an array (B, 3W) whose keys and values
+        go to rows/B rows each, over the rows read every (rows/B)-th, K, V (P, B,
+        W): s = ((K ⊙ q) E)·``scale``, a softmax across the P slabs, and ((a Eᵀ)
+        ⊙ V) summed over them, reduced by the ufuncs (see ``sample_categorical``)."""
+        W, heads = self.k.shape[2], self.E.shape[1]
+        if isinstance(qkv, Tensor) or qkv.shape[1:] != (3 * W,):
+            raise ShapeError(f"a KVCache of width {W} expects (B, {W}) decode rows, "
+                             f"their (B, {3 * W}) qkv of an array, not {qkv.shape}")
+        B = len(qkv)
+        self.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
+        K = self.k[:self.fill, ::len(self.k[0]) // B]
+        V = self.v[:self.fill, ::len(self.v[0]) // B]
+        s = ((K * qkv[:, :W]).reshape(-1, W) @ self.E).reshape(len(K), B, heads)
+        s -= np.maximum.reduce(s, axis=0)
+        a = np.exp(np.multiply(s, self.scale, out=s), out=s)
+        a /= np.add.reduce(a, axis=0)
+        out = (a.reshape(-1, heads) @ self.Et).reshape(K.shape)
+        return np.add.reduce(np.multiply(out, V, out=out), axis=0)
+
 
 def attend(qkv, heads: int, masked: bool, cache=None):
     """``softmax(q kᵀ/√dh + mask) v`` of the (B, heads, L, dh) queries, keys and
@@ -302,37 +329,18 @@ def attend(qkv, heads: int, masked: bool, cache=None):
     ``qkv`` and a Tensor block: with a the softmax, da = dO vᵀ and
     ds = (da − rowsum(da∘a))∘a/√dh, dq = ds k, dk = dsᵀ q and dv = aᵀ dO, the
     last two over all P + L rows, fill the (B, L, 3W) gradient of ``qkv`` and
-    the (B, P, 2W) one of the block.
-
-    A ``KVCache`` of n·B rows takes an array ``qkv`` (B, 3W), one decode row
-    per sequence, written to n cache rows each, and returns (B, W) (``masked``
-    is not read); the rows read every n-th, K, V (P, B, W): s = ((K ⊙ q)
-    E)·``scale``, a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over
-    them, reduced by the ufuncs themselves (see ``sample_categorical``)."""
-    if isinstance(cache, KVCache):
-        if isinstance(qkv, Tensor) or qkv.ndim != 2:
-            raise ShapeError(f"a KVCache takes rows (B, 3W) of an array, not {qkv.shape}")
-        B, W = len(qkv), qkv.shape[1] // 3
-        cache.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
-        K = cache.k[:cache.fill, ::len(cache.k[0]) // B]
-        V = cache.v[:cache.fill, ::len(cache.v[0]) // B]
-        s = ((K * qkv[:, :W]).reshape(-1, W) @ cache.E).reshape(len(K), B, heads)
-        s -= np.maximum.reduce(s, axis=0)
-        a = np.exp(np.multiply(s, cache.scale, out=s), out=s)
-        a /= np.add.reduce(a, axis=0)
-        out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
-        return np.add.reduce(np.multiply(out, V, out=out), axis=0)
+    the (B, P, 2W) one of the block. Decode rows go to ``KVCache.attend``."""
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
     B, L, W3 = x.shape
-    if cache is not None and (cache.ndim != 3 or cache.shape[::2] != (B, W3 - W3 // 3)):
-        raise ShapeError(f"a key/value block for rows {x.shape} must be "
-                         f"({B}, P, {W3 - W3 // 3}), got {cache.shape}")
+    past = cache.data if isinstance(cache, Tensor) else cache
+    if past is not None and (np.ndim(past) != 3 or past.shape[::2] != (B, W3 - W3 // 3)):
+        raise ShapeError(f"a key/value block for rows {x.shape} must be ({B}, P, "
+                         f"{W3 - W3 // 3}), got {type(past).__name__} {np.shape(past)}")
     dh = W3 // (3 * heads)
     q, k, v = x.reshape(B, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)
-    P = 0 if cache is None else cache.shape[1]
+    P = 0 if past is None else past.shape[1]
     if P:
-        past = cache.data if isinstance(cache, Tensor) else cache
         k, v = (np.concatenate([p, new], axis=2) for p, new in zip(
             past.reshape(B, P, 2, heads, dh).transpose(2, 0, 3, 1, 4), (k, v)))
     scale = 1.0 / np.sqrt(dh)
@@ -373,10 +381,20 @@ class TransformerBlock(Module):
         self.ff2 = Dense(ff_mult * width, width, rng)
 
     def __call__(self, x, cache=None):
-        """``cache`` is the attention's: None, the (B, P, 2W) keys and values
-        of earlier rows, or a ``KVCache``; see ``SelfAttention``."""
+        """``cache``: None or earlier rows' keys and values (B, P, 2W)."""
         x = x + self.attn(x, cache)
         return x + self.ff2(leaky_relu(self.ff1(x), 0.1))
+
+    def arrays(self) -> tuple:
+        """``Dense.arrays`` of wqkv, wo, ff1 and ff2, for ``decode_step``."""
+        return tuple(d.arrays() for d in (self.attn.wqkv, self.attn.wo, self.ff1, self.ff2))
+
+
+def decode_step(x: np.ndarray, cache: KVCache, arrays: tuple) -> np.ndarray:
+    """A ``TransformerBlock``'s step of decode rows (B, W) over ``cache`` on ``arrays``."""
+    qkv, wo, ff1, ff2 = arrays
+    x = x + affine(cache.attend(affine(x, *qkv)), *wo)
+    return x + affine(leaky_relu(affine(x, *ff1), 0.1), *ff2)
 
 
 def conv_stack(x, convs):

@@ -143,6 +143,8 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if y.shape[0] < 1:
         raise ValueError("the driving signal has no frames")
+    if not (np.isfinite(y).all() and np.isfinite(s).all()):
+        raise ValueError("the driving signal and the style reference must be finite")
     d_star = config.validate(model.config.depth)
     if config.strategy == "syncnet-rejection" and sync_model is None:
         raise ValueError("syncnet-rejection requires a trained sync model")
@@ -205,6 +207,8 @@ def relabel_grids(teacher: ARModel, codec, prepared,
     d_star = config.validate(teacher.config.depth)
     if config.strategy == "syncnet-rejection":
         raise ValueError("distillation does not support syncnet-rejection")
+    if not all(np.isfinite(p.audio).all() and np.isfinite(p.style).all() for p in prepared):
+        raise ValueError("every driving signal and style reference must be finite")
     relabeled = []
     for p in prepared:
         audio, style = teacher.context_features(p.audio, p.style)

@@ -9,9 +9,10 @@ from rvqsynth.armodel import (ARConfig, ARModel, prepare_sequences,
                               soft_target_distributions, stochastic_grid,
                               train_ar)
 from rvqsynth.codec import CodecConfig, train_codec
-from rvqsynth.nn import Dense, operand
+from rvqsynth import sampling
+from rvqsynth.nn import Dense, KVCache, operand, tap_sum
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
-                             cross_entropy, log_softmax)
+                             cross_entropy, leaky_relu, log_softmax)
 
 TINY_AR = ARConfig(code_dim=4, codebook_size=3, depth=2, width=8,
                    audio_dim=4, motion_dim=12, heads=2, depth_layers=1,
@@ -336,6 +337,142 @@ def test_depth_caches_spread_depth_zero_to_the_candidates():
         assert w.fill == c.fill == 2
         for a, b in ((w.k, c.k), (w.v, c.v)):
             np.testing.assert_array_equal(a[:2], np.repeat(b[:2], n, axis=1))
+
+
+def decode_attention_reference(qkv, heads, cache):
+    """The attention-decode kernel as ``attend`` ran it over a ``KVCache``
+    before the decode state was bound: the cache's ``append``, its rows read
+    every (rows/B)-th, the ufunc reductions."""
+    B, W = len(qkv), qkv.shape[1] // 3
+    cache.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
+    K = cache.k[:cache.fill, ::len(cache.k[0]) // B]
+    V = cache.v[:cache.fill, ::len(cache.v[0]) // B]
+    s = ((K * qkv[:, :W]).reshape(-1, W) @ cache.E).reshape(len(K), B, heads)
+    s -= np.maximum.reduce(s, axis=0)
+    a = np.exp(np.multiply(s, cache.scale, out=s), out=s)
+    a /= np.add.reduce(a, axis=0)
+    out = (a.reshape(-1, heads) @ cache.Et).reshape(K.shape)
+    return np.add.reduce(np.multiply(out, V, out=out), axis=0)
+
+
+def layer_composed_block(block, x, cache):
+    """Reference oracle: a block's decode step composed of its layers, read
+    through the model at every call, as ``TransformerBlock`` ran it over a
+    ``KVCache``."""
+    qkv = block.attn.wqkv(x)
+    x = x + block.attn.wo(decode_attention_reference(qkv, block.attn.heads, cache))
+    return x + block.ff2(leaky_relu(block.ff1(x), 0.1))
+
+
+def layer_composed_depth_step(model, x, d, caches):
+    """Reference oracle: ``ARModel.depth_step`` composed of the layers."""
+    model.depth_row_count += len(x)
+    v = (x if d == 0 else model.prefix_proj(x)) + model.depth_pos.data[d + 1]
+    for block, cache in zip(model.depth_blocks, caches):
+        v = layer_composed_block(block, v, cache)
+    return model.head(v)
+
+
+def layer_composed_stream(model, audio, style, S):
+    """Reference oracle: ``TemporalStream.step`` composed of the layers, as a
+    function of (t, the committed embedding of frame t − 1 or None)."""
+    c = model.config
+    T, H = audio.shape
+    style_term = (model.style_proj(np.broadcast_to(style, (S, H)))
+                  if c.style_mode == "temporal" else None)
+    convs = model.temporal_convs if c.temporal == "conv" else []
+    inputs = [np.zeros((S, (conv.kernel - 1) * conv.dilation + T, H)) for conv in convs]
+    caches = [] if convs else [KVCache(T, S, H, c.heads) for _ in model.temporal_blocks]
+
+    def step(t, prev_emb):
+        x = audio[t] + (np.broadcast_to(model.start_token.data, (S, H))
+                        if prev_emb is None else model.code_proj(prev_emb))
+        if style_term is not None:
+            x = x + style_term
+        for conv, rows in zip(convs, inputs):
+            k, d = conv.kernel, conv.dilation
+            rows[:, (k - 1) * d + t] = x
+            taps = [rows[:, t + tap * d] for tap in range(k)]
+            x = x + leaky_relu(tap_sum(taps, conv.weight.data, conv.bias.data), 0.1)
+        if caches:
+            x = x + model.temporal_pos.data[t]
+            for block, cache in zip(model.temporal_blocks, caches):
+                x = layer_composed_block(block, x, cache)
+        return x
+
+    return step
+
+
+def oracle_model(temporal, style_mode, D=3):
+    cfg = ARConfig(code_dim=4, codebook_size=5, depth=D, width=8, audio_dim=4,
+                   motion_dim=12, heads=2, depth_layers=2, temporal=temporal,
+                   temporal_layers=2, style_mode=style_mode, max_frames=16)
+    model = make_model(cfg)
+    # trained-looking parameters: the zero biases of a fresh model would
+    # hide a bias added twice or not at all
+    for i, p in enumerate(model.trainable_parameters().values()):
+        p.data = np.random.default_rng(i).normal(0.0, 0.5, p.data.shape)
+    return model
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("d_star", [1, 3])
+@pytest.mark.parametrize("temperature", [1.0, 0.0])
+def test_bound_depth_step_matches_the_layer_composed_oracle(
+        monkeypatch, temporal, style_mode, n, d_star, temperature):
+    """Candidates drawn through ``depth_step`` on the arrays bound by
+    ``depth_caches`` against the layer-composed oracle over caches of their
+    own: every call's logits, the KVCache contents after each frame, the rows
+    drawn and ``depth_row_count``, bit for bit."""
+    model = oracle_model(temporal, style_mode)
+    R, H = 2, model.config.width
+    prefix = model.depth_prefix(np.random.default_rng(1).normal(0.0, 1.0, (1, H)))
+    frames = np.random.default_rng(2).normal(0.0, 1.0, (4, R, H))
+    bound = model.depth_step
+
+    def run(step):
+        caches = model.depth_caches(prefix, R * n, d_star)
+        logits, drawn, contents = [], [], []
+        rows_before = model.depth_row_count
+        rng = np.random.default_rng(3)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "depth_step", lambda *args: (
+                logits.append(step(*args)) or logits[-1]))
+            for h in frames:
+                drawn.append(sampling._sample_candidates(
+                    model, h, caches, n, d_star, temperature, rng))
+                contents.append([(c.fill, c.k[:c.fill].tobytes(), c.v[:c.fill].tobytes())
+                                 for c in caches])
+        return logits, drawn, contents, model.depth_row_count - rows_before
+
+    got = run(bound)
+    want = run(lambda *args: layer_composed_depth_step(model, *args))
+    assert len(got[0]) == len(frames) * d_star
+    for a, b in zip(got[0], want[0], strict=True):
+        assert a.tobytes() == b.tobytes()
+    for (rows, embs), (ref_rows, ref_embs) in zip(got[1], want[1], strict=True):
+        np.testing.assert_array_equal(rows, ref_rows)
+        assert embs.tobytes() == ref_embs.tobytes()
+    assert got[2] == want[2]
+    assert got[3] == want[3] == len(frames) * R * (1 + n * (d_star - 1))
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+def test_bound_stream_matches_the_layer_composed_oracle(temporal, style_mode):
+    """``TemporalStream.step`` on the arrays bound by ``start_stream``
+    against the layer-composed oracle: every frame's rows, bit for bit."""
+    model = oracle_model(temporal, style_mode)
+    S, T = 3, 9
+    audio, style = model.context_features(*random_inputs(model.config, T))
+    stream, oracle = model.start_stream(audio, style, S), layer_composed_stream(
+        model, audio, style, S)
+    embs = np.random.default_rng(4).normal(0.0, 1.0, (T, S, model.config.code_dim))
+    for t in range(T):
+        prev = None if t == 0 else embs[t - 1]
+        assert stream.step(prev).tobytes() == oracle(t, prev).tobytes(), f"frame {t}"
 
 
 @pytest.mark.parametrize("temporal", ["conv", "transformer"])

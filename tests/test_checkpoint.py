@@ -136,6 +136,19 @@ def test_container_rejects_non_finite_payload(tmp_path):
         Codec.load(path)
 
 
+def test_container_rejects_bytes_after_the_last_tensor(tmp_path):
+    """A checkpoint longer than its tensors is malformed, as a sequence file
+    longer than its header says is; the file as saved still loads."""
+    path = tmp_path / "model.ckpt"
+    codec = Codec(CodecConfig(input_dim=6, depth=1, codebook_size=2, code_dim=2))
+    codec.save(path)
+    raw = path.read_bytes()
+    np.testing.assert_array_equal(Codec.load(path).codebook.data, codec.codebook.data)
+    path.write_bytes(raw + bytes(24))
+    with pytest.raises(ContainerError, match="24 bytes after the last tensor"):
+        Codec.load(path)
+
+
 # kind -> (config, field values its __post_init__ refuses or None,
 # save(config, path), load(path) returning the model)
 MODEL_KINDS = {

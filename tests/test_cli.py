@@ -347,6 +347,11 @@ def test_exit_code_missing_artifacts(artifacts, tmp_path, capsys):
     assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
                       "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
     assert "argument 'Heta'" in capsys.readouterr().err
+    # a codec checkpoint with bytes after its last tensor
+    bad.write_bytes(raw + bytes(24))
+    assert main(AR + ["--data", artifacts["corpus"], "--codec", str(bad),
+                      "--out", str(tmp_path / "a.ckpt")]) == EXIT_ARTIFACT
+    assert "24 bytes after the last tensor" in capsys.readouterr().err
     # a codec checkpoint whose depth is a string or a float (same length,
     # so the header length still holds)
     for value in (b'"x"', b"2.5"):

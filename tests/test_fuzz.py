@@ -4,7 +4,8 @@ Each test mutates a valid file by truncation, by overwriting bytes of its
 header or by flipping bits anywhere in it, and asserts that the reader either
 returns or raises its typed error (``ContainerError`` for checkpoints,
 ``SequenceFormatError`` for sequence, audio and manifest files), which the
-CLI maps to exit code 3. ``FUZZ_EXAMPLES`` sets the examples per format.
+CLI maps to exit code 3. A NaN or ±inf written over a payload value must
+raise it. ``FUZZ_EXAMPLES`` sets the examples per format.
 """
 
 import os
@@ -44,6 +45,18 @@ def mutated(draw, blob: bytes, header: int) -> bytes:
     for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1,
                              max_size=8)):
         raw[bit // 8] ^= 1 << bit % 8
+    return bytes(raw)
+
+
+@st.composite
+def non_finite(draw, blob: bytes, header: int) -> bytes:
+    """``blob`` with one to three float64 values of its payload, which starts
+    after ``header`` bytes, set to NaN, inf or −inf."""
+    raw = bytearray(blob)
+    values = (len(raw) - header) // 8
+    for at in draw(st.lists(st.integers(0, values - 1), min_size=1, max_size=3)):
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        raw[header + 8 * at:header + 8 * at + 8] = np.array([bad], "<f8").tobytes()
     return bytes(raw)
 
 
@@ -105,6 +118,30 @@ def _fuzz_reader(path, blob, header, read):
             pass
 
     check()
+
+
+def _refuses_non_finite(path, blob, header, read):
+    @FUZZ
+    @given(non_finite(blob, header))
+    def check(raw):
+        path.write_bytes(raw)
+        with pytest.raises(SequenceFormatError, match="non-finite"):
+            read(path)
+
+    check()
+
+
+def test_non_finite_sequence_payload_fails_typed(workdir):
+    path = workdir / "nan_clip.rvqm"
+    write_sequence(MotionSequence(np.random.default_rng(1).normal(0.0, 1.0, (5, 12)), 4,
+                                  np.array([0, 2])), path)
+    _refuses_non_finite(path, path.read_bytes(), 20 + 4 * 2, read_sequence)
+
+
+def test_non_finite_audio_payload_fails_typed(workdir):
+    path = workdir / "nan_clip.rvqa"
+    write_audio(np.random.default_rng(1).normal(0.0, 1.0, (5, 4)), path)
+    _refuses_non_finite(path, path.read_bytes(), 16, read_audio)
 
 
 def test_fuzzed_sequence_file_fails_typed(workdir):

@@ -5,7 +5,7 @@ import pytest
 
 from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
-                         conv_stack, finite_difference_grad, fit)
+                         conv_stack, decode_step, finite_difference_grad, fit)
 from rvqsynth import nn
 from rvqsynth.nn import attend, dense
 from rvqsynth.tensor import ShapeError, Tensor, concat, leaky_relu, softmax
@@ -369,7 +369,7 @@ def slots(block):
 @pytest.mark.parametrize("nh", [1, 2, 4])
 @pytest.mark.parametrize("B", [1, 3, 160])
 def test_kv_cache_attend_matches_list_cache(B, nh):
-    """One row (B, 3W) at a time over a KVCache against ``attend`` of the
+    """One row (B, 3W) at a time through ``KVCache.attend`` against ``attend`` of the
     same rows as sequences of one over the key/value block of the rows
     before, at every fill from 0 to capacity − 1: the output (B, W) to
     1e-12 relative, the keys and values written bit for bit with the heads
@@ -380,7 +380,7 @@ def test_kv_cache_attend_matches_list_cache(B, nh):
     cache, past = nn.KVCache(capacity, B, W, nh), np.zeros((B, 0, 2 * W))
     for fill, qkv in enumerate(steps):
         assert cache.fill == fill
-        out = attend(qkv, nh, False, cache)
+        out = cache.attend(qkv)
         assert out.shape == (B, W)
         assert_close_relative(out, attend(qkv[:, None], nh, False, past)[:, 0],
                               f"fill {fill}")
@@ -404,24 +404,24 @@ def test_kv_cache_strided_rows_write_to_their_candidates(R, n, nh):
     cache.append(*style)
     past = np.broadcast_to(np.concatenate(style, axis=1), (R, 1, 2 * W))
     qkv = rng_.normal(0.0, 1.0, (R, 3 * W))
-    assert_close_relative(attend(qkv, nh, False, cache),
+    assert_close_relative(cache.attend(qkv),
                           attend(qkv[:, None], nh, False, past)[:, 0])
     past = np.concatenate([past, qkv[:, None, W:]], axis=1)
     for got, want in zip((cache.k, cache.v), slots(past)):
         np.testing.assert_array_equal(got[:2], np.repeat(want, n, axis=1))
     qkv = rng_.normal(0.0, 1.0, (R * n, 3 * W))
     past = np.repeat(past, n, axis=0)
-    assert_close_relative(attend(qkv, nh, False, cache),
+    assert_close_relative(cache.attend(qkv),
                           attend(qkv[:, None], nh, False, past)[:, 0])
 
 
 def test_kv_cache_refuses_a_write_past_capacity():
     cache = nn.KVCache(2, 3, 4, 2)
     for _ in range(2):
-        attend(np.ones((3, 12)), 2, False, cache)
+        cache.attend(np.ones((3, 12)))
     keys = cache.k.copy()
     with pytest.raises(ShapeError, match="full"):
-        attend(np.zeros((3, 12)), 2, False, cache)
+        cache.attend(np.zeros((3, 12)))
     assert cache.fill == 2
     np.testing.assert_array_equal(cache.k, keys)
 
@@ -465,7 +465,7 @@ def test_attend_refuses_a_block_not_of_its_rows(block_shape, tape):
 
 
 def attend_cached_reference(qkv, heads, cache):
-    """``attend``'s KVCache branch as it was before the cache held its scale:
+    """``KVCache.attend`` as it was before the cache held its scale:
     a tuple-loop append, generator slices and the ndarray reductions."""
     dh = qkv.shape[-1] // (3 * heads)
     B = len(qkv)
@@ -495,40 +495,58 @@ def test_kv_cache_attend_matches_method_reference(n, nh):
     steps = np.random.default_rng(9).normal(0.0, 1.0, (capacity, B, 3 * W))
     cache, ref = nn.KVCache(capacity, n * B, W, nh), nn.KVCache(capacity, n * B, W, nh)
     for fill, qkv in enumerate(steps, 1):
-        got, want = attend(qkv, nh, False, cache), attend_cached_reference(qkv, nh, ref)
+        got, want = cache.attend(qkv), attend_cached_reference(qkv, nh, ref)
         assert cache.fill == ref.fill == fill
         assert got.tobytes() == want.tobytes(), f"fill {fill}"
         assert cache.k[:fill].tobytes() == ref.k[:fill].tobytes()
         assert cache.v[:fill].tobytes() == ref.v[:fill].tobytes()
     with pytest.raises(ShapeError, match="full"):
-        attend(steps[0], nh, False, cache)
+        cache.attend(steps[0])
     assert cache.fill == capacity
 
 
 @pytest.mark.parametrize("qkv", [Tensor(np.zeros((3, 12))),
                                  np.zeros((3, 2, 12)), np.zeros((2, 12)),
-                                 np.zeros((3, 1, 12))])
+                                 np.zeros((3, 1, 12)), np.zeros(()),
+                                 np.zeros((3, 9))])
 def test_kv_cache_takes_one_row_of_arrays_dividing_its_rows(qkv):
     """A KVCache takes an array (B, 3W) whose B divides its rows: a Tensor,
-    a sequence (B, L, 3W), even of one row, or a B that does not divide
-    is refused before anything is written."""
+    a sequence (B, L, 3W), even of one row, a 0-d array, another width or a
+    B that does not divide is refused before anything is written."""
     cache = nn.KVCache(4, 3, 4, 2)
     with pytest.raises(ShapeError):
-        attend(qkv, 2, False, cache)
+        cache.attend(qkv)
     assert cache.fill == 0
 
 
 @pytest.mark.parametrize("x,match", [(np.zeros((3, 1, 4)), r"expects \(B, 4\)"),
                                      (Tensor(np.zeros((3, 4))), "of an array")])
 def test_attention_over_a_kv_cache_takes_decode_rows_of_arrays(x, match):
-    """Through the layer too: with a KVCache a sequence (B, L, W), even of
+    """Through a block's ``decode_step`` too: a sequence (B, L, W), even of
     one row, or a Tensor raises ShapeError and leaves ``fill`` as it was."""
-    layer = SelfAttention(4, 2, rng())
+    arrays = TransformerBlock(4, 2, rng()).arrays()
     cache = nn.KVCache(4, 3, 4, 2).append(np.ones((1, 4)), np.ones((1, 4)))
     with pytest.raises(ShapeError, match=match):
-        layer(x, cache)
+        decode_step(x, cache, arrays)
     assert cache.fill == 1
-    assert layer(np.ones((3, 4)), cache).shape == (3, 4)
+    assert decode_step(np.ones((3, 4)), cache, arrays).shape == (3, 4)
+
+
+@pytest.mark.parametrize("tape", [False, True])
+def test_layers_refuse_a_kv_cache(tape):
+    """The layers and ``attend`` run over a key/value block only: a KVCache
+    raises ShapeError (not AttributeError) and leaves ``fill`` as it was.
+    Decode rows go through ``KVCache.attend`` and ``decode_step``."""
+    block = TransformerBlock(4, 2, rng())
+    cache = nn.KVCache(4, 3, 4, 2).append(np.ones((1, 4)), np.ones((1, 4)))
+    x, qkv = np.ones((3, 1, 4)), np.ones((3, 1, 12))
+    if tape:
+        x, qkv = Tensor(x, requires_grad=True), Tensor(qkv, requires_grad=True)
+    for call in (lambda: block.attn(x, cache), lambda: block(x, cache),
+                 lambda: attend(qkv, 2, False, cache)):
+        with pytest.raises(ShapeError, match="key/value block .* got KVCache"):
+            call()
+    assert cache.fill == 1
 
 
 @pytest.mark.parametrize("causal", [False, True])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rvqsynth import sampling
 from rvqsynth.armodel import ARConfig, ARModel, prepare_sequences
 from rvqsynth.codec import Codec, CodecConfig, sample_categorical, train_codec
-from rvqsynth.metrics import SyncConfig, SyncNet
+from rvqsynth.metrics import SyncConfig, SyncNet, run_evaluation
 from rvqsynth.sampling import (STRATEGIES, SamplingConfig, average_aggregate,
                                distill, generate_batch, knn_aggregate,
                                relabel_grids, syncnet_reject)
@@ -422,6 +422,102 @@ def test_rewound_caches_give_the_logits_of_fresh_ones(monkeypatch, n, d_star):
     for got, want in zip(rewound, fresh, strict=True):
         for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+def test_a_call_after_a_weight_update_decodes_with_the_new_weights(
+        tiny_corpus, tmp_path, monkeypatch, style_mode, temporal):
+    """Generation binds the weight arrays per call: after a call, rebinding a
+    depth-layer weight and two temporal ones as ``adam_step`` does (``p.data = …``)
+    changes the next call's logits, and that call matches a fresh model
+    loaded with the new weights, bit for bit."""
+    codec, model = prefix_model(style_mode, temporal)
+    rec = tiny_corpus.records[1]
+    cfg = SamplingConfig(strategy="average", n=3, seed=4)
+    logits = []
+    depth_step = ARModel.depth_step
+
+    def recording(self, *args):
+        logits.append(depth_step(self, *args))
+        return logits[-1]
+
+    def run(m):
+        logits.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ARModel, "depth_step", recording)
+            return generate_batch(m, codec, rec.audio, rec.motion, cfg, 2), list(logits)
+
+    _, before = run(model)
+    temporal_weight = (model.temporal_convs[0].weight if temporal == "conv"
+                       else model.temporal_blocks[0].ff1.weight)
+    for p in (model.depth_blocks[1].attn.wqkv.weight, temporal_weight,
+              model.code_proj.weight):
+        p.data = p.data * 1.5
+    got, after = run(model)
+    model.save(tmp_path / "ar.ckpt")
+    want, fresh = run(ARModel.load(tmp_path / "ar.ckpt"))
+    assert before[0].tobytes() != after[0].tobytes()
+    for a, b in zip(after, fresh, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("where,bad", [("y", np.nan), ("y", np.inf), ("s", -np.inf)])
+def test_generate_batch_refuses_a_non_finite_input(tiny_corpus, where, bad):
+    """A non-finite driving signal or style reference raises ValueError
+    before any sampling: no stream, no depth pass."""
+    codec, model = prefix_model("depth", "conv")
+    rec = tiny_corpus.records[1]
+    y, s = rec.audio.copy(), rec.motion.copy()
+    (y if where == "y" else s)[3, 1] = bad
+    model.start_stream = None  # a call would raise TypeError
+    with pytest.raises(ValueError, match="must be finite"):
+        generate_batch(model, codec, y, s, SamplingConfig(strategy="average", n=2), 2)
+    assert model.depth_row_count == model.depth_pass_count == 0
+
+
+def with_bad_audio(corpus, split):
+    """A copy of ``corpus`` whose first ``split`` clip has a NaN audio frame."""
+    rec = corpus.split(split)[0]
+    bad = replace(rec, audio=rec.audio.copy())
+    bad.audio[2] = np.nan
+    return replace(corpus, records=[bad if r is rec else r for r in corpus.records])
+
+
+@pytest.mark.parametrize("field", ["audio", "style"])
+def test_relabel_grids_refuses_a_non_finite_input(tiny_corpus, monkeypatch, field):
+    """``relabel_grids`` checks every sequence's driving signal and style
+    reference before it samples any: a NaN in the last one raises
+    ValueError with no candidate drawn."""
+    codec, model = prefix_model("depth", "conv")
+    prepared = prepare_sequences(codec, tiny_corpus, tiny_corpus.records[:3],
+                                 np.random.default_rng(0))
+    setattr(prepared[-1], field, getattr(prepared[-1], field).copy())
+    getattr(prepared[-1], field)[1, 0] = np.nan
+    monkeypatch.setattr(sampling, "_sample_candidates", None)  # a call raises TypeError
+    with pytest.raises(ValueError, match="must be finite"):
+        relabel_grids(model, codec, prepared, SamplingConfig(strategy="average", n=2),
+                      np.random.default_rng(1))
+
+
+def test_distill_refuses_a_non_finite_training_clip(tiny_corpus):
+    """``distill`` inherits the check through ``relabel_grids``."""
+    codec, model = prefix_model("depth", "conv")
+    with pytest.raises(ValueError, match="must be finite"):
+        sampling.distill(model, codec, with_bad_audio(tiny_corpus, "train"),
+                         SamplingConfig(strategy="average", n=2),
+                         replace(model.config, epochs=1))
+
+
+def test_run_evaluation_refuses_a_non_finite_test_clip(tiny_corpus):
+    """``run_evaluation`` inherits ``generate_batch``'s check."""
+    codec, model = prefix_model("depth", "conv")
+    corpus = with_bad_audio(tiny_corpus, "test")
+    with pytest.raises(ValueError, match="must be finite"):
+        run_evaluation(corpus, codec, model, None, None, None, SamplingConfig(),
+                       n_samples=2, n_clips=1, seed=0)
 
 
 @pytest.mark.parametrize("temporal", ["conv", "transformer"])
