@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import option
-from .codec import rvq_recursion, sample_categorical
+from .codec import check_codes, rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
                  affine, conv_stack, decode_step, fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
@@ -103,12 +103,12 @@ class ARModel(Module):
                                    for d in c.temporal_dilations]
         else:
             self.temporal_pos = Parameter(rng.normal(0.0, 0.05, (c.max_frames, H)))
-            self.temporal_blocks = [TransformerBlock(H, c.heads, rng, causal=True)
+            self.temporal_blocks = [TransformerBlock(H, c.heads, rng)
                                     for _ in range(c.temporal_layers)]
         # depth model
         self.depth_pos = Parameter(rng.normal(0.0, 0.05, (c.depth + 1, H)))
         self.prefix_proj = Dense(c.code_dim, H, rng)
-        self.depth_blocks = [TransformerBlock(H, c.heads, rng, causal=True)
+        self.depth_blocks = [TransformerBlock(H, c.heads, rng)
                              for _ in range(c.depth_layers)]
         self.head = Dense(H, c.codebook_size, rng)
         self.style_const = Parameter(rng.normal(0.0, 0.05, H))
@@ -157,7 +157,7 @@ class ARModel(Module):
             h = h + self.style_proj(style_emb).reshape(-1, 1, H)
         if self.config.temporal == "conv":
             for conv in self.temporal_convs:
-                h = h + leaky_relu(conv(h), 0.1)
+                h = h + leaky_relu(conv(h))
         else:
             if T > self.config.max_frames:
                 raise ShapeError(f"{T} frames exceed the transformer temporal "
@@ -204,12 +204,6 @@ class ARModel(Module):
         """Precompute (audio features (T, H), style embedding (H,))."""
         return self.encode_audio(y[None])[0], self.encode_style(s[None])[0]
 
-    def start_stream(self, audio_feats: np.ndarray, style_emb: np.ndarray,
-                     samples: int) -> "TemporalStream":
-        """A frame-by-frame temporal stage for ``samples`` sequences that
-        share the audio features (T, H) and the style embedding (H,)."""
-        return TemporalStream(self, audio_feats, style_emb, samples)
-
     def depth_prefix(self, style_emb) -> list:
         """Each depth layer's keys and values ``[k | v]`` (B, 1, 2H) of the
         style tokens of style embeddings (B, H), on the tape for a Tensor. The
@@ -227,16 +221,17 @@ class ARModel(Module):
             qkv = block.attn.wqkv(v)
             prefix.append(qkv[..., H:])
             v = v + block.attn.wo(qkv[..., 2 * H:])
-            v = v + block.ff2(leaky_relu(block.ff1(v), 0.1))
+            v = v + block.ff2(leaky_relu(block.ff1(v)))
         return prefix
 
-    def depth_caches(self, prefix: list, rows: int, depths: int) -> "DepthCaches":
+    def depth_caches(self, style_emb: np.ndarray, rows: int, depths: int) -> "DepthCaches":
         """One ``KVCache`` per depth layer for ``rows`` rows and ``depths``
-        steps, slot 0 holding one style's ``depth_prefix`` in every row (a
-        sampler rewinds them to ``fill`` = 1 for each frame), with the arrays
-        ``depth_step`` runs on, read now: once per call, as Adam rebinds them."""
+        steps, slot 0 holding the ``depth_prefix`` of one style embedding
+        (1, H) in every row, with the arrays ``depth_step`` runs on, read now:
+        once per call, as Adam rebinds them."""
         caches = DepthCaches(KVCache(1 + depths, rows, self.config.width, self.config.heads)
-                             .append(*np.split(kv[0], 2, axis=1)) for kv in prefix)
+                             .append(*np.split(kv[0], 2, axis=1))
+                             for kv in self.depth_prefix(style_emb))
         caches.blocks = [block.arrays() for block in self.depth_blocks]
         caches.prefix_proj, caches.head, caches.pos = (
             self.prefix_proj.arrays(), self.head.arrays(), self.depth_pos.data)
@@ -249,9 +244,12 @@ class ARModel(Module):
         token runs through ``decode_step`` as one (N, H) decode row.
 
         ``caches`` (``depth_caches``) holds each layer's ``KVCache`` of the d + 1
-        tokens before; at d = 0 it may have n·N rows, n candidates per row.
+        tokens before; d = 0 rewinds them to the style prefix and may fill n·N rows.
         """
         self.depth_row_count += len(x)
+        if not d:
+            for cache in caches:
+                cache.fill = 1
         v = (affine(x, *caches.prefix_proj) if d else x) + caches.pos[d + 1]
         for cache, arrays in zip(caches, caches.blocks):
             v = decode_step(v, cache, arrays)
@@ -265,8 +263,12 @@ class ARModel(Module):
 
     def sequence_log_probs(self, grids: np.ndarray, y: np.ndarray,
                            s: np.ndarray) -> np.ndarray:
-        """Teacher-forced log-probabilities of many grids for one (y, s), off
-        the tape. Each encoder runs once, and its one row serves the G grids."""
+        """Teacher-forced log-probabilities of grids (G, T, D) for one (y, s),
+        off the tape. Each encoder runs once, and its one row serves them all."""
+        grids = np.asarray(grids)
+        if grids.ndim != 3 or grids.shape[1:] != (len(y), self.config.depth):
+            raise ShapeError(f"grids {grids.shape} are not (G, {len(y)}, {self.config.depth})")
+        check_codes(grids, self.config.codebook_size)
         audio, style = (f[None] for f in self.context_features(y, s))
         h_av = self.temporal_context(audio, self.frame_embedding(grids), style)
         logp = log_softmax(self.depth_logits_full(h_av, style, grids), axis=-1)
@@ -341,7 +343,7 @@ class TemporalStream:
         for rows, d, weight, bias in self.convs:
             rows[:, (len(weight) - 1) * d + t] = x
             taps = [rows[:, t + tap * d] for tap in range(len(weight))]
-            x = x + leaky_relu(tap_sum(taps, weight, bias), 0.1)
+            x = x + leaky_relu(tap_sum(taps, weight, bias))
         if self.blocks:
             x = x + self.pos[t]
         for cache, arrays in self.blocks:

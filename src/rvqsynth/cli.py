@@ -198,7 +198,6 @@ def cmd_train_style(r: dict, cfg: metrics.StyleConfig) -> int:
 
 
 def cmd_generate(r: dict, scfg: SamplingConfig) -> int:
-    scfg.check()
     if r["samples"] < 1:
         raise ConfigError(f"--samples must be at least 1, got {r['samples']}")
     corpus = _load_corpus(r["data"])
@@ -228,7 +227,6 @@ def cmd_generate(r: dict, scfg: SamplingConfig) -> int:
 
 
 def cmd_distill(r: dict, scfg: SamplingConfig) -> int:
-    scfg.check()
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     teacher = _load_ar(r["ar"], r["codec"])
@@ -257,7 +255,6 @@ def format_table(results: dict) -> str:
 
 
 def cmd_evaluate(r: dict, scfg: SamplingConfig) -> int:
-    scfg.check()
     if min(r["samples"], r["clips"]) < 1:
         raise ConfigError(f"need a clip and a sample, got {r['clips']} and {r['samples']}")
     corpus = _load_corpus(r["data"])

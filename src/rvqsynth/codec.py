@@ -76,6 +76,8 @@ def rvq_recursion(z: np.ndarray, codebook: np.ndarray, depth: int,
     ``choose(d, d2)`` picks one code per frame at depth ``d`` from the
     squared distances ``d2`` (T, |C|) of the residuals to every code."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
+        raise ShapeError(f"latents must be (T, {codebook.shape[1]}), got {z.shape}")
     T = z.shape[0]
     indices = np.zeros((T, depth), dtype=np.int64)
     norms = np.zeros((T, depth))
@@ -88,6 +90,14 @@ def rvq_recursion(z: np.ndarray, codebook: np.ndarray, depth: int,
         quantized = quantized + codebook[idx]
         norms[:, d] = np.sqrt((residual ** 2).sum(axis=1))
     return QuantizationResult(indices, quantized, norms)
+
+
+def check_codes(grid: np.ndarray, codebook_size: int):
+    """Refuse a grid that is not integer code indices in [0, codebook_size)."""
+    if grid.dtype.kind not in "iu":
+        raise ValueError(f"a grid holds integer code indices, not {grid.dtype}")
+    if grid.size and not 0 <= grid.min() <= grid.max() < codebook_size:
+        raise ValueError(f"code index out of range [0, {codebook_size})")
 
 
 def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray,
@@ -132,27 +142,24 @@ class Codec(Module):
                 f"expected (..., T, {self.config.input_dim}) motion, got {x.shape}")
         return conv_stack(x, self.enc_layers)
 
-    def quantize(self, z: np.ndarray, depth_limit: int | None = None) -> QuantizationResult:
-        d = self.config.depth if depth_limit is None else depth_limit
-        if not 1 <= d <= self.config.depth:
-            raise ValueError(f"depth_limit must be in [1, {self.config.depth}]")
-        return rvq_quantize_frames(z, self.codebook.data, d)
+    def quantize(self, z: np.ndarray) -> QuantizationResult:
+        return rvq_quantize_frames(z, self.codebook.data, self.config.depth)
 
     def decode(self, grid, depth_limit: int | None = None) -> np.ndarray:
         """Decode a CodeGrid to motion space.
 
-        A (T, D) grid gives (T, 3V) motion; a stack of grids (..., T, D)
-        is decoded in one pass to (..., T, 3V), each sequence with the same
-        bits as on its own.
+        A (T, D) grid of integer codes, D at most the codec's depth, gives
+        (T, 3V) motion; a stack of grids (..., T, D) is decoded in one pass
+        to (..., T, 3V), each sequence with the same bits as on its own.
         """
         grid = np.asarray(grid)
-        if grid.ndim < 2:
-            raise ShapeError(f"expected a (..., T, D) grid, got {grid.shape}")
+        if grid.ndim < 2 or grid.shape[-1] > self.config.depth:
+            raise ShapeError(f"expected a (..., T, D) grid with D <= "
+                             f"{self.config.depth}, got {grid.shape}")
         d = grid.shape[-1] if depth_limit is None else depth_limit
         if not 1 <= d <= grid.shape[-1]:
             raise ValueError(f"depth_limit must be in [1, {grid.shape[-1]}]")
-        if grid.min() < 0 or grid.max() >= self.config.codebook_size:
-            raise ValueError("code index out of range")
+        check_codes(grid, self.config.codebook_size)
         zq = self.codebook.data[grid[..., :d]].sum(axis=-2)  # (..., T, N_C)
         return conv_stack(zq, self.dec_layers)
 

@@ -166,8 +166,7 @@ def _speaker_mixing(bases: SharedBases, channels: np.ndarray,
     return mix / np.sqrt(np.mean(response ** 2) + 1e-12)
 
 
-def make_speaker(speaker_id: int, vertices: int, audio_dim: int,
-                 upper_noise: float, rng: np.random.Generator,
+def make_speaker(speaker_id: int, upper_noise: float, rng: np.random.Generator,
                  bases: SharedBases) -> SpeakerProfile:
     rank = bases.offset_lip.shape[0]
     coeffs = lambda: rng.normal(0.0, 1.0, size=rank)
@@ -255,8 +254,7 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
         raise ValueError("all corpus counts must be >= 1")
     rng = np.random.default_rng(config.seed)
     bases = shared_bases(config.vertices, config.audio_dim, rng)
-    profiles = {i: make_speaker(i, config.vertices, config.audio_dim,
-                                config.upper_noise, rng, bases)
+    profiles = {i: make_speaker(i, config.upper_noise, rng, bases)
                 for i in range(config.num_speakers)}
     order = rng.permutation(config.num_speakers)
     n_val = max(1, config.num_speakers // 8) if config.num_speakers >= 3 else 0

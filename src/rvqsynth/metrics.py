@@ -91,9 +91,9 @@ def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
 # -- shared helpers ------------------------------------------------------------
 
 
-def _normalize_rows(t, eps: float = 1e-12):
+def _normalize_rows(t):
     sumsq = (t * t).sum(axis=-1, keepdims=True)
-    return t * (sumsq + eps) ** -0.5
+    return t * (sumsq + 1e-12) ** -0.5
 
 
 # -- synchronization networks ----------------------------------------------------
@@ -197,7 +197,7 @@ class SyncNet(Module):
         m = conv1d(mesh_f, weight[:, :E], None, conv.dilation, conv.mode)
         a = conv1d(audio_f, weight[:, E:], operand(audio_f, conv.bias),
                    conv.dilation, conv.mode)
-        h = pair_hidden(m, a, 0.1)
+        h = pair_hidden(m, a)
         return self.score_head(h).reshape(h.shape[:-1])
 
     def score_matrix(self, mesh_f, audio_f):
@@ -242,17 +242,17 @@ class SyncNet(Module):
                                      lambda cfg, _: cls(cfg))[0]
 
 
-def pair_hidden(m, a, slope: float):
+def pair_hidden(m, a):
     """``mean_W(leaky_relu(m_i + a_j))`` (B_m, B_a, O) of all pairs of rows of
     (B_m, W, O) ``m`` and (B_a, W, O) ``a`` in blocks of m rows, never the
     whole (B_m, B_a, W, O) sum. Arrays give an array, Tensors one node whose
-    backward recomputes each block's z: dz = dh/W ∘ (z > 0 ? 1 : slope),
+    backward recomputes each block's z: dz = dh/W ∘ (z > 0 ? 1 : 0.1),
     dm_i = Σ_j dz_ij, da = Σ_i dz_ij row by row (the broadcast form's bits)."""
     tape = isinstance(m, Tensor)
     md, ad = (m.data, a.data) if tape else (m, a)
     rows = max(1, (1 << 15) // ad.size)  # blocks of ~256 KB stay in L2
     blocks = [slice(i, i + rows) for i in range(0, md.shape[0], rows)]
-    h = np.concatenate([leaky_relu(md[b, None] + ad, slope).sum(axis=-2)
+    h = np.concatenate([leaky_relu(md[b, None] + ad).sum(axis=-2)
                         for b in blocks]) * (1.0 / md.shape[1])
     if not tape:
         return h
@@ -261,7 +261,7 @@ def pair_hidden(m, a, slope: float):
         g = g[:, :, None] * (1.0 / md.shape[1])
         dm, da = np.empty(md.shape), np.zeros(ad.shape)
         for b in blocks:
-            dz = np.maximum(md[b, None] + ad > 0.0, slope) * g[b]  # the mask, as leaky_relu
+            dz = np.maximum(md[b, None] + ad > 0.0, 0.1) * g[b]  # the mask, as leaky_relu
             dm[b] = dz.sum(axis=1)
             for row in dz:  # one row at a time, as numpy sums over i
                 da += row
@@ -271,8 +271,7 @@ def pair_hidden(m, a, slope: float):
     return Tensor._make(h, (m, a), backward)
 
 
-def infonce_batch(corpus, records, config: SyncConfig,
-                  rng: np.random.Generator):
+def infonce_batch(records, config: SyncConfig, rng: np.random.Generator):
     """One contrastive batch: clips x temporal offsets, so negatives mix
     cross-clip (semantic) and same-clip shifted (temporal) misalignment."""
     T = records[0].motion.shape[0]
@@ -313,7 +312,7 @@ def train_sync_net(corpus, variant: int, config: SyncConfig | None = None,
 
     def batches():
         for _ in range(steps_per_epoch):
-            yield infonce_batch(corpus, records, cfg, rng)
+            yield infonce_batch(records, cfg, rng)
 
     def step(batch):
         return {"loss": infonce_loss(net, *batch)}

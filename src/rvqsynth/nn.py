@@ -80,7 +80,7 @@ class Module:
 def operand(x, p):
     """``p`` on the tape for a Tensor input ``x`` (an array as a constant), else an array."""
     if isinstance(x, Tensor):
-        return p if p is None or isinstance(p, Tensor) else Tensor(p)
+        return p if isinstance(p, Tensor) else Tensor(p)
     return p.data if isinstance(p, Tensor) else p
 
 
@@ -90,17 +90,15 @@ def _init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 class Dense(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.weight = Parameter(_init(rng, in_dim, (in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     @property
     def spec(self):
-        return {"kind": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim,
-                "bias": self.bias is not None}
+        return {"kind": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim}
 
     def __call__(self, x):
         return dense(x, self.weight, self.bias)
@@ -117,34 +115,31 @@ def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense(x, weight: Tensor, bias: Tensor | None = None):
+def dense(x, weight: Tensor, bias: Tensor):
     """``x @ W + b``, the bias added in place. An array ``x`` runs off the tape
-    as one 2-D GEMM over its folded leading axes (a 2-D product is returned
-    as it is); a Tensor makes one node, whose ``x @ W`` numpy folds the same
-    way, with the same bits, except on rows of one token (..., 1, C), which
-    take one gemv each (≤1e-15 relative apart). Backward: db = Σ g over the
-    leading axes, dx = g Wᵀ (one GEMM per leading index), dW = xᵀ g as one
-    GEMM."""
+    as ``affine`` on its rows, the leading axes folded (a 2-D ``x`` as it is);
+    a Tensor makes one node, whose ``x @ W`` numpy folds the same way, with
+    the same bits, except on rows of one token (..., 1, C), which take one
+    gemv each (≤1e-15 relative apart). Backward: db = Σ g over the leading
+    axes, dx = g Wᵀ (one GEMM per leading index), dW = xᵀ g as one GEMM."""
     wd = weight.data
     if x.shape[-1] != wd.shape[0]:
         raise ShapeError(f"dense expects last dim {wd.shape[0]}, got {x.shape}")
-    tape = isinstance(x, Tensor)
-    xd = x.data if tape else x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x
+    if not isinstance(x, Tensor):
+        rows = x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x
+        return affine(rows, wd, bias.data).reshape(x.shape[:-1] + wd.shape[1:])
+    xd = x.data
     out = xd @ wd
-    if bias is not None:
-        out += bias.data
-    if not tape:
-        return out if x.ndim <= 2 else out.reshape(x.shape[:-1] + wd.shape[1:])
+    out += bias.data
 
     def backward(g):
-        if bias is not None:
-            bias._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
+        bias._accumulate(g.sum(axis=tuple(range(g.ndim - 1))))
         if x.requires_grad:
             x._accumulate(g @ wd.T)
         if weight.requires_grad:
             weight._accumulate(xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
 
-    return Tensor._make(out, (x, weight) if bias is None else (x, weight, bias), backward)
+    return Tensor._make(out, (x, weight, bias), backward)
 
 
 class Conv1d(Module):
@@ -156,7 +151,7 @@ class Conv1d(Module):
 
     def __init__(self, in_dim: int, out_dim: int, kernel: int,
                  rng: np.random.Generator, dilation: int = 1,
-                 mode: str = "causal", bias: bool = True):
+                 mode: str = "causal"):
         if mode not in ("causal", "same"):
             raise ValueError(f"unknown conv mode {mode!r}")
         if mode == "same" and kernel % 2 == 0:
@@ -167,13 +162,12 @@ class Conv1d(Module):
         self.dilation = dilation
         self.mode = mode
         self.weight = Parameter(_init(rng, in_dim * kernel, (kernel, in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     @property
     def spec(self):
         return {"kind": "conv1d", "in_dim": self.in_dim, "out_dim": self.out_dim,
-                "kernel": self.kernel, "dilation": self.dilation,
-                "mode": self.mode, "bias": self.bias is not None}
+                "kernel": self.kernel, "dilation": self.dilation, "mode": self.mode}
 
     @property
     def radius(self) -> int:
@@ -332,6 +326,9 @@ def attend(qkv, heads: int, masked: bool, cache=None):
     the (B, P, 2W) one of the block. Decode rows go to ``KVCache.attend``."""
     tape = isinstance(qkv, Tensor)
     x = qkv.data if tape else qkv
+    if np.ndim(x) != 3:
+        raise ShapeError(f"attend expects (B, L, 3W) rows, got {np.shape(x)}; "
+                         f"decode rows (B, 3W) go to KVCache.attend")
     B, L, W3 = x.shape
     past = cache.data if isinstance(cache, Tensor) else cache
     if past is not None and (np.ndim(past) != 3 or past.shape[::2] != (B, W3 - W3 // 3)):
@@ -374,16 +371,15 @@ def attend(qkv, heads: int, masked: bool, cache=None):
 class TransformerBlock(Module):
     """Pre-activation attention + feedforward block with residuals."""
 
-    def __init__(self, width: int, heads: int, rng: np.random.Generator,
-                 causal: bool = True, ff_mult: int = 2):
-        self.attn = SelfAttention(width, heads, rng, causal=causal)
-        self.ff1 = Dense(width, ff_mult * width, rng)
-        self.ff2 = Dense(ff_mult * width, width, rng)
+    def __init__(self, width: int, heads: int, rng: np.random.Generator):
+        self.attn = SelfAttention(width, heads, rng)
+        self.ff1 = Dense(width, 2 * width, rng)
+        self.ff2 = Dense(2 * width, width, rng)
 
     def __call__(self, x, cache=None):
         """``cache``: None or earlier rows' keys and values (B, P, 2W)."""
         x = x + self.attn(x, cache)
-        return x + self.ff2(leaky_relu(self.ff1(x), 0.1))
+        return x + self.ff2(leaky_relu(self.ff1(x)))
 
     def arrays(self) -> tuple:
         """``Dense.arrays`` of wqkv, wo, ff1 and ff2, for ``decode_step``."""
@@ -394,14 +390,14 @@ def decode_step(x: np.ndarray, cache: KVCache, arrays: tuple) -> np.ndarray:
     """A ``TransformerBlock``'s step of decode rows (B, W) over ``cache`` on ``arrays``."""
     qkv, wo, ff1, ff2 = arrays
     x = x + affine(cache.attend(affine(x, *qkv)), *wo)
-    return x + affine(leaky_relu(affine(x, *ff1), 0.1), *ff2)
+    return x + affine(leaky_relu(affine(x, *ff1)), *ff2)
 
 
 def conv_stack(x, convs):
     """Apply ``convs`` in order with a leaky ReLU between consecutive layers."""
     for i, conv in enumerate(convs):
         if i:
-            x = leaky_relu(x, 0.1)
+            x = leaky_relu(x)
         x = conv(x)
     return x
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .armodel import ARConfig, ARModel, prepare_sequences
+from .armodel import ARConfig, ARModel, TemporalStream, prepare_sequences
 from .codec import rvq_quantize_frames, sample_categorical
 from .config import option
 from .nn import fit
@@ -33,7 +33,7 @@ class SamplingConfig:
     temperature: float = option(1.0, "sampling temperature (0 = greedy)")
     seed: int = option(0, "sampling seed")
 
-    def check(self):
+    def __post_init__(self):
         """Every check that needs no model depth; see :meth:`validate`."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
@@ -49,7 +49,6 @@ class SamplingConfig:
             raise ValueError("temperature must be finite and >= 0")
 
     def validate(self, depth: int):
-        self.check()
         d = depth if self.depth_limit is None else self.depth_limit
         if d > depth:
             raise ValueError(f"depth_limit must be in [1, {depth}]")
@@ -93,14 +92,12 @@ def _sample_candidates(model: ARModel, h: np.ndarray, caches: list,
     d_star) and their ``model.frame_embedding`` (R, n, N_C), bit for bit.
 
     Depth 0 runs on the R context rows over ``caches``, ``model.depth_caches``
-    of R·n candidates rewound here to the style prefix, and writes its keys
-    and values, and its logits when n > 1 (so the draws keep their order), to
-    them; they run depths ≥ 1 on the running sum of their codes, which is the
-    embedding. Counts R·n passes per depth in ``depth_pass_count``.
+    of R·n candidates, and writes its keys and values, and its logits when
+    n > 1 (so the draws keep their order), to them; they run depths ≥ 1 on
+    the running sum of their codes, which is the embedding. Counts R·n passes
+    per depth in ``depth_pass_count``.
     """
     R = h.shape[0]
-    for cache in caches:
-        cache.fill = 1
     logits = model.depth_step(h, 0, caches)
     if n > 1:
         logits = np.repeat(logits, n, axis=0)
@@ -152,8 +149,8 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     S, N = n_samples, config.n
     T = y.shape[0]
     audio, style = model.context_features(y, s)
-    stream = model.start_stream(audio, style, S)
-    caches = model.depth_caches(model.depth_prefix(style[None]), S * N, d_star)
+    stream = TemporalStream(model, audio, style, S)
+    caches = model.depth_caches(style[None], S * N, d_star)
     grids = np.zeros((S, T, d_star), dtype=np.int64)
     committed = None  # (S, NC) embeddings of the frame before
     R = model.audio_radius
@@ -214,8 +211,7 @@ def relabel_grids(teacher: ARModel, codec, prepared,
         audio, style = teacher.context_features(p.audio, p.style)
         frame_embs = teacher.frame_embedding(p.grid)[None]
         h_av = teacher.temporal_context(audio[None], frame_embs, style[None])[0]  # (T, H)
-        caches = teacher.depth_caches(teacher.depth_prefix(style[None]),
-                                      len(h_av) * config.n, d_star)
+        caches = teacher.depth_caches(style[None], len(h_av) * config.n, d_star)
         _, cand_embs = _sample_candidates(teacher, h_av, caches, config.n,
                                           d_star, config.temperature, rng)
         res = _aggregate(cand_embs, config, codec.codebook.data, d_star)
@@ -225,7 +221,7 @@ def relabel_grids(teacher: ARModel, codec, prepared,
 
 def distill(teacher: ARModel, codec, corpus, sampling_config: SamplingConfig,
             student_config: ARConfig | None = None, log=None,
-            checkpoint_hook=None, codec_checksum: str = ""):
+            codec_checksum: str = ""):
     """Train a student on relabeled depth targets; see ``relabel_grids``.
 
     The student keeps ground-truth grids as temporal-model input and uses the
@@ -261,10 +257,6 @@ def distill(teacher: ARModel, codec, corpus, sampling_config: SamplingConfig,
         logits = student.forward_logits(y, s, tgt, temporal_grids=gt)
         return {"loss": cross_entropy(logits.reshape(-1, C), tgt.reshape(-1))}
 
-    if checkpoint_hook is not None:
-        checkpoint_hook(0, student)
     history = fit(student.trainable_parameters(), cfg.epochs, cfg.lr,
-                  batches, step, log,
-                  end_epoch=None if checkpoint_hook is None
-                  else lambda epoch: checkpoint_hook(epoch + 1, student))
+                  batches, step, log)
     return student, history

@@ -268,19 +268,17 @@ def mean(t, axis=None, keepdims: bool = False):
     return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def leaky_relu(t, slope: float):
-    """``t`` where positive, else ``slope * t``; an array gives an array. As
-    ``max(t, slope·t)`` it needs no mask, and for 0 < slope < 1 only it has
-    the bits of ``t·where(t > 0, 1, slope)`` (±0, ±inf and NaN too)."""
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu needs 0 < slope < 1, got {slope}")
+def leaky_relu(t):
+    """``t`` where positive, else ``0.1 * t``; an array gives an array. As
+    ``max(t, 0.1·t)`` it needs no mask and has the bits of
+    ``t·where(t > 0, 1, 0.1)`` (±0, ±inf and NaN too)."""
     x = t.data if isinstance(t, Tensor) else t
-    out = np.maximum(x, slope * x)
+    out = np.maximum(x, 0.1 * x)
     if not isinstance(t, Tensor):
         return out
 
-    def backward(g):  # max(x > 0, slope) is where(x > 0, 1, slope), 4x faster
-        t._accumulate(g * np.maximum(x > 0.0, slope))
+    def backward(g):  # max(x > 0, 0.1) is where(x > 0, 1, 0.1), 4x faster
+        t._accumulate(g * np.maximum(x > 0.0, 0.1))
 
     return Tensor._make(out, (t,), backward)
 

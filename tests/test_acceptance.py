@@ -7,6 +7,7 @@ per session by the ``pipeline`` fixture (see conftest).
 
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -402,13 +403,16 @@ def test_criterion_11_distillation():
     teacher = ARModel(cfg, codec.codebook.data.copy(),
                       np.random.default_rng(0))
 
+    # the student after e = 0, ..., epochs epochs: a fit of e epochs makes
+    # the draws of a longer fit's first e epochs, so it is that fit's
+    # checkpoint at epoch e, bit for bit
     checkpoints = []
-    student, _ = distill(
-        teacher, codec, corpus, SamplingConfig(strategy="average", n=4,
-                                               seed=0),
-        student_config=cfg,
-        checkpoint_hook=lambda epoch, net: checkpoints.append(
-            {k: p.data.copy() for k, p in net.parameters().items()}))
+    for epochs in range(cfg.epochs + 1):
+        student, _ = distill(
+            teacher, codec, corpus, SamplingConfig(strategy="average", n=4,
+                                                   seed=0),
+            student_config=replace(cfg, epochs=epochs))
+        checkpoints.append({k: p.data.copy() for k, p in student.parameters().items()})
 
     # KL from the aggregated target distribution to the student is the mean
     # negative log-likelihood of the relabeled grids (deterministic targets),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rvqsynth.armodel import (ARConfig, ARModel, prepare_sequences,
+from rvqsynth.armodel import (ARConfig, ARModel, TemporalStream, prepare_sequences,
                               soft_target_distributions, stochastic_grid,
                               train_ar)
 from rvqsynth.codec import CodecConfig, train_codec
@@ -55,6 +55,26 @@ def test_grid_probabilities_sum_to_one():
     logps = model.sequence_log_probs(grids, y, s)
     total = np.exp(logps).sum()
     assert abs(total - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["codes", "depth", "frames"])
+def test_sequence_log_probs_refuses_a_malformed_grid(case):
+    """Codes outside [0, |C|), a depth other than D and a T other than the
+    audio's raise typed errors at the entry, not inside numpy."""
+    model = make_model()
+    y, s = random_inputs(TINY_AR, T=4)
+    grids = np.zeros((2, 4, TINY_AR.depth), dtype=np.int64)
+    assert np.isfinite(model.sequence_log_probs(grids, y, s)).all()
+    if case == "codes":
+        for code in (TINY_AR.codebook_size, -1):
+            grids[1, 2, 1] = code
+            with pytest.raises(ValueError, match="out of range"):
+                model.sequence_log_probs(grids, y, s)
+        return
+    for bad in ((grids[..., :1], np.zeros((2, 4, 3), dtype=np.int64)) if case == "depth"
+                else (grids[:, :3], np.zeros((2, 5, 2), dtype=np.int64))):
+        with pytest.raises(ShapeError, match=r"not \(G, 4, 2\)"):
+            model.sequence_log_probs(bad, y, s)
 
 
 def test_future_frames_do_not_affect_past_logits():
@@ -117,12 +137,11 @@ def test_stream_matches_teacher_forced_logits(temporal, style_mode, D, T):
                                 np.broadcast_to(s, (S,) + s.shape),
                                 grids).data
     audio, style = model.context_features(y, s)
-    stream = model.start_stream(audio, style, S)
-    prefix = model.depth_prefix(style[None])
+    stream = TemporalStream(model, audio, style, S)
     committed = None
     for t in range(T):
         h = stream.step(committed)
-        cache = model.depth_caches(prefix, S, D)
+        cache = model.depth_caches(style[None], S, D)
         for d in range(D):
             x = h if d == 0 else model.frame_embedding(grids[:, t, :d])
             logits = model.depth_step(x, d, cache)
@@ -328,8 +347,7 @@ def test_depth_caches_spread_depth_zero_to_the_candidates():
     model = make_model(replace(TINY_AR, depth_layers=2))
     R, n = 3, 4
     h = np.random.default_rng(9).normal(0.0, 1.0, (R, TINY_AR.width))
-    prefix = model.depth_prefix(np.ones((1, TINY_AR.width)))
-    wide, narrow = (model.depth_caches(prefix, rows, TINY_AR.depth)
+    wide, narrow = (model.depth_caches(np.ones((1, TINY_AR.width)), rows, TINY_AR.depth)
                     for rows in (R * n, R))
     np.testing.assert_array_equal(model.depth_step(h, 0, wide),
                                   model.depth_step(h, 0, narrow))
@@ -361,12 +379,15 @@ def layer_composed_block(block, x, cache):
     ``KVCache``."""
     qkv = block.attn.wqkv(x)
     x = x + block.attn.wo(decode_attention_reference(qkv, block.attn.heads, cache))
-    return x + block.ff2(leaky_relu(block.ff1(x), 0.1))
+    return x + block.ff2(leaky_relu(block.ff1(x)))
 
 
 def layer_composed_depth_step(model, x, d, caches):
     """Reference oracle: ``ARModel.depth_step`` composed of the layers."""
     model.depth_row_count += len(x)
+    if d == 0:
+        for cache in caches:
+            cache.fill = 1
     v = (x if d == 0 else model.prefix_proj(x)) + model.depth_pos.data[d + 1]
     for block, cache in zip(model.depth_blocks, caches):
         v = layer_composed_block(block, v, cache)
@@ -393,7 +414,7 @@ def layer_composed_stream(model, audio, style, S):
             k, d = conv.kernel, conv.dilation
             rows[:, (k - 1) * d + t] = x
             taps = [rows[:, t + tap * d] for tap in range(k)]
-            x = x + leaky_relu(tap_sum(taps, conv.weight.data, conv.bias.data), 0.1)
+            x = x + leaky_relu(tap_sum(taps, conv.weight.data, conv.bias.data))
         if caches:
             x = x + model.temporal_pos.data[t]
             for block, cache in zip(model.temporal_blocks, caches):
@@ -428,12 +449,12 @@ def test_bound_depth_step_matches_the_layer_composed_oracle(
     drawn and ``depth_row_count``, bit for bit."""
     model = oracle_model(temporal, style_mode)
     R, H = 2, model.config.width
-    prefix = model.depth_prefix(np.random.default_rng(1).normal(0.0, 1.0, (1, H)))
+    style = np.random.default_rng(1).normal(0.0, 1.0, (1, H))
     frames = np.random.default_rng(2).normal(0.0, 1.0, (4, R, H))
     bound = model.depth_step
 
     def run(step):
-        caches = model.depth_caches(prefix, R * n, d_star)
+        caches = model.depth_caches(style, R * n, d_star)
         logits, drawn, contents = [], [], []
         rows_before = model.depth_row_count
         rng = np.random.default_rng(3)
@@ -462,12 +483,12 @@ def test_bound_depth_step_matches_the_layer_composed_oracle(
 @pytest.mark.parametrize("temporal", ["conv", "transformer"])
 @pytest.mark.parametrize("style_mode", ["depth", "temporal"])
 def test_bound_stream_matches_the_layer_composed_oracle(temporal, style_mode):
-    """``TemporalStream.step`` on the arrays bound by ``start_stream``
+    """``TemporalStream.step`` on the arrays bound at its construction
     against the layer-composed oracle: every frame's rows, bit for bit."""
     model = oracle_model(temporal, style_mode)
     S, T = 3, 9
     audio, style = model.context_features(*random_inputs(model.config, T))
-    stream, oracle = model.start_stream(audio, style, S), layer_composed_stream(
+    stream, oracle = TemporalStream(model, audio, style, S), layer_composed_stream(
         model, audio, style, S)
     embs = np.random.default_rng(4).normal(0.0, 1.0, (T, S, model.config.code_dim))
     for t in range(T):
@@ -479,7 +500,7 @@ def test_bound_stream_matches_the_layer_composed_oracle(temporal, style_mode):
 def test_stream_refuses_a_step_past_the_last_frame(temporal):
     model = make_model(replace(TINY_AR, temporal=temporal, temporal_layers=1))
     y, s = random_inputs(TINY_AR, T=3)
-    stream = model.start_stream(*model.context_features(y, s), 2)
+    stream = TemporalStream(model, *model.context_features(y, s), 2)
     committed = None
     for _ in range(3):
         stream.step(committed)
@@ -491,8 +512,7 @@ def test_stream_refuses_a_step_past_the_last_frame(temporal):
 def test_depth_pass_counter_counts_rows():
     model = make_model()
     h = np.zeros((3, TINY_AR.width))
-    cache = model.depth_caches(model.depth_prefix(np.zeros((1, TINY_AR.width))),
-                               3, TINY_AR.depth)
+    cache = model.depth_caches(np.zeros((1, TINY_AR.width)), 3, TINY_AR.depth)
     model.depth_step(h, 0, cache)
     model.depth_step(np.zeros((3, TINY_AR.code_dim)), 1, cache)
     assert model.depth_row_count == 6
@@ -594,8 +614,8 @@ def test_transformer_stream_rejects_too_many_frames_up_front():
     model = make_model(cfg)
     audio, style = model.context_features(*random_inputs(cfg, T=6))
     with pytest.raises(ShapeError, match="max_frames=5"):
-        model.start_stream(audio, style, 2)
-    assert model.start_stream(audio[:5], style, 2).step(None).shape == (2, 8)
+        TemporalStream(model, audio, style, 2)
+    assert TemporalStream(model, audio[:5], style, 2).step(None).shape == (2, 8)
 
 
 def test_stochastic_grid_tends_to_argmin_at_low_tau():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvqsynth.armodel import soft_target_distributions, stochastic_grid
 from rvqsynth.codec import (Codec, CodecConfig, reconstruction_mse,
-                            rvq_quantize_frames, sample_categorical,
-                            train_codec, write_grid)
+                            rvq_quantize_frames, rvq_recursion,
+                            sample_categorical, train_codec, write_grid)
 from rvqsynth.nn import DivergenceError
 from rvqsynth.tensor import ShapeError
 
@@ -112,9 +113,35 @@ def test_encode_decode_shapes_and_validation(small_codec, tiny_corpus):
     with pytest.raises(ShapeError):
         codec.encode(rec.motion[:, :5])
     with pytest.raises(ValueError):
-        codec.quantize(z, depth_limit=9)
-    with pytest.raises(ValueError):
         codec.decode(np.full((4, 3), 99))
+
+
+def test_decode_refuses_a_grid_deeper_than_the_codec_or_not_integer():
+    """A (4, 6) grid for D = 4 would sum six codes, and a float grid index the
+    codebook; both are refused at the entry."""
+    codec = Codec(CodecConfig(input_dim=12, depth=4, codebook_size=8, code_dim=4))
+    with pytest.raises(ShapeError, match="D <= 4"):
+        codec.decode(np.zeros((4, 6), dtype=np.int64))
+    with pytest.raises(ValueError, match="integer code indices"):
+        codec.decode(np.zeros((4, 4)))
+    assert codec.decode(np.zeros((4, 4), dtype=np.int64)).shape == (4, 12)
+
+
+def test_quantizers_refuse_latents_of_another_width():
+    """Latents (T, 5) against a codebook of N_C = 4 raise ShapeError before
+    the depth loop, through every quantizer built on ``rvq_recursion``."""
+    codec = Codec(CodecConfig(input_dim=12, depth=4, codebook_size=8, code_dim=4))
+    codebook, z = codec.codebook.data, np.zeros((3, 5))
+    rng = np.random.default_rng(0)
+    for call in (lambda: codec.quantize(z),
+                 lambda: rvq_quantize_frames(z, codebook, 2),
+                 lambda: stochastic_grid(z, codebook, 2, 0.05, rng),
+                 lambda: soft_target_distributions(z, np.zeros((3, 2), dtype=np.int64),
+                                                   codebook, 0.1, 0.1),
+                 lambda: rvq_recursion(z, codebook, 2, None)):  # choose never runs
+        with pytest.raises(ShapeError, match=r"latents must be \(T, 4\)"):
+            call()
+    assert codec.quantize(np.zeros((3, 4))).grid.shape == (3, 4)
 
 
 @pytest.mark.parametrize("B", [1, 3])

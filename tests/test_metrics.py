@@ -158,7 +158,7 @@ def replicated_score_matrix(net, mesh_f, audio_f):
     mrep = broadcast_to(mesh_f.reshape(B, 1, W, E), (B, B, W, E))
     arep = broadcast_to(audio_f.reshape(1, B, W, E), (B, B, W, E))
     fused = concat([mrep.reshape(B * B, W, E), arep.reshape(B * B, W, E)], axis=2)
-    h = leaky_relu(net.fuse_conv(fused), 0.1).mean(axis=1)
+    h = leaky_relu(net.fuse_conv(fused)).mean(axis=1)
     return net.score_head(h).reshape(B, B)
 
 
@@ -192,8 +192,7 @@ def test_factored_score_matrix_matches_replicated_pairs():
 def composed_pair_hidden(m, a):
     """The pair node's broadcast form over the whole (B_m, B_a, W, O) sum."""
     (Bm, W, O), Ba = m.shape, a.shape[0]
-    return mean(leaky_relu(m.reshape(Bm, 1, W, O) + a.reshape(1, Ba, W, O),
-                           0.1), axis=-2)
+    return mean(leaky_relu(m.reshape(Bm, 1, W, O) + a.reshape(1, Ba, W, O)), axis=-2)
 
 
 # (B_m, B_a, W, O): one block; blocks of 3 rows and a last of 1; one row per
@@ -215,10 +214,10 @@ def test_pair_node_matches_broadcast_composition(shape):
         (h * Tensor(w)).sum().backward()
         return h.data, m.grad, a.grad
 
-    got, want = run(lambda m, a: pair_hidden(m, a, 0.1)), run(composed_pair_hidden)
+    got, want = run(pair_hidden), run(composed_pair_hidden)
     for g, h in zip(got, want):
         np.testing.assert_array_equal(g.view(np.uint64), h.view(np.uint64))
-    out = pair_hidden(md, ad, 0.1)
+    out = pair_hidden(md, ad)
     assert type(out) is np.ndarray
     np.testing.assert_array_equal(out.view(np.uint64), want[0].view(np.uint64))
 
@@ -229,10 +228,10 @@ def test_pair_node_grads_match_finite_differences(Bm, Ba):
     md, ad = r.normal(0.0, 1.0, (Bm, 5, 3)), r.normal(0.0, 1.0, (Ba, 5, 3))
     w = r.normal(0.0, 1.0, (Bm, Ba, 3))
     m, a = Tensor(md, requires_grad=True), Tensor(ad, requires_grad=True)
-    (pair_hidden(m, a, 0.1) * Tensor(w)).sum().backward()
+    (pair_hidden(m, a) * Tensor(w)).sum().backward()
     for x, grad, loss in (
-            (md, m.grad, lambda x: float((pair_hidden(x, ad, 0.1) * w).sum())),
-            (ad, a.grad, lambda x: float((pair_hidden(md, x, 0.1) * w).sum()))):
+            (md, m.grad, lambda x: float((pair_hidden(x, ad) * w).sum())),
+            (ad, a.grad, lambda x: float((pair_hidden(md, x) * w).sum()))):
         np.testing.assert_allclose(grad, finite_difference_grad(loss, x.copy()),
                                    rtol=1e-6, atol=1e-8)
 
@@ -319,8 +318,7 @@ def test_sync_window_fitting():
 def test_infonce_batch_layout(tiny_corpus):
     cfg = sync_cfg(2)
     rng = np.random.default_rng(0)
-    meshes, audios = infonce_batch(tiny_corpus, tiny_corpus.split("train"),
-                                   cfg, rng)
+    meshes, audios = infonce_batch(tiny_corpus.split("train"), cfg, rng)
     assert meshes.shape == (8, 8, 12)
     assert audios.shape == (8, 8, 4)
     net = SyncNet(cfg)

@@ -28,8 +28,9 @@ def test_dense_infer_matches_call(shape, bias):
     """The array (inference) call against the Tensor call, bit for bit:
     numpy folds the leading axes of a C-contiguous Tensor's ``x @ W`` into
     one GEMM, as the array call does. Rows of one token, (..., 1, C), are
-    the exception: numpy runs one gemv per row (apart to rounding)."""
-    layer = Dense(5, 4, rng(), bias=bias)
+    the exception: numpy runs one gemv per row (apart to rounding). The bias
+    is random, or a fresh layer's zeros."""
+    layer = Dense(5, 4, rng())
     if bias:
         layer.bias.data = rng().normal(0.0, 1.0, 4)
     x = np.random.default_rng(1).normal(0.0, 1.0, shape)
@@ -51,25 +52,25 @@ def two_node_dense(x, weight, bias):
         weight._accumulate(x.data.reshape(-1, x.shape[-1]).T
                            @ g.reshape(-1, g.shape[-1]))
 
-    out = Tensor._make(np.matmul(x.data, weight.data), (x, weight), backward)
-    return out if bias is None else out + bias
+    return Tensor._make(np.matmul(x.data, weight.data), (x, weight), backward) + bias
 
 
 @pytest.mark.parametrize("shape", [(6, 5), (1, 5), (3, 4, 5), (2, 1, 3, 5)])
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("x_grad", [True, False])
 def test_dense_node_matches_two_node_composition(shape, bias, x_grad):
-    """Output, dx, dW and db bit for bit against the old two nodes."""
+    """Output, dx, dW and db bit for bit against the old two nodes, for a
+    random bias and for a fresh layer's zero bias."""
     r = np.random.default_rng(7)
     x, w = r.normal(0.0, 1.0, shape), r.normal(0.0, 1.0, shape[:-1] + (4,))
     W, b = r.normal(0.0, 1.0, (5, 4)), r.normal(0.0, 1.0, 4)
 
     def run(fn):
         xt = Tensor(x, requires_grad=x_grad)
-        Wt, bt = Parameter(W), Parameter(b) if bias else None
+        Wt, bt = Parameter(W), Parameter(b if bias else np.zeros(4))
         out = fn(xt, Wt, bt)
         (out * Tensor(w)).sum().backward()
-        return [out.data, xt.grad, Wt.grad] + ([bt.grad] if bias else [])
+        return [out.data, xt.grad, Wt.grad, bt.grad]
 
     got, want = run(nn.dense), run(two_node_dense)
     assert (got[1] is None) == (not x_grad)
@@ -84,7 +85,6 @@ def test_dense_is_one_tape_node():
     layer = Dense(3, 2, rng())
     x = Tensor(np.ones((4, 3)), requires_grad=True)
     assert layer(x)._parents == (x, layer.weight, layer.bias)
-    assert Dense(3, 2, rng(), bias=False)(x)._parents[0] is x
 
 
 # name -> (layer factory, whether it folds (B, L, C) rows through Dense)
@@ -119,9 +119,9 @@ def test_cached_attention_in_chunks_matches_causal_call(causal, block):
     """Rows fed in chunks of 1, 3 and 1, each over the key/value block of the
     rows before it (empty at first), attend causally, whatever ``causal``
     says."""
-    layer = (TransformerBlock if block else SelfAttention)(6, 2, rng(),
-                                                          causal=causal)
+    layer = (TransformerBlock if block else SelfAttention)(6, 2, rng())
     attn = layer.attn if block else layer
+    attn.causal = causal
     x = np.random.default_rng(1).normal(0.0, 1.0, (2, 5, 6))
     kv, chunks = np.zeros((2, 0, 12)), []
     for lo, hi in ((0, 1), (1, 4), (4, 5)):
@@ -159,7 +159,7 @@ def test_conv1d_causal_never_reads_future():
 
 
 def test_conv1d_same_is_centered():
-    layer = Conv1d(1, 1, kernel=3, rng=rng(), mode="same", bias=False)
+    layer = Conv1d(1, 1, kernel=3, rng=rng(), mode="same")
     x = np.zeros((1, 7, 1))
     x[0, 3, 0] = 1.0
     out = layer(Tensor(x)).data[0, :, 0]
@@ -549,6 +549,16 @@ def test_layers_refuse_a_kv_cache(tape):
     assert cache.fill == 1
 
 
+def test_attend_refuses_decode_rows():
+    """A 2-D ``qkv`` (decode rows), with a KVCache or without, raises
+    ShapeError that points to ``KVCache.attend``."""
+    cache = nn.KVCache(3, 3, 4, 2)
+    for args in ((), (cache,)):
+        with pytest.raises(ShapeError, match="KVCache.attend"):
+            attend(np.ones((3, 12)), 2, False, *args)
+    assert cache.fill == 0
+
+
 @pytest.mark.parametrize("causal", [False, True])
 def test_attention_layer_grads_match_composed_tape_ops(causal, monkeypatch):
     """Through the projections and a key/value block: rows after the block
@@ -691,7 +701,7 @@ def test_conv_stack_puts_leaky_relu_between_layers():
     convs = [Conv1d(2, 3, 1, rng(), mode="same"),
              Conv1d(3, 2, 3, rng(), mode="causal")]
     x = Tensor(rng().normal(0.0, 1.0, (1, 5, 2)))
-    want = convs[1](leaky_relu(convs[0](x), 0.1)).data
+    want = convs[1](leaky_relu(convs[0](x))).data
     np.testing.assert_array_equal(conv_stack(x, convs).data, want)
 
 
@@ -747,7 +757,7 @@ def test_fit_holds_no_graph_at_end_epoch_or_after():
     x = r.normal(0.0, 1.0, (4096, 8))
 
     def step(batch):
-        h = leaky_relu(layer(Tensor(x)), 0.1)
+        h = leaky_relu(layer(Tensor(x)))
         return {"loss": (h * h).mean()}
 
     held = []

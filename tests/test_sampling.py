@@ -86,16 +86,14 @@ def test_aggregate_input_validation():
 def test_sampling_config_validation():
     assert SamplingConfig().validate(4) == 4
     assert SamplingConfig(depth_limit=2).validate(4) == 2
-    for bad in [SamplingConfig(strategy="magic"),
-                SamplingConfig(n=0),
-                SamplingConfig(strategy="knn", n=2, k=5),
-                SamplingConfig(keep_fraction=0.0),
-                SamplingConfig(depth_limit=9),
-                SamplingConfig(temperature=-1.0),
-                SamplingConfig(temperature=float("nan")),
-                SamplingConfig(temperature=float("inf"))]:
+    with pytest.raises(ValueError, match="depth_limit"):
+        SamplingConfig(depth_limit=9).validate(4)
+    # every check that needs no model depth runs when the config is built
+    for bad in [dict(strategy="magic"), dict(n=0), dict(strategy="knn", n=2, k=5),
+                dict(keep_fraction=0.0), dict(depth_limit=0), dict(temperature=-1.0),
+                dict(temperature=float("nan")), dict(temperature=float("inf"))]:
         with pytest.raises(ValueError):
-            bad.validate(4)
+            SamplingConfig(**bad)
 
 
 @pytest.mark.parametrize("strategy", ["average", "syncnet-rejection"])
@@ -286,8 +284,7 @@ def use_repeated_rows_oracle(monkeypatch, model):
         rows = repeated_rows_candidates(model, h, style, *args)
         return rows, model.frame_embedding(rows)
 
-    monkeypatch.setattr(model, "depth_prefix", lambda styles: styles[0])
-    monkeypatch.setattr(model, "depth_caches", lambda style, rows, depths: style)
+    monkeypatch.setattr(model, "depth_caches", lambda styles, rows, depths: styles[0])
     monkeypatch.setattr(sampling, "_sample_candidates", oracle)
 
 
@@ -373,8 +370,8 @@ def test_generation_allocates_the_depth_caches_once(tiny_corpus, monkeypatch):
     codec, model = prefix_model("depth", "transformer")
     sizes = []
     depth_caches = model.depth_caches
-    monkeypatch.setattr(model, "depth_caches", lambda prefix, rows, depths: (
-        sizes.append((rows, depths)) or depth_caches(prefix, rows, depths)))
+    monkeypatch.setattr(model, "depth_caches", lambda style, rows, depths: (
+        sizes.append((rows, depths)) or depth_caches(style, rows, depths)))
     rec = tiny_corpus.records[0]
     for strategy, n in (("default", 1), ("average", 4)):
         sizes.clear()
@@ -398,7 +395,7 @@ def test_rewound_caches_give_the_logits_of_fresh_ones(monkeypatch, n, d_star):
     rows, bit for bit."""
     _, model = prefix_model("depth", "conv")
     R, H = 3, model.config.width
-    prefix = model.depth_prefix(np.ones((1, H)))
+    style = np.ones((1, H))
     frames = np.random.default_rng(2).normal(0.0, 1.0, (4, R, H))
     logits = []
     depth_step = model.depth_step
@@ -415,9 +412,9 @@ def test_rewound_caches_give_the_logits_of_fresh_ones(monkeypatch, n, d_star):
             np.testing.assert_array_equal(embs, model.frame_embedding(rows))
         return list(logits), [rows for rows, _ in drawn]
 
-    once = model.depth_caches(prefix, R * n, d_star)
+    once = model.depth_caches(style, R * n, d_star)
     rewound = run(lambda: once)
-    fresh = run(lambda: model.depth_caches(prefix, R * n, d_star))
+    fresh = run(lambda: model.depth_caches(style, R * n, d_star))
     assert len(rewound[0]) == len(frames) * d_star
     for got, want in zip(rewound, fresh, strict=True):
         for a, b in zip(got, want, strict=True):
@@ -465,14 +462,14 @@ def test_a_call_after_a_weight_update_decodes_with_the_new_weights(
 
 
 @pytest.mark.parametrize("where,bad", [("y", np.nan), ("y", np.inf), ("s", -np.inf)])
-def test_generate_batch_refuses_a_non_finite_input(tiny_corpus, where, bad):
+def test_generate_batch_refuses_a_non_finite_input(tiny_corpus, monkeypatch, where, bad):
     """A non-finite driving signal or style reference raises ValueError
     before any sampling: no stream, no depth pass."""
     codec, model = prefix_model("depth", "conv")
     rec = tiny_corpus.records[1]
     y, s = rec.audio.copy(), rec.motion.copy()
     (y if where == "y" else s)[3, 1] = bad
-    model.start_stream = None  # a call would raise TypeError
+    monkeypatch.setattr(sampling, "TemporalStream", None)  # a call would raise TypeError
     with pytest.raises(ValueError, match="must be finite"):
         generate_batch(model, codec, y, s, SamplingConfig(strategy="average", n=2), 2)
     assert model.depth_row_count == model.depth_pass_count == 0
@@ -561,15 +558,14 @@ def test_batch_samples_are_independent(stack):
 # -- distillation ----------------------------------------------------------------
 
 
-def test_distill_trains_student_with_checkpoints(stack, tiny_corpus):
+def test_distill_trains_student_and_logs_every_epoch(stack, tiny_corpus):
     codec, model, _ = stack
     seen = []
     student, history = distill(
         model, codec, tiny_corpus,
-        SamplingConfig(strategy="average", n=4, seed=0),
-        checkpoint_hook=lambda epoch, net: seen.append(epoch))
-    assert seen == list(range(TINY_AR.epochs + 1))
-    assert len(history) == TINY_AR.epochs
+        SamplingConfig(strategy="average", n=4, seed=0), log=seen.append)
+    assert seen == history
+    assert [row["epoch"] for row in history] == list(range(TINY_AR.epochs))
     np.testing.assert_array_equal(student.codebook.data, model.codebook.data)
 
 
