@@ -201,7 +201,10 @@ class ARModel(Module):
     # -- inference-side incremental API -------------------------------------
 
     def context_features(self, y: np.ndarray, s: np.ndarray):
-        """Precompute (audio features (T, H), style embedding (H,))."""
+        """(audio features (T, H), style embedding (H,)) of y (T, A), s (T_s, 3V)."""
+        if np.ndim(y) != 2 or np.ndim(s) != 2:
+            raise ShapeError(f"expected (T, A) audio and (T_s, 3V) style, "
+                             f"got {np.shape(y)} and {np.shape(s)}")
         return self.encode_audio(y[None])[0], self.encode_style(s[None])[0]
 
     def depth_prefix(self, style_emb) -> list:
@@ -209,6 +212,8 @@ class ARModel(Module):
         style tokens of style embeddings (B, H), on the tape for a Tensor. The
         style token is the first causal position and sees only itself, so one
         prefix serves every frame and row drawn with its style."""
+        if style_emb.shape[1:] != (self.config.width,):
+            raise ShapeError(f"style embeddings must be (B, width), got {style_emb.shape}")
         B, H = style_emb.shape
         if self.config.style_mode == "depth":
             v = self.style_proj(style_emb)
@@ -299,8 +304,8 @@ class TemporalStream:
 
     ``step`` returns h_av of the next frame for every sequence, given the
     depth-summed code embedding each sequence committed for the frame before.
-    Each causal conv keeps the rows of its input seen so far, as in Fast
-    WaveNet generation, and computes one output row from them with
+    Each causal conv keeps its last (k−1)·d + 1 input rows in a ring buffer,
+    as in Fast WaveNet generation, and computes one output row from them with
     ``tap_sum``, the kernel of ``conv1d``, so with convs a frame costs the
     same at any position; the transformer variant keeps a ``KVCache`` of
     T positions per block and runs each frame through ``decode_step`` as one
@@ -321,8 +326,9 @@ class TemporalStream:
                            if c.style_mode == "temporal" else None)
         self.convs, self.blocks = [], []
         if c.temporal == "conv":
-            # input rows, each behind the conv's causal zero padding
-            self.convs = [(np.zeros((samples, (conv.kernel - 1) * conv.dilation + T, H)),
+            # a ring of input rows, indexed modulo its length; the zeros
+            # not yet written stand for the conv's causal padding
+            self.convs = [(np.zeros((samples, (conv.kernel - 1) * conv.dilation + 1, H)),
                            conv.dilation, conv.weight.data, conv.bias.data)
                           for conv in model.temporal_convs]
         else:
@@ -336,13 +342,15 @@ class TemporalStream:
         t = self.t
         if t == len(self.audio):
             raise ShapeError(f"the stream has only {t} frames")
+        if prev_emb is not None and prev_emb.shape != (len(self.start), len(self.code_proj[0])):
+            raise ShapeError(f"embeddings must be (samples, code_dim), got {prev_emb.shape}")
         x = self.audio[t] + (self.start if prev_emb is None
                              else affine(prev_emb, *self.code_proj))
         if self.style_term is not None:
             x = x + self.style_term
         for rows, d, weight, bias in self.convs:
-            rows[:, (len(weight) - 1) * d + t] = x
-            taps = [rows[:, t + tap * d] for tap in range(len(weight))]
+            rows[:, ((len(weight) - 1) * d + t) % rows.shape[1]] = x
+            taps = [rows[:, (t + tap * d) % rows.shape[1]] for tap in range(len(weight))]
             x = x + leaky_relu(tap_sum(taps, weight, bias))
         if self.blocks:
             x = x + self.pos[t]

@@ -1,8 +1,9 @@
 """Self-describing binary checkpoint container.
 
 Layout: magic ``RVQC``, u32 format version, u64 JSON header length, the JSON
-header, then the raw little-endian float64 payload of every array listed in
-the header (parameter values followed by their Adam moments).
+header, then the raw little-endian float64 payload of every parameter listed
+in the header. The reader ignores tensors and header keys it does not use,
+such as the Adam moments and ``steps`` that files of the old layout hold.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 MAGIC = b"RVQC"
 FORMAT_VERSION = 1
-_HEADER_KEYS = ("arch", "seed", "extra", "steps", "tensors")
+_HEADER_KEYS = ("arch", "seed", "extra", "tensors")
 
 
 class ContainerError(ValueError):
@@ -48,18 +49,14 @@ def write_atomic(path, chunks):
 
 
 def save_container(path, arch: dict, params: dict, seed: int, extra: dict | None = None):
-    """Write named parameters (with optimizer state) and an architecture spec."""
-    entries = []
-    blobs = []
-    for name, p in sorted(params.items()):
-        for suffix, arr in (("", p.data), (".adam_m", p.adam_m), (".adam_v", p.adam_v)):
-            entries.append({"name": name + suffix, "shape": list(arr.shape)})
-            blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write the values of named parameters and an architecture spec."""
+    items = sorted(params.items())
+    entries = [{"name": name, "shape": list(p.data.shape)} for name, p in items]
+    blobs = [np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p in items]
     header = {
         "arch": arch,  # json writes tuples as lists
         "seed": int(seed),
         "extra": extra or {},
-        "steps": {name: int(p.adam_step) for name, p in sorted(params.items())},
         "tensors": entries,
     }
     hjson = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -73,7 +70,7 @@ def _is_shape(shape) -> bool:
 
 
 def load_container(path):
-    """Read a checkpoint; returns (arch, arrays, steps, seed, extra)."""
+    """Read a checkpoint; returns (arch, arrays, seed, extra)."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise ContainerError(f"bad magic in {path}")
@@ -96,8 +93,8 @@ def load_container(path):
     tensors = header["tensors"]
     if not isinstance(tensors, list):
         raise ContainerError(f"header in {path} has no tensor list")
-    if not (isinstance(header["steps"], dict) and isinstance(header["extra"], dict)):
-        raise ContainerError(f"header in {path} needs steps and extra dicts")
+    if not isinstance(header["extra"], dict):
+        raise ContainerError(f"header in {path} needs an extra dict")
     for entry in tensors:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and _is_shape(entry.get("shape"))):
@@ -114,7 +111,7 @@ def load_container(path):
         offset = end
     if offset != len(raw):
         raise ContainerError(f"{len(raw) - offset} bytes after the last tensor in {path}")
-    return header["arch"], arrays, header["steps"], header["seed"], header["extra"]
+    return header["arch"], arrays, header["seed"], header["extra"]
 
 
 # JSON value types a config field may hold, matched exactly (a bool is no
@@ -134,7 +131,7 @@ def load_model(path, kind: str, config_cls, build):
     its parameters; returns (model, extra). A spec of another kind, a config
     value of the wrong JSON type or a spec that cannot build the config or
     the model raises ``ContainerError``."""
-    arch, arrays, steps, _, extra = load_container(path)
+    arch, arrays, _, extra = load_container(path)
     if not isinstance(arch, dict) or arch.get("model") != kind:
         raise ContainerError(f"{path} is not a {kind} checkpoint")
     fields = arch.get("config")
@@ -148,26 +145,20 @@ def load_model(path, kind: str, config_cls, build):
         model = build(config_cls(**fields), extra)
     except (TypeError, ValueError) as exc:
         raise ContainerError(f"bad {kind} config in {path}: {exc}") from exc
-    restore_params(model.parameters(), arrays, steps)
+    restore_params(model.parameters(), arrays)
     return model, extra
 
 
-def restore_params(params: dict, arrays: dict, steps: dict):
+def restore_params(params: dict, arrays: dict):
     """Load saved arrays into an existing parameter dict (shapes must match)."""
     for name, p in params.items():
-        for key in (name, name + ".adam_m", name + ".adam_v"):
-            if key not in arrays:
-                raise ContainerError(f"checkpoint missing tensor {key!r}")
+        if name not in arrays:
+            raise ContainerError(f"checkpoint missing tensor {name!r}")
         if arrays[name].shape != p.data.shape:
             raise ContainerError(
                 f"shape mismatch for {name!r}: "
                 f"{arrays[name].shape} vs {p.data.shape}")
         p.data = arrays[name].copy()
-        p.adam_m = arrays[name + ".adam_m"].copy()
-        p.adam_v = arrays[name + ".adam_v"].copy()
-        p.adam_step = steps.get(name, 0)
-        if type(p.adam_step) is not int:
-            raise ContainerError(f"step count of {name!r} is not an int")
 
 
 def file_checksum(path) -> str:

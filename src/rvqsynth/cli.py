@@ -4,7 +4,8 @@ Every subcommand accepts ``--config FILE`` (flat key=value, ``include``
 supported) plus direct flags; flags override config values. The options are
 the ``config.option`` fields of the subcommand's config dataclass plus the
 CLI-only entries of ``_COMMANDS``; all are checked before any artifact is
-read. Each run writes a resolved-config snapshot next to its primary output.
+read. Each successful run with an output writes a resolved-config snapshot
+next to it.
 Progress is logged as line-oriented ``key=value`` records. Exit codes: 0
 success, 2 config error (a negative, infinite or NaN number included), 3
 missing or malformed input artifact (checkpoint, sequence or audio file, a
@@ -135,27 +136,23 @@ def _maybe_sync(r: dict):
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_gen_data(r: dict, cfg: CorpusConfig) -> int:
+def cmd_gen_data(r: dict, cfg: CorpusConfig) -> None:
     corpus = generate_corpus(cfg)
     save_corpus(corpus, r["out"])
-    _snapshot(r["out"], r)
     log(event="gen-data", records=len(corpus.records),
         speakers=cfg.num_speakers, out=r["out"])
-    return EXIT_OK
 
 
-def cmd_train_codec(r: dict, cfg: CodecConfig) -> int:
+def cmd_train_codec(r: dict, cfg: CodecConfig) -> None:
     corpus = _load_corpus(r["data"])
     cfg = replace(cfg, input_dim=3 * corpus.vertices)
     codec, _ = train_codec(
         corpus, cfg, log=lambda row: log(event="train-codec", **row))
     codec.save(r["out"], seed=cfg.seed)
-    _snapshot(r["out"], r)
     log(event="train-codec", status="saved", out=r["out"])
-    return EXIT_OK
 
 
-def cmd_train_ar(r: dict, cfg: ARConfig) -> int:
+def cmd_train_ar(r: dict, cfg: ARConfig) -> None:
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     cfg = replace(cfg, code_dim=codec.config.code_dim,
@@ -166,12 +163,10 @@ def cmd_train_ar(r: dict, cfg: ARConfig) -> int:
                         log=lambda row: log(event="train-ar", **row),
                         codec_checksum=file_checksum(r["codec"]))
     model.save(r["out"], seed=cfg.seed)
-    _snapshot(r["out"], r)
     log(event="train-ar", status="saved", out=r["out"])
-    return EXIT_OK
 
 
-def cmd_train_sync(r: dict, cfg: metrics.SyncConfig) -> int:
+def cmd_train_sync(r: dict, cfg: metrics.SyncConfig) -> None:
     corpus = _load_corpus(r["data"])
     epochs = r["epochs"] if r["epochs"] is not None \
         else (6 if cfg.variant == 1 else 12)
@@ -181,23 +176,19 @@ def cmd_train_sync(r: dict, cfg: metrics.SyncConfig) -> int:
         corpus, cfg.variant, cfg,
         log=lambda row: log(event="train-sync", variant=cfg.variant, **row))
     net.save(r["out"], seed=cfg.seed)
-    _snapshot(r["out"], r)
     log(event="train-sync", status="saved", out=r["out"])
-    return EXIT_OK
 
 
-def cmd_train_style(r: dict, cfg: metrics.StyleConfig) -> int:
+def cmd_train_style(r: dict, cfg: metrics.StyleConfig) -> None:
     corpus = _load_corpus(r["data"])
     cfg = replace(cfg, motion_dim=3 * corpus.vertices)
     net, speakers, _ = metrics.train_style_net(
         corpus, cfg, log=lambda row: log(event="train-style", **row))
     net.save(r["out"], speakers, seed=cfg.seed)
-    _snapshot(r["out"], r)
     log(event="train-style", status="saved", out=r["out"])
-    return EXIT_OK
 
 
-def cmd_generate(r: dict, scfg: SamplingConfig) -> int:
+def cmd_generate(r: dict, scfg: SamplingConfig) -> None:
     if r["samples"] < 1:
         raise ConfigError(f"--samples must be at least 1, got {r['samples']}")
     corpus = _load_corpus(r["data"])
@@ -220,13 +211,11 @@ def cmd_generate(r: dict, scfg: SamplingConfig) -> int:
                        os.path.join(r["out"], f"sample_{i:03d}.rvqm"))
         write_grid(grids[i], model.config.codebook_size,
                    os.path.join(r["out"], f"sample_{i:03d}.rvqj"))
-    _snapshot(r["out"], r)
     log(event="generate", clip=r["clip"], strategy=scfg.strategy,
         samples=motions.shape[0], out=r["out"])
-    return EXIT_OK
 
 
-def cmd_distill(r: dict, scfg: SamplingConfig) -> int:
+def cmd_distill(r: dict, scfg: SamplingConfig) -> None:
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     teacher = _load_ar(r["ar"], r["codec"])
@@ -236,9 +225,7 @@ def cmd_distill(r: dict, scfg: SamplingConfig) -> int:
                          log=lambda row: log(event="distill", **row),
                          codec_checksum=file_checksum(r["codec"]))
     student.save(r["out"], seed=scfg.seed)
-    _snapshot(r["out"], r)
     log(event="distill", status="saved", out=r["out"])
-    return EXIT_OK
 
 
 def format_table(results: dict) -> str:
@@ -254,7 +241,7 @@ def format_table(results: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_evaluate(r: dict, scfg: SamplingConfig) -> int:
+def cmd_evaluate(r: dict, scfg: SamplingConfig) -> None:
     if min(r["samples"], r["clips"]) < 1:
         raise ConfigError(f"need a clip and a sample, got {r['clips']} and {r['samples']}")
     corpus = _load_corpus(r["data"])
@@ -277,8 +264,6 @@ def cmd_evaluate(r: dict, scfg: SamplingConfig) -> int:
                      [(table + "\n").encode()])
         write_atomic(os.path.join(r["out"], "metrics.kv"), [
             "".join(f"{k}={v}\n" for k, v in results.items()).encode()])
-        _snapshot(r["out"], r)
-    return EXIT_OK
 
 
 _DATA = {"data": (str, None, "corpus directory")}
@@ -331,7 +316,10 @@ def main(argv=None) -> int:
     try:
         resolved = resolve_options(args)
         command, config_cls, _ = _COMMANDS[args.command]
-        return command(resolved, build(config_cls, resolved))
+        command(resolved, build(config_cls, resolved))
+        if resolved["out"]:
+            _snapshot(resolved["out"], resolved)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -183,6 +183,8 @@ class SyncNet(Module):
         each sequence its own bits, and the projection is one GEMM over all
         of them, which matches one row at a time to rounding."""
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim < 2:
+            raise ShapeError(f"expected (T, 3V) or (..., T, 3V) motion, got {x.shape}")
         frames = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))
         emb = self._window_embed(frames, self.mesh_proj)
         return emb.reshape(x.shape[:-2] + emb.shape[-1:])
@@ -218,9 +220,9 @@ class SyncNet(Module):
         rows instead of one over a single row.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (2, 3):
-            raise ShapeError(f"expected (T, 3V) or (B, T, 3V) motion, got "
-                             f"{x.shape}")
+        if x.ndim not in (2, 3) or np.ndim(y) != 2:
+            raise ShapeError(f"expected (T, 3V) or (B, T, 3V) motion and (T, A) "
+                             f"audio, got {x.shape} and {np.shape(y)}")
         if x.shape[-2] != y.shape[0]:
             raise ShapeError("motion and audio must be frame-aligned")
         mesh_f = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))

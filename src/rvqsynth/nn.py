@@ -23,37 +23,34 @@ class DivergenceError(RuntimeError):
 
 
 class Parameter(Tensor):
-    """A trainable tensor with Adam accumulators."""
+    """A trainable tensor; ``fit`` keeps its optimizer state."""
 
-    __slots__ = ("adam_m", "adam_v", "adam_step")
+    __slots__ = ()
 
     def __init__(self, data):
-        super().__init__(data, requires_grad=True)
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
-        self.adam_step = 0
+        Tensor.__init__(self, data, requires_grad=True)
 
     def zero_grad(self):
         self.grad = None
 
 
-def adam_step(params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
-    """Standard bias-corrected Adam update. Aborts before touching any
-    parameter if any gradient is non-finite."""
-    params = list(params)
+def adam_step(params, moments, t: int, lr: float, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8):
+    """Bias-corrected Adam's update ``t`` (from 1) of the list ``params``, their
+    moments (m, v) replaced in the list ``moments``. Aborts before touching
+    any parameter or moment if any gradient is non-finite."""
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
         if not np.all(np.isfinite(p.grad)):
             raise DivergenceError("non-finite gradient; step aborted")
-    for p in params:
-        p.adam_step += 1
-        t = p.adam_step
-        p.adam_m = beta1 * p.adam_m + (1.0 - beta1) * p.grad
-        p.adam_v = beta2 * p.adam_v + (1.0 - beta2) * p.grad * p.grad
-        mhat = p.adam_m / (1.0 - beta1 ** t)
-        vhat = p.adam_v / (1.0 - beta2 ** t)
+    for i, p in enumerate(params):
+        m, v = moments[i]
+        m = beta1 * m + (1.0 - beta1) * p.grad
+        v = beta2 * v + (1.0 - beta2) * p.grad * p.grad
+        moments[i] = m, v
+        mhat = m / (1.0 - beta1 ** t)
+        vhat = v / (1.0 - beta2 ** t)
         p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
 
 
@@ -412,10 +409,11 @@ def fit(params, epochs: int, lr: float, batches, step, log=None,
     ``end_epoch(epoch)`` runs after the epoch's last step. Each history row
     is ``{"epoch", *parts}`` with parts averaged over batches. A non-finite
     loss restores the parameters from the start of the epoch and raises
-    ``DivergenceError``.
+    ``DivergenceError``. Adam's moments and step count live for the fit alone.
     """
     params = list(params.values())
-    history = []
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+    history, t = [], 0
     for epoch in range(epochs):
         snapshot = [p.data.copy() for p in params]
         totals, n_batches = {}, 0
@@ -435,7 +433,8 @@ def fit(params, epochs: int, lr: float, batches, step, log=None,
             # drop the graph now: kept, it would live through the next
             # step's forward and backward (and through ``end_epoch``)
             del parts, loss
-            adam_step(params, lr)
+            t += 1
+            adam_step(params, moments, t, lr)
             n_batches += 1
         if end_epoch is not None:
             end_epoch(epoch)

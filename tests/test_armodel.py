@@ -509,6 +509,57 @@ def test_stream_refuses_a_step_past_the_last_frame(temporal):
         stream.step(committed)
 
 
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+def test_stream_refuses_embeddings_of_another_shape(temporal):
+    """``step`` takes (S, N_C) embeddings of the frame before: another row
+    count, another width or one row for all raises ``ShapeError``, and the
+    stream stays at its frame."""
+    model = make_model(replace(TINY_AR, temporal=temporal, temporal_layers=1))
+    stream = TemporalStream(model, *model.context_features(*random_inputs(TINY_AR, T=3)), 2)
+    stream.step(None)
+    for bad in ((3, TINY_AR.code_dim), (2, TINY_AR.code_dim + 1), (TINY_AR.code_dim,)):
+        with pytest.raises(ShapeError, match=r"\(samples, code_dim\)"):
+            stream.step(np.zeros(bad))
+    assert stream.step(np.zeros((2, TINY_AR.code_dim))).shape == (2, TINY_AR.width)
+    assert stream.t == 2
+
+
+def test_context_and_style_prefix_refuse_inputs_of_another_rank():
+    """A driving signal or style reference that is not 2-D, or style
+    embeddings that are not (B, width), raise ``ShapeError`` at the entry of
+    ``context_features`` and of ``depth_prefix`` (so ``depth_caches``)."""
+    model = make_model()
+    y, s = random_inputs(TINY_AR, T=4)
+    for bad in ((y[:, 0], s), (y, s[:, 0]), (y[None], s), (y, s[None])):
+        with pytest.raises(ShapeError, match=r"\(T, A\) audio and \(T_s, 3V\) style"):
+            model.context_features(*bad)
+    style = model.context_features(y, s)[1]
+    for bad in (style, style[None, None], np.zeros((1, TINY_AR.width + 1))):
+        with pytest.raises(ShapeError, match=r"\(B, width\)"):
+            model.depth_prefix(bad)
+        with pytest.raises(ShapeError, match=r"\(B, width\)"):
+            model.depth_caches(bad, 2, TINY_AR.depth)
+
+
+def test_stream_conv_memory_does_not_grow_with_frames():
+    """Each causal conv keeps a ring of (k − 1)·d + 1 input rows, so a conv
+    stream built and stepped over T = 4,096 frames allocates no more than
+    over T = 8; buffers of (k − 1)·d + T rows took 4 MB more."""
+    model = make_model()
+    peaks = []
+    for T in (8, 4096):
+        audio, style = model.context_features(*random_inputs(TINY_AR, T))
+        tracemalloc.start()
+        try:
+            stream = TemporalStream(model, audio, style, 4)
+            for t in range(8):
+                stream.step(None if t == 0 else np.zeros((4, TINY_AR.code_dim)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096, peaks
+
+
 def test_depth_pass_counter_counts_rows():
     model = make_model()
     h = np.zeros((3, TINY_AR.width))

@@ -111,6 +111,16 @@ def test_train_sync_and_style_and_evaluate(artifacts, capsys):
     kv = dict(line.split("=", 1) for line in
               Path(out, "metrics.kv").read_text().splitlines())
     assert float(kv["l_cover"]) <= float(kv["l_vertex"])
+    assert "samples=3" in Path(out, "config.resolved").read_text()
+
+
+def test_evaluate_without_out_writes_no_file(artifacts, tmp_path, monkeypatch):
+    """The snapshot goes next to a subcommand's output, and an ``evaluate``
+    without ``--out`` has none: nothing lands in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["evaluate", "--data", artifacts["corpus"], "--codec", artifacts["codec"],
+                 "--ar", artifacts["ar"], "--samples", "1", "--clips", "1"]) == EXIT_OK
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_distill_produces_student(artifacts):
@@ -449,19 +459,16 @@ def test_checkpoint_with_separate_attention_projections_is_refused(
     from rvqsynth.checkpoint import ContainerError, load_container, save_container
     from rvqsynth.nn import Parameter
 
-    arch, arrays, steps, seed, extra = load_container(artifacts["ar"])
+    arch, arrays, seed, extra = load_container(artifacts["ar"])
     params = {}
-    for name in (n for n in arrays if not n.endswith(("adam_m", "adam_v"))):
+    for name in arrays:
         blocks = [(name, slice(None))]
         if ".attn.wqkv." in name:
             W = arrays[name].shape[-1] // 3
             blocks = [(name.replace("wqkv", "w" + c), slice(i * W, (i + 1) * W))
                       for i, c in enumerate("qkv")]
         for new, cols in blocks:
-            p = params[new] = Parameter(arrays[name][..., cols])
-            p.adam_m = arrays[name + ".adam_m"][..., cols]
-            p.adam_v = arrays[name + ".adam_v"][..., cols]
-            p.adam_step = steps[name]
+            params[new] = Parameter(arrays[name][..., cols])
     old = tmp_path / "separate_qkv.ckpt"
     save_container(old, arch, params, seed, extra)
     with pytest.raises(ContainerError, match=r"depth_blocks\.0\.attn\.wqkv\.weight"):

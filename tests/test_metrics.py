@@ -305,6 +305,17 @@ def test_sync_score_requires_aligned_lengths(tiny_corpus):
         net.score(rec.motion[None, None], rec.audio)
 
 
+def test_sync_net_refuses_a_one_dimensional_motion_or_audio(tiny_corpus):
+    net = SyncNet(sync_cfg(2))
+    rec = tiny_corpus.records[0]
+    with pytest.raises(ShapeError, match=r"\(T, 3V\) or \(\.\.\., T, 3V\) motion"):
+        net.embed_mesh(rec.motion[0])
+    with pytest.raises(ShapeError, match=r"\(T, A\) audio"):
+        net.score(rec.motion, rec.audio[:, 0])
+    with pytest.raises(ShapeError, match=r"\(T, A\) audio"):
+        net.score(rec.motion[None], rec.audio[None])
+
+
 def test_sync_window_fitting():
     net = SyncNet(sync_cfg(2))
     long = np.arange(20.0)[:, None] * np.ones((1, 12))

@@ -679,9 +679,10 @@ def test_module_parameter_discovery_nested():
 
 def test_adam_reduces_quadratic():
     p = Parameter(np.array([5.0, -3.0]))
-    for _ in range(300):
+    moments = [(np.zeros(2), np.zeros(2))]
+    for t in range(1, 301):
         p.grad = 2.0 * p.data
-        adam_step([p], lr=0.05)
+        adam_step([p], moments, t, lr=0.05)
     assert np.all(np.abs(p.data) < 0.1)
 
 
@@ -690,11 +691,54 @@ def test_adam_aborts_on_nonfinite_grad_without_update():
     q = Parameter(np.ones(2))
     p.grad = np.array([1.0, np.nan])
     q.grad = np.ones(2)
-    before_q = q.data.copy()
+    moments = [(np.full(2, 0.5), np.full(2, 0.25)), (np.zeros(2), np.zeros(2))]
+    before = list(moments)
     with pytest.raises(DivergenceError):
-        adam_step([q, p], lr=0.1)
-    np.testing.assert_array_equal(q.data, before_q)
-    assert q.adam_step == 0
+        adam_step([q, p], moments, 4, lr=0.1)
+    np.testing.assert_array_equal(q.data, np.ones(2))
+    np.testing.assert_array_equal(p.data, np.ones(2))
+    assert all(now is was for now, was in zip(moments, before, strict=True))
+    np.testing.assert_array_equal(moments[0][0], np.full(2, 0.5))
+    np.testing.assert_array_equal(moments[0][1], np.full(2, 0.25))
+
+
+def test_parameter_holds_no_optimizer_state():
+    p = Parameter(np.ones(2))
+    assert p.requires_grad and p.grad is None
+    for name in ("adam_m", "adam_v", "adam_step"):
+        assert not hasattr(p, name)
+        with pytest.raises(AttributeError):
+            setattr(p, name, np.zeros(2))
+
+
+def reference_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba's Adam from zero moments over the gradients ``grads(p)``
+    of successive steps, one step count for all of them."""
+    m = v = np.zeros_like(p)
+    for t, grad in enumerate(grads, 1):
+        g = grad(p)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        p = p - lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    return p
+
+
+def test_fit_counts_adam_steps_across_epochs_and_starts_each_fit_afresh():
+    """Two epochs of two batches are Adam steps 1 to 4 of one run, bit for
+    bit; a second fit of the same parameter starts from zero moments."""
+    p = Parameter(np.array([1.0, -2.0]))
+
+    def step(batch):
+        return {"loss": (p * p).sum()}
+
+    def grads(n):
+        return [lambda q: 2.0 * q] * n
+
+    fit({"p": p}, 2, 0.1, lambda: iter(range(2)), step)
+    want = reference_adam(np.array([1.0, -2.0]), grads(4), 0.1)
+    assert p.data.tobytes() == want.tobytes()
+    fit({"p": p}, 1, 0.1, lambda: iter(range(1)), step)
+    assert p.data.tobytes() == reference_adam(want, grads(1), 0.1).tobytes()
 
 
 def test_conv_stack_puts_leaky_relu_between_layers():
@@ -750,8 +794,9 @@ def test_fit_nonfinite_loss_restores_epoch_start_and_raises():
 
 def test_fit_holds_no_graph_at_end_epoch_or_after():
     """The step's graph is released before ``end_epoch`` runs and nothing of
-    it outlives ``fit``: what tracemalloc still sees then is the parameter's
-    Adam state and gradient, far below one (4096, 8) activation."""
+    it outlives ``fit``: what tracemalloc still sees then is ``fit``'s Adam
+    moments and the parameters' gradients, far below one (4096, 8)
+    activation."""
     r = np.random.default_rng(17)
     layer = Dense(8, 8, r)
     x = r.normal(0.0, 1.0, (4096, 8))

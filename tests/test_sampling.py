@@ -475,6 +475,15 @@ def test_generate_batch_refuses_a_non_finite_input(tiny_corpus, monkeypatch, whe
     assert model.depth_row_count == model.depth_pass_count == 0
 
 
+@pytest.mark.parametrize("where", ["y", "s"])
+def test_generate_batch_refuses_a_one_dimensional_input(stack, where):
+    codec, model, rec = stack
+    y, s = rec.audio, rec.motion
+    y, s = (y[:, 0], s) if where == "y" else (y, s[:, 0])
+    with pytest.raises(ShapeError, match=r"\(T, A\) audio and \(T_s, 3V\) style"):
+        generate_batch(model, codec, y, s, SamplingConfig(), 2)
+
+
 def with_bad_audio(corpus, split):
     """A copy of ``corpus`` whose first ``split`` clip has a NaN audio frame."""
     rec = corpus.split(split)[0]
