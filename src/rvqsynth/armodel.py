@@ -20,7 +20,7 @@ from . import checkpoint
 from .config import option
 from .codec import check_codes, rvq_recursion, sample_categorical
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
-                 affine, conv_stack, decode_step, fit, operand, tap_sum)
+                 affine, conv_layers, conv_stack, decode_step, fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
                      leaky_relu, log_softmax, mean)
 
@@ -85,15 +85,10 @@ class ARModel(Module):
         H = c.width
         self.codebook = Parameter(codebook)  # frozen; excluded from updates
         # audio encoder: centered convolutions, window radius self.audio_radius
-        dims = [c.audio_dim] + [H] * c.audio_layers
-        self.audio_convs = [Conv1d(dims[i], dims[i + 1], c.audio_kernel, rng,
-                                   mode="same") for i in range(c.audio_layers)]
+        self.audio_convs = conv_layers([c.audio_dim] + [H] * c.audio_layers,
+                                       [c.audio_kernel] * c.audio_layers, rng)
         # style encoder: codec-encoder shape, non-causal convolutions
-        self.style_convs = [
-            Conv1d(c.motion_dim, H, 1, rng, mode="same"),
-            Conv1d(H, H, 3, rng, mode="same"),
-            Conv1d(H, H, 3, rng, mode="same"),
-        ]
+        self.style_convs = conv_layers([c.motion_dim, H, H, H], [1, 3, 3], rng)
         self.style_proj = Dense(H, H, rng)
         # temporal model
         self.code_proj = Dense(c.code_dim, H, rng)
@@ -132,15 +127,12 @@ class ARModel(Module):
     # -- forward passes -----------------------------------------------------
 
     def encode_audio(self, y):
-        if y.shape[-1] != self.config.audio_dim:
-            raise ShapeError(f"audio features must have dim "
-                             f"{self.config.audio_dim}, got {y.shape}")
         return conv_stack(y, self.audio_convs)
 
     def encode_style(self, s):
         """Mean-pooled embedding of a (B, T_s, 3V) style reference."""
-        if s.ndim != 3 or s.shape[1] < 1:
-            raise ShapeError("style reference needs at least one frame")
+        if s.ndim != 3:
+            raise ShapeError(f"style references must be (B, T_s, 3V), got {s.shape}")
         return mean(conv_stack(s, self.style_convs), axis=1)
 
     def temporal_context(self, audio_feats, frame_embs: np.ndarray,
@@ -315,6 +307,8 @@ class TemporalStream:
     def __init__(self, model: ARModel, audio_feats: np.ndarray,
                  style_emb: np.ndarray, samples: int):
         c = model.config
+        if np.ndim(audio_feats) != 2 or audio_feats.shape[1] != c.width:
+            raise ShapeError(f"audio features {np.shape(audio_feats)} are not (T, {c.width})")
         T, H = audio_feats.shape
         if c.temporal == "transformer" and T > c.max_frames:
             raise ShapeError(f"{T} frames exceed the transformer temporal "

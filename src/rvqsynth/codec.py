@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import option
-from .nn import Conv1d, Module, Parameter, conv_stack, fit
+from .nn import Module, Parameter, conv_layers, conv_stack, fit
 from .tensor import ShapeError, Tensor, straight_through
 
 GRID_MAGIC = b"RVQJ"
@@ -118,16 +118,10 @@ class Codec(Module):
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         c = config
-        self.enc_layers = [
-            Conv1d(c.input_dim, c.hidden, 1, rng, mode="same"),
-            Conv1d(c.hidden, c.hidden, 3, rng, mode="causal"),
-            Conv1d(c.hidden, c.code_dim, 3, rng, mode="causal"),
-        ]
-        self.dec_layers = [
-            Conv1d(c.code_dim, c.hidden, 3, rng, mode="causal"),
-            Conv1d(c.hidden, c.hidden, 3, rng, mode="causal"),
-            Conv1d(c.hidden, c.input_dim, 1, rng, mode="same"),
-        ]
+        self.enc_layers = conv_layers([c.input_dim, c.hidden, c.hidden, c.code_dim],
+                                      [1, 3, 3], rng, "causal")
+        self.dec_layers = conv_layers([c.code_dim, c.hidden, c.hidden, c.input_dim],
+                                      [3, 3, 1], rng, "causal")
         self.codebook = Parameter(rng.normal(0.0, 0.1, (c.codebook_size, c.code_dim)))
 
     # -- forward ----------------------------------------------------------
@@ -136,11 +130,7 @@ class Codec(Module):
         """Map a (T, 3V) sequence to (T, N_C) latents; a stack of sequences
         (..., T, 3V) is encoded in one pass to (..., T, N_C), each sequence
         with the same bits as on its own."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2 or x.shape[-1] != self.config.input_dim:
-            raise ShapeError(
-                f"expected (..., T, {self.config.input_dim}) motion, got {x.shape}")
-        return conv_stack(x, self.enc_layers)
+        return conv_stack(np.asarray(x, dtype=np.float64), self.enc_layers)
 
     def quantize(self, z: np.ndarray) -> QuantizationResult:
         return rvq_quantize_frames(z, self.codebook.data, self.config.depth)

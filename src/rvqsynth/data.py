@@ -169,7 +169,6 @@ def _speaker_mixing(bases: SharedBases, channels: np.ndarray,
 def make_speaker(speaker_id: int, upper_noise: float, rng: np.random.Generator,
                  bases: SharedBases) -> SpeakerProfile:
     rank = bases.offset_lip.shape[0]
-    coeffs = lambda: rng.normal(0.0, 1.0, size=rank)
     return SpeakerProfile(
         speaker_id=speaker_id,
         amp=rng.uniform(0.38, 0.42),

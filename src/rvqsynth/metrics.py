@@ -11,8 +11,8 @@ import numpy as np
 from . import checkpoint
 from .config import option
 from .data import SequenceFormatError, style_reference
-from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_stack, fit,
-                 operand)
+from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_layers, conv_stack,
+                 fit, operand)
 from .sampling import generate_batch
 from .tensor import ShapeError, Tensor, cross_entropy, leaky_relu, mean
 
@@ -138,26 +138,14 @@ class SyncNet(Module):
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         c = config
-        self.mesh_convs = [
-            Conv1d(c.motion_dim, c.width, 1, rng, mode="same"),
-            Conv1d(c.width, c.width, 3, rng, mode="same"),
-            Conv1d(c.width, c.emb_dim, 3, rng, mode="same"),
-        ]
-        self.audio_convs = [
-            Conv1d(c.audio_dim, c.width, 3, rng, mode="same"),
-            Conv1d(c.width, c.emb_dim, 3, rng, mode="same"),
-        ]
+        self.mesh_convs = conv_layers([c.motion_dim, c.width, c.width, c.emb_dim],
+                                      [1, 3, 3], rng)
+        self.audio_convs = conv_layers([c.audio_dim, c.width, c.emb_dim], [3, 3], rng)
         self.mesh_proj = Dense(c.window * c.emb_dim, c.emb_dim, rng)
         self.audio_proj = Dense(c.window * c.emb_dim, c.emb_dim, rng)
         if c.variant == 1:
             self.fuse_conv = Conv1d(2 * c.emb_dim, c.width, 3, rng, mode="same")
             self.score_head = Dense(c.width, 1, rng)
-
-    def mesh_frames(self, x):
-        return conv_stack(x, self.mesh_convs)
-
-    def audio_frames(self, y):
-        return conv_stack(y, self.audio_convs)
 
     def _window_embed(self, frames, proj: Dense):
         """Normalized window embeddings (B, emb) of (B, W, E) frames."""
@@ -183,9 +171,10 @@ class SyncNet(Module):
         each sequence its own bits, and the projection is one GEMM over all
         of them, which matches one row at a time to rounding."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2:
-            raise ShapeError(f"expected (T, 3V) or (..., T, 3V) motion, got {x.shape}")
-        frames = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))
+        if x.ndim < 2 or not x.shape[-2]:
+            raise ShapeError(f"expected (T, 3V) or (..., T, 3V) motion, T >= 1, got {x.shape}")
+        frames = conv_stack(self._fit_window(x.reshape((-1,) + x.shape[-2:])),
+                            self.mesh_convs)
         emb = self._window_embed(frames, self.mesh_proj)
         return emb.reshape(x.shape[:-2] + emb.shape[-1:])
 
@@ -220,13 +209,13 @@ class SyncNet(Module):
         rows instead of one over a single row.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (2, 3) or np.ndim(y) != 2:
-            raise ShapeError(f"expected (T, 3V) or (B, T, 3V) motion and (T, A) "
+        if x.ndim not in (2, 3) or not x.shape[-2] or np.ndim(y) != 2:
+            raise ShapeError(f"expected (T, 3V) or (B, T, 3V) motion, T >= 1, and (T, A) "
                              f"audio, got {x.shape} and {np.shape(y)}")
         if x.shape[-2] != y.shape[0]:
             raise ShapeError("motion and audio must be frame-aligned")
-        mesh_f = self.mesh_frames(self._fit_window(x.reshape((-1,) + x.shape[-2:])))
-        audio_f = self.audio_frames(self._fit_window(y)[None])
+        mesh_f = conv_stack(self._fit_window(x.reshape((-1,) + x.shape[-2:])), self.mesh_convs)
+        audio_f = conv_stack(self._fit_window(y)[None], self.audio_convs)
         if self.config.variant == 1:
             scores = self._fused_scores(mesh_f, audio_f)[:, 0]
         else:
@@ -293,8 +282,8 @@ def infonce_batch(records, config: SyncConfig, rng: np.random.Generator):
 
 
 def infonce_loss(net: SyncNet, meshes: np.ndarray, audios: np.ndarray) -> Tensor:
-    mesh_f = net.mesh_frames(Tensor(meshes))
-    audio_f = net.audio_frames(Tensor(audios))
+    mesh_f = conv_stack(Tensor(meshes), net.mesh_convs)
+    audio_f = conv_stack(Tensor(audios), net.audio_convs)
     scores = net.score_matrix(mesh_f, audio_f) * (1.0 / net.config.temperature)
     targets = np.arange(meshes.shape[0])
     return cross_entropy(scores, targets)
@@ -363,11 +352,7 @@ class StyleNet(Module):
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         c = config
-        self.convs = [
-            Conv1d(c.motion_dim, c.width, 1, rng, mode="same"),
-            Conv1d(c.width, c.width, 3, rng, mode="same"),
-            Conv1d(c.width, c.emb_dim, 3, rng, mode="same"),
-        ]
+        self.convs = conv_layers([c.motion_dim, c.width, c.width, c.emb_dim], [1, 3, 3], rng)
         n = max(1, c.num_classes)
         self.class_weights = Parameter(rng.normal(0.0, 0.1, (n, c.emb_dim)))
 

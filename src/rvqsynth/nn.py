@@ -140,7 +140,7 @@ def dense(x, weight: Tensor, bias: Tensor):
 
 
 class Conv1d(Module):
-    """1-D convolution over the time axis of (B, T, C) input.
+    """1-D convolution over the time axis of (..., T, C) input, T >= 1.
 
     ``mode='causal'`` reads only indices <= t; ``mode='same'`` uses a centered
     window (odd kernel sizes only).
@@ -172,8 +172,8 @@ class Conv1d(Module):
         return (self.kernel - 1) // 2 * self.dilation
 
     def __call__(self, x):
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"conv1d expects last dim {self.in_dim}, got {x.shape}")
+        if x.ndim < 2 or x.shape[-2] < 1 or x.shape[-1] != self.in_dim:
+            raise ShapeError(f"conv1d expects (..., T >= 1, {self.in_dim}), got {x.shape}")
         return conv1d(x, operand(x, self.weight), operand(x, self.bias),
                       self.dilation, self.mode)
 
@@ -388,6 +388,11 @@ def decode_step(x: np.ndarray, cache: KVCache, arrays: tuple) -> np.ndarray:
     qkv, wo, ff1, ff2 = arrays
     x = x + affine(cache.attend(affine(x, *qkv)), *wo)
     return x + affine(leaky_relu(affine(x, *ff1)), *ff2)
+
+
+def conv_layers(dims, kernels, rng: np.random.Generator, mode: str = "same") -> list:
+    """``Conv1d(dims[i], dims[i + 1], kernels[i])`` for each kernel, built in order."""
+    return [Conv1d(dims[i], dims[i + 1], k, rng, mode=mode) for i, k in enumerate(kernels)]
 
 
 def conv_stack(x, convs):

@@ -17,7 +17,7 @@ from .armodel import ARConfig, ARModel, TemporalStream, prepare_sequences
 from .codec import rvq_quantize_frames, sample_categorical
 from .config import option
 from .nn import fit
-from .tensor import cross_entropy
+from .tensor import ShapeError, cross_entropy
 
 STRATEGIES = ("default", "knn", "average", "syncnet-rejection")
 
@@ -56,32 +56,36 @@ class SamplingConfig:
 
 
 def average_aggregate(embs: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the candidate set (N, E)."""
+    """Arithmetic mean (..., E) of each candidate set (..., N, E)."""
     embs = np.asarray(embs, dtype=np.float64)
-    if embs.shape[0] < 1:
+    if embs.ndim < 2 or embs.shape[-2] < 1:
         raise ValueError("candidate set must be nonempty")
-    return embs.mean(axis=0)
+    return embs.mean(axis=-2)
 
 
 def knn_aggregate(embs: np.ndarray, anchor: np.ndarray, k: int) -> np.ndarray:
-    """Mean of all candidates within the k-th nearest-neighbor radius of the
-    anchor (the anchor itself counts, at distance zero)."""
+    """Mean (..., E) of the candidates (..., N, E) within the k-th nearest-neighbor
+    radius of their anchor (..., E); an anchor among them counts, at distance
+    zero. The sum runs over all N rows in order, those outside adding zeros."""
     embs = np.asarray(embs, dtype=np.float64)
-    if not 1 <= k <= embs.shape[0]:
-        raise ValueError("k must be in [1, N]")
-    dist = np.sqrt(((embs - anchor) ** 2).sum(axis=1))
-    radius = np.sort(dist)[k - 1]
-    return embs[dist <= radius].mean(axis=0)
+    if embs.ndim < 2 or not 1 <= k <= embs.shape[-2]:
+        raise ValueError(f"k must be in [1, N] of (..., N, E) candidates {embs.shape}, not {k}")
+    dist = np.sqrt(((embs - np.expand_dims(anchor, -2)) ** 2).sum(axis=-1))
+    near = dist <= np.sort(dist, axis=-1)[..., k - 1:k]
+    return (embs * near[..., None]).sum(axis=-2) / near.sum(axis=-1, keepdims=True)
 
 
 def syncnet_reject(embs: np.ndarray, scores: np.ndarray,
                    keep_fraction: float) -> np.ndarray:
-    """Keep the top fraction of candidates by sync score (original order)."""
+    """Keep the top fraction of each candidate set (..., N, E) by its sync
+    scores (..., N), in the original order."""
     embs = np.asarray(embs, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
-    m = max(1, int(round(keep_fraction * embs.shape[0])))
-    keep = np.argsort(-scores, kind="stable")[:m]
-    return embs[np.sort(keep)]
+    if embs.ndim < 2 or scores.shape != embs.shape[:-1]:
+        raise ShapeError(f"scores {scores.shape} do not match candidates {embs.shape}")
+    m = max(1, int(round(keep_fraction * embs.shape[-2])))
+    keep = np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :m], axis=-1)
+    return np.take_along_axis(embs, keep[..., None], axis=-2)
 
 
 def _sample_candidates(model: ARModel, h: np.ndarray, caches: list,
@@ -114,18 +118,15 @@ def _sample_candidates(model: ARModel, h: np.ndarray, caches: list,
 
 def _aggregate(cand_embs: np.ndarray, config: SamplingConfig,
                codebook: np.ndarray, d_star: int, scores=None):
-    """Aggregate each of R candidate sets (R, N, N_C) with the configured
-    strategy and reproject the results onto the codebook. ``scores`` (R, N)
-    are the sync scores that syncnet-rejection needs."""
-    agg = np.zeros((cand_embs.shape[0], cand_embs.shape[2]))
-    for i, embs in enumerate(cand_embs):
-        if config.strategy == "knn":
-            agg[i] = knn_aggregate(embs, embs[0], config.k)
-        elif config.strategy == "syncnet-rejection":
-            agg[i] = average_aggregate(
-                syncnet_reject(embs, scores[i], config.keep_fraction))
-        else:
-            agg[i] = average_aggregate(embs)
+    """Aggregate the R candidate sets (R, N, N_C) with the configured strategy
+    and reproject the results onto the codebook. ``scores`` (R, N) are the
+    sync scores that syncnet-rejection needs."""
+    if config.strategy == "knn":
+        agg = knn_aggregate(cand_embs, cand_embs[:, 0], config.k)
+    elif config.strategy == "syncnet-rejection":
+        agg = average_aggregate(syncnet_reject(cand_embs, scores, config.keep_fraction))
+    else:
+        agg = average_aggregate(cand_embs)
     return rvq_quantize_frames(agg, codebook, d_star)
 
 
@@ -138,8 +139,8 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    if y.shape[0] < 1:
-        raise ValueError("the driving signal has no frames")
+    if np.ndim(y) < 1 or len(y) < 1:
+        raise ShapeError(f"the driving signal has no frames: shape {np.shape(y)}")
     if not (np.isfinite(y).all() and np.isfinite(s).all()):
         raise ValueError("the driving signal and the style reference must be finite")
     d_star = config.validate(model.config.depth)

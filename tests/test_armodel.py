@@ -524,6 +524,17 @@ def test_stream_refuses_embeddings_of_another_shape(temporal):
     assert stream.t == 2
 
 
+@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+def test_stream_refuses_audio_features_that_are_not_t_by_width(temporal):
+    """``TemporalStream`` takes the (T, H) audio features of one driving
+    signal: 1-D features or another width raise ``ShapeError``."""
+    model = make_model(replace(TINY_AR, temporal=temporal, temporal_layers=1))
+    audio, style = model.context_features(*random_inputs(TINY_AR, T=3))
+    for bad in (audio[0], audio[:, :-1], audio[None]):
+        with pytest.raises(ShapeError, match=r"are not \(T, 8\)"):
+            TemporalStream(model, bad, style, 2)
+
+
 def test_context_and_style_prefix_refuse_inputs_of_another_rank():
     """A driving signal or style reference that is not 2-D, or style
     embeddings that are not (B, width), raise ``ShapeError`` at the entry of

@@ -13,7 +13,7 @@ from rvqsynth.metrics import (StyleConfig, StyleNet, SyncConfig, SyncNet,
                               mean_estimate_error, pair_hidden,
                               shift_detection_rate, speaker_centroids,
                               style_rank, train_style_net, train_sync_net)
-from rvqsynth.nn import finite_difference_grad
+from rvqsynth.nn import conv_stack, finite_difference_grad
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
                              leaky_relu, mean)
 
@@ -135,7 +135,7 @@ def test_sync_variant2_score_is_cosine(tiny_corpus):
     rec = tiny_corpus.records[0]
     score = net.score(rec.motion, rec.audio)
     m = net.embed_mesh(rec.motion)
-    a_f = net.audio_frames(Tensor(net._fit_window(rec.audio)[None]))
+    a_f = conv_stack(Tensor(net._fit_window(rec.audio)[None]), net.audio_convs)
     from rvqsynth.metrics import _normalize_rows
     a = _normalize_rows(net._window_embed(a_f, net.audio_proj)).data[0]
     assert abs(score - float(m @ a)) < 1e-12
@@ -259,8 +259,8 @@ def test_sync_score_is_score_matrix_diagonal(tiny_corpus, variant):
     recs = tiny_corpus.records[:4]
     meshes = np.stack([net._fit_window(r.motion) for r in recs])
     audios = np.stack([net._fit_window(r.audio) for r in recs])
-    matrix = net.score_matrix(net.mesh_frames(Tensor(meshes)),
-                              net.audio_frames(Tensor(audios))).data
+    matrix = net.score_matrix(conv_stack(Tensor(meshes), net.mesh_convs),
+                              conv_stack(Tensor(audios), net.audio_convs)).data
     scores = [net.score(r.motion, r.audio) for r in recs]
     np.testing.assert_allclose(np.diag(matrix), scores, rtol=1e-12, atol=1e-12)
 

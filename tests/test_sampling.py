@@ -73,11 +73,60 @@ def test_reject_keeps_top_scores_in_original_order():
     np.testing.assert_array_equal(best, embs[[1]])
 
 
+def test_batched_aggregation_equals_per_row_calls():
+    """Stacks (A, R, N, E) of candidate sets aggregate to the per-row calls
+    over the leading axes, bit for bit, and each (N, E) call to the per-set
+    form it replaced (kept here), duplicated candidates and tied scores
+    included. E ≥ 2: for E = 1 numpy sums a contiguous axis pairwise, so the
+    masked knn sum may differ from the selected rows' by rounding."""
+    for seed in range(40):
+        check_batched_aggregation(np.random.default_rng(seed), duplicates=seed % 2)
+
+
+def check_batched_aggregation(rng, duplicates):
+    A, R, N, E = 2, int(rng.integers(1, 5)), int(rng.integers(1, 21)), int(rng.choice([2, 3, 16]))
+    embs = rng.normal(0.0, 1.0, (A, R, N, E))
+    if duplicates:
+        embs = np.ascontiguousarray(embs[:, :, rng.integers(0, N, N)])
+    scores = np.round(rng.normal(0.0, 1.0, (A, R, N)))  # ties
+    k, keep = int(rng.integers(1, N + 1)), float(rng.uniform(0.05, 1.0))
+    rows = [(a, r) for a in range(A) for r in range(R)]
+
+    def per_row(f):
+        return np.stack([f(a, r) for a, r in rows]).reshape(A, R, E)
+
+    def old_knn(e):
+        dist = np.sqrt(((e - e[0]) ** 2).sum(axis=1))
+        return e[dist <= np.sort(dist)[k - 1]].mean(axis=0)
+
+    def old_reject(e, s):
+        m = max(1, int(round(keep * len(e))))
+        return e[np.sort(np.argsort(-s, kind="stable")[:m])].mean(axis=0)
+
+    cases = [
+        (average_aggregate(embs), lambda a, r: average_aggregate(embs[a, r]),
+         lambda a, r: embs[a, r].mean(axis=0)),
+        (knn_aggregate(embs, embs[:, :, 0], k), lambda a, r: knn_aggregate(
+            embs[a, r], embs[a, r, 0], k), lambda a, r: old_knn(embs[a, r])),
+        (average_aggregate(syncnet_reject(embs, scores, keep)),
+         lambda a, r: average_aggregate(syncnet_reject(embs[a, r], scores[a, r], keep)),
+         lambda a, r: old_reject(embs[a, r], scores[a, r])),
+    ]
+    for batched, row, old in cases:
+        assert batched.tobytes() == per_row(row).tobytes() == per_row(old).tobytes()
+
+
 def test_aggregate_input_validation():
     with pytest.raises(ValueError):
         average_aggregate(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         knn_aggregate(np.zeros((3, 2)), np.zeros(2), 4)
+    with pytest.raises(ValueError, match=r"\(\.\.\., N, E\) candidates \(3,\)"):
+        knn_aggregate(np.zeros(3), np.zeros(3), 1)
+    for embs, scores in ((np.zeros((4, 2)), np.zeros(3)), (np.zeros((2, 4, 2)), np.zeros(4)),
+                         (np.zeros(4), np.zeros(()))):
+        with pytest.raises(ShapeError, match="do not match candidates"):
+            syncnet_reject(embs, scores, 0.5)
 
 
 # -- sampling configuration ------------------------------------------------------
@@ -188,8 +237,9 @@ def test_generate_batch_needs_a_sample(stack):
 
 def test_generate_batch_needs_a_frame(stack):
     codec, model, rec = stack
-    with pytest.raises(ValueError, match="no frames"):
-        generate_batch(model, codec, rec.audio[:0], rec.motion, SamplingConfig())
+    for y in (rec.audio[:0], np.float64(0.5)):  # no frames; no frame axis
+        with pytest.raises(ShapeError, match="no frames"):
+            generate_batch(model, codec, y, rec.motion, SamplingConfig())
 
 
 def test_rejection_requires_sync_model(stack):
