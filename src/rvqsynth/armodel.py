@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .config import option
-from .codec import check_codes, rvq_recursion, sample_categorical
+from .config import check_positive, option
+from .codec import check_codes, grid_residuals, rvq_quantize_frames, squared_distances
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
                  affine, conv_layers, conv_stack, decode_step, fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
@@ -59,11 +59,9 @@ class ARConfig:
             raise ValueError(f"unknown temporal model {self.temporal!r}")
         if self.style_mode not in ("depth", "temporal"):
             raise ValueError(f"unknown style mode {self.style_mode!r}")
-        for name in ("code_dim", "codebook_size", "depth", "width", "audio_dim",
-                     "motion_dim", "max_frames", "depth_layers", "heads",
-                     "temporal_layers", "audio_layers", "audio_kernel", "batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_positive(self, "code_dim", "codebook_size", "depth", "width", "audio_dim",
+                       "motion_dim", "max_frames", "depth_layers", "heads",
+                       "temporal_layers", "audio_layers", "audio_kernel", "batch")
         if any(d < 1 for d in self.temporal_dilations):
             raise ValueError(f"temporal dilations must be positive, got "
                              f"{self.temporal_dilations}")
@@ -263,8 +261,9 @@ class ARModel(Module):
         """Teacher-forced log-probabilities of grids (G, T, D) for one (y, s),
         off the tape. Each encoder runs once, and its one row serves them all."""
         grids = np.asarray(grids)
-        if grids.ndim != 3 or grids.shape[1:] != (len(y), self.config.depth):
-            raise ShapeError(f"grids {grids.shape} are not (G, {len(y)}, {self.config.depth})")
+        if grids.shape[1:] != (len(y), self.config.depth) or not len(grids):
+            raise ShapeError(f"grids {grids.shape} are not "
+                             f"(G, {len(y)}, {self.config.depth}) with G >= 1")
         check_codes(grids, self.config.codebook_size)
         audio, style = (f[None] for f in self.context_features(y, s))
         h_av = self.temporal_context(audio, self.frame_embedding(grids), style)
@@ -357,36 +356,22 @@ class TemporalStream:
 # -- target construction ----------------------------------------------------
 
 
-def stochastic_grid(z: np.ndarray, codebook: np.ndarray, depth: int,
-                    tau: float, rng: np.random.Generator) -> np.ndarray:
-    """Boltzmann-sample quantizer indices instead of the argmin at each depth."""
-    return rvq_recursion(
-        z, codebook, depth,
-        lambda d, d2: sample_categorical(-d2, tau, rng)).grid
-
-
 def soft_target_distributions(z: np.ndarray, grid: np.ndarray,
                               codebook: np.ndarray, eps: float,
                               alpha: float) -> np.ndarray:
-    """Label smoothing toward codes nearly as close as the selected one."""
+    """Label smoothing toward codes nearly as close as the selected one: at each
+    depth of the (T, D) grid of latents z, the codes within (1 + eps) times its
+    distance to the residual share ``alpha`` and it keeps the rest (all, if none)."""
     T, D = grid.shape
-    C = codebook.shape[0]
-    out = np.zeros((T, D, C))
-
-    def smooth(d, d2):
-        dist = np.sqrt(d2)
-        sel = grid[:, d]
-        dmin = dist[np.arange(T), sel]
-        near = dist <= (1.0 + eps) * dmin[:, None]
-        near[np.arange(T), sel] = False
-        counts = near.sum(axis=1)
-        out[np.arange(T), d, sel] = np.where(counts > 0, 1.0 - alpha, 1.0)
-        spread = np.where(counts > 0, alpha / np.maximum(counts, 1), 0.0)
-        out[:, d] += near * spread[:, None]
-        return sel
-
-    rvq_recursion(z, codebook, D, smooth)
-    return out
+    residuals = grid_residuals(z, codebook, grid).reshape(T * D, -1)
+    dist = np.sqrt(squared_distances(residuals, codebook))
+    sel = grid.reshape(T * D, 1)
+    near = dist <= (1.0 + eps) * np.take_along_axis(dist, sel, axis=1)
+    np.put_along_axis(near, sel, False, axis=1)
+    counts = near.sum(axis=1, keepdims=True)
+    out = near * np.where(counts > 0, alpha / np.maximum(counts, 1), 0.0)
+    np.put_along_axis(out, sel, np.where(counts > 0, 1.0 - alpha, 1.0), axis=1)
+    return out.reshape(T, D, -1)
 
 
 @dataclass
@@ -428,10 +413,9 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
         for start in range(0, len(prepared), config.batch):
             batch = [prepared[i] for i in order[start:start + config.batch]]
             if config.stochastic_targets:
-                grids = np.stack([stochastic_grid(p.latents, model.codebook.data,
-                                                  config.depth,
-                                                  config.stochastic_tau, rng)
-                                  for p in batch])
+                grids = np.stack([rvq_quantize_frames(
+                    p.latents, model.codebook.data, config.depth,
+                    config.stochastic_tau, rng).grid for p in batch])
             else:
                 grids = np.stack([p.grid for p in batch])
             yield batch, grids
@@ -442,12 +426,10 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
         s = np.stack([p.style for p in batch])
         logits = model.forward_logits(y, s, grids)
         if config.soft_targets:
-            tgt = np.stack([soft_target_distributions(
-                p.latents, g, model.codebook.data,
-                config.soft_eps, config.soft_alpha)
-                for p, g in zip(batch, grids)])
-            return {"loss": cross_entropy(logits.reshape(-1, C),
-                                          tgt.reshape(-1, C))}
+            tgt = soft_target_distributions(
+                np.concatenate([p.latents for p in batch]), grids.reshape(-1, config.depth),
+                model.codebook.data, config.soft_eps, config.soft_alpha)
+            return {"loss": cross_entropy(logits.reshape(-1, C), tgt.reshape(-1, C))}
         return {"loss": cross_entropy(logits.reshape(-1, C), grids.reshape(-1))}
 
     history = fit(model.trainable_parameters(), config.epochs, config.lr,

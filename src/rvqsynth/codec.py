@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .config import option
+from .config import check_positive, option
 from .nn import Module, Parameter, conv_layers, conv_stack, fit
 from .tensor import ShapeError, Tensor, straight_through
 
@@ -26,7 +26,6 @@ GRID_MAGIC = b"RVQJ"
 class QuantizationResult:
     grid: np.ndarray            # (T, D) codebook indices
     quantized: np.ndarray       # (T, N_C), exactly the sum of selected codes
-    residual_norms: np.ndarray  # (T, D) residual norm after each depth
 
 
 @dataclass
@@ -47,6 +46,8 @@ class CodecConfig:
     def __post_init__(self):
         if self.hidden is None:
             self.hidden = 4 * self.code_dim
+        check_positive(self, "input_dim", "depth", "codebook_size", "code_dim", "hidden",
+                       "batch")
 
 
 def squared_distances(x: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -70,28 +71,6 @@ def sample_categorical(logits: np.ndarray, temperature: float,
     return np.add.reduce(u > cdf[..., :-1], axis=-1)  # never |C|, even if cdf[-1] < u
 
 
-def rvq_recursion(z: np.ndarray, codebook: np.ndarray, depth: int,
-                  choose) -> QuantizationResult:
-    """Residual quantization of (T, N_C) frames to ``depth`` codes, where
-    ``choose(d, d2)`` picks one code per frame at depth ``d`` from the
-    squared distances ``d2`` (T, |C|) of the residuals to every code."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
-        raise ShapeError(f"latents must be (T, {codebook.shape[1]}), got {z.shape}")
-    T = z.shape[0]
-    indices = np.zeros((T, depth), dtype=np.int64)
-    norms = np.zeros((T, depth))
-    residual = z.copy()
-    quantized = np.zeros_like(z)
-    for d in range(depth):
-        idx = choose(d, squared_distances(residual, codebook))
-        indices[:, d] = idx
-        residual = residual - codebook[idx]
-        quantized = quantized + codebook[idx]
-        norms[:, d] = np.sqrt((residual ** 2).sum(axis=1))
-    return QuantizationResult(indices, quantized, norms)
-
-
 def check_codes(grid: np.ndarray, codebook_size: int):
     """Refuse a grid that is not integer code indices in [0, codebook_size)."""
     if grid.dtype.kind not in "iu":
@@ -100,17 +79,42 @@ def check_codes(grid: np.ndarray, codebook_size: int):
         raise ValueError(f"code index out of range [0, {codebook_size})")
 
 
-def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray,
-                        depth_limit: int) -> QuantizationResult:
-    """Quantize a (T, N_C) batch of latent frames to ``depth_limit`` codes.
+def _latents(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """(T, N_C) float64 latents, or ShapeError for any other shape."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
+        raise ShapeError(f"latents must be (T, {codebook.shape[1]}), got {z.shape}")
+    return z
 
-    At each depth the nearest code by Euclidean distance is selected (ties
-    break to the lowest index) and subtracted from the residual.
-    """
+
+def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray, depth_limit: int,
+                        temperature: float = 0.0,
+                        rng: np.random.Generator | None = None) -> QuantizationResult:
+    """Quantize (T, N_C) latent frames to ``depth_limit`` codes: at each depth
+    every frame draws a code from softmax(−d² / temperature) over its residual's
+    squared distances d² to the codes (at 0 the nearest, the lowest index on
+    ties; above 0 by ``rng``) and subtracts it from the residual."""
     if not 1 <= depth_limit:
         raise ValueError("depth_limit must be >= 1")
-    return rvq_recursion(z, codebook, depth_limit,
-                         lambda d, d2: np.argmin(d2, axis=1))
+    if not 0 <= temperature < np.inf or (temperature > 0 and rng is None):
+        raise ValueError(f"temperature {temperature} is not 0, or finite with an rng")
+    residual = _latents(z, codebook)
+    indices = np.zeros((len(residual), depth_limit), dtype=np.int64)
+    quantized = np.zeros_like(residual)
+    for d in range(depth_limit):
+        idx = sample_categorical(-squared_distances(residual, codebook), temperature, rng)
+        indices[:, d] = idx
+        residual = residual - codebook[idx]
+        quantized = quantized + codebook[idx]
+    return QuantizationResult(indices, quantized)
+
+
+def grid_residuals(z: np.ndarray, codebook: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The residuals (T, D, N_C) that the depths of a (T, D) ``grid`` quantize:
+    z, then z less each code in turn, subtracted in the quantizer's order."""
+    z = _latents(z, codebook)
+    steps = np.concatenate([z[:, None], codebook[grid[:, :-1]]], axis=1)
+    return np.subtract.accumulate(steps, axis=1)
 
 
 class Codec(Module):
@@ -216,17 +220,13 @@ def train_codec(corpus, config: CodecConfig, log=None):
             d_rand = int(rng.integers(1, D))
             recon = recon * 0.5 + recon_at(d_rand) * 0.5
 
-        commit = None
-        cbloss = None
+        commit = cbloss = 0.0
         zflat = z.reshape(B * T, NC)
-        residual = flat.copy()
+        residuals = grid_residuals(flat, codec.codebook.data, res.grid)
         for d in range(D):
             gathered = codec.codebook[res.grid[:, d]]
-            term_cb = ((gathered - Tensor(residual)) ** 2.0).mean()
-            cbloss = term_cb if cbloss is None else cbloss + term_cb
-            residual = residual - codec.codebook.data[res.grid[:, d]]
-            term_c = ((zflat - Tensor(partials[:, d])) ** 2.0).mean()
-            commit = term_c if commit is None else commit + term_c
+            cbloss = cbloss + ((gathered - Tensor(residuals[:, d])) ** 2.0).mean()
+            commit = commit + ((zflat - Tensor(partials[:, d])) ** 2.0).mean()
         commit = commit * (1.0 / D)
         cbloss = cbloss * (1.0 / D)
         return {"loss": recon + config.beta * commit + cbloss, "recon": recon,

@@ -116,6 +116,13 @@ def options(cls) -> dict:
             for name, f in _option_fields(cls).items()}
 
 
+def check_positive(config, *names):
+    """Refuse a config whose named sizes are not positive, before any work."""
+    for name in names:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
+
+
 def build(cls, resolved: dict):
     """A ``cls`` whose option fields take their ``resolved`` values."""
     return cls(**{f.name: resolved[name]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint
-from .config import option
+from .config import check_positive, option
 from .data import SequenceFormatError, style_reference
 from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_layers, conv_stack,
                  fit, operand)
@@ -25,11 +25,12 @@ def _lip_deltas(x: np.ndarray, xhat: np.ndarray, lip_indices) -> np.ndarray:
     xhat = np.asarray(xhat, dtype=np.float64)
     if x.shape != xhat.shape:
         raise ShapeError(f"sequence shapes differ: {x.shape} vs {xhat.shape}")
+    if x.ndim != 2 or not len(x) or x.shape[1] % 3:
+        raise ShapeError(f"motions must be (T >= 1, 3V), got {x.shape}")
     lip = np.asarray(lip_indices, dtype=np.int64)
-    if lip.size == 0:
-        raise ValueError("lip vertex set is empty")
-    T = x.shape[0]
-    diff = (x - xhat).reshape(T, -1, 3)
+    if lip.size == 0 or not 0 <= lip.min() <= lip.max() < x.shape[1] // 3:
+        raise ValueError(f"lip vertex set is empty or not in [0, {x.shape[1] // 3})")
+    diff = (x - xhat).reshape(len(x), -1, 3)
     return np.sqrt((diff[:, lip, :] ** 2).sum(axis=2))
 
 
@@ -61,7 +62,7 @@ def mean_estimate_error(x: np.ndarray, samples, lip_indices) -> float:
 def gaussian_stats(embeddings: np.ndarray):
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] < 2:
-        raise ValueError("need at least 2 embeddings for Gaussian statistics")
+        raise ValueError(f"need (n >= 2, dim) embeddings, got {embeddings.shape}")
     mu = embeddings.mean(axis=0)
     sigma = np.cov(embeddings, rowvar=False)
     return mu, np.atleast_2d(sigma)
@@ -73,12 +74,10 @@ def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
     The cross-covariance square root uses a symmetric eigendecomposition of
     the symmetrized product with negative eigenvalues clamped to zero.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
     mu_a, sig_a = gaussian_stats(a)
     mu_b, sig_b = gaussian_stats(b)
+    if mu_a.shape != mu_b.shape:
+        raise ShapeError(f"embedding dims differ: {len(mu_a)} vs {len(mu_b)}")
     prod = sig_a @ sig_b
     sym = 0.5 * (prod + prod.T)
     eigvals = np.linalg.eigvalsh(sym)
@@ -117,6 +116,8 @@ class SyncConfig:
 
     def __post_init__(self):
         self.shifts = tuple(self.shifts)
+        check_positive(self, "motion_dim", "audio_dim", "width", "emb_dim", "batch",
+                       "clips_per_batch", "window")
         if self.clips_per_batch * len(self.shifts) != self.batch:
             raise ValueError("batch must equal clips_per_batch * len(shifts)")
 
@@ -315,6 +316,8 @@ def train_sync_net(corpus, variant: int, config: SyncConfig | None = None,
 def shift_detection_rate(net: SyncNet, records, shift: int = 1,
                          window: int | None = None) -> float:
     """Fraction of clips whose aligned score beats a ``shift``-frame offset."""
+    if not len(records):
+        raise ValueError("no clips to score")
     wins = 0
     for rec in records:
         T = rec.motion.shape[0]
@@ -340,6 +343,9 @@ class StyleConfig:
     batch: int = option(32, "batch size")
     seed: int = option(0, "training seed")
     num_classes: int = 0  # set on the trained net's copy of the config
+
+    def __post_init__(self):
+        check_positive(self, "motion_dim", "width", "emb_dim", "batch")
 
 
 class StyleNet(Module):

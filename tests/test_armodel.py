@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rvqsynth.armodel import (ARConfig, ARModel, TemporalStream, prepare_sequences,
-                              soft_target_distributions, stochastic_grid,
-                              train_ar)
-from rvqsynth.codec import CodecConfig, train_codec
+                              soft_target_distributions, train_ar)
+from rvqsynth.codec import (CodecConfig, rvq_quantize_frames, sample_categorical,
+                            squared_distances, train_codec)
 from rvqsynth import sampling
 from rvqsynth.nn import Dense, KVCache, operand, tap_sum
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
@@ -75,6 +75,14 @@ def test_sequence_log_probs_refuses_a_malformed_grid(case):
                 else (grids[:, :3], np.zeros((2, 5, 2), dtype=np.int64))):
         with pytest.raises(ShapeError, match=r"not \(G, 4, 2\)"):
             model.sequence_log_probs(bad, y, s)
+
+
+def test_sequence_log_probs_refuses_no_grids():
+    """G = 0 grids failed in a reshape inside the depth model."""
+    model = make_model()
+    y, s = random_inputs(TINY_AR, T=4)
+    with pytest.raises(ShapeError, match=r"not \(G, 4, 2\) with G >= 1"):
+        model.sequence_log_probs(np.zeros((0, 4, 2), dtype=np.int64), y, s)
 
 
 def test_future_frames_do_not_affect_past_logits():
@@ -686,9 +694,97 @@ def test_stochastic_grid_tends_to_argmin_at_low_tau():
     z = rng.normal(0.0, 1.0, (10, 4))
     from rvqsynth.codec import rvq_quantize_frames
     hard = rvq_quantize_frames(z, codebook, 3).grid
-    soft = stochastic_grid(z, codebook, 3, tau=1e-9,
-                           rng=np.random.default_rng(9))
+    soft = rvq_quantize_frames(z, codebook, 3, temperature=1e-9,
+                               rng=np.random.default_rng(9)).grid
     np.testing.assert_array_equal(soft, hard)
+
+
+def callback_walk(z, codebook, depth, choose):
+    """The grid of the residual walk that ``choose(d, d2)`` steers, as the
+    quantizer walked before its temperature replaced the callback."""
+    residual = np.asarray(z, dtype=np.float64).copy()
+    grid = np.zeros((len(residual), depth), dtype=np.int64)
+    for d in range(depth):
+        grid[:, d] = choose(d, squared_distances(residual, codebook))
+        residual = residual - codebook[grid[:, d]]
+    return grid
+
+
+def callback_soft_targets(z, grid, codebook, eps, alpha):
+    """Soft targets as a side effect of a callback walk along ``grid``."""
+    T, D = grid.shape
+    out = np.zeros((T, D, codebook.shape[0]))
+
+    def smooth(d, d2):
+        dist = np.sqrt(d2)
+        sel = grid[:, d]
+        dmin = dist[np.arange(T), sel]
+        near = dist <= (1.0 + eps) * dmin[:, None]
+        near[np.arange(T), sel] = False
+        counts = near.sum(axis=1)
+        out[np.arange(T), d, sel] = np.where(counts > 0, 1.0 - alpha, 1.0)
+        spread = np.where(counts > 0, alpha / np.maximum(counts, 1), 0.0)
+        out[:, d] += near * spread[:, None]
+        return sel
+
+    callback_walk(z, codebook, D, smooth)
+    return out
+
+
+def tie_heavy_case(rng):
+    """Latents and a codebook on an integer lattice, scaled by a power of two
+    (so exact ties stay exact), with a duplicated code."""
+    C, E, T = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    scale = 2.0 ** int(rng.integers(-10, 11))
+    codebook, z = rng.integers(-2, 3, (C, E)) * scale, rng.integers(-3, 4, (T, E)) * scale
+    if rng.random() < 0.5:  # real-valued instead, at a scale from 1e-3 to 1e3
+        scale = 10.0 ** rng.uniform(-3, 3)
+        codebook, z = rng.normal(0, scale, (C, E)), rng.normal(0, scale, (T, E))
+    codebook[-1] = codebook[0]
+    return z, codebook
+
+
+def test_soft_targets_match_the_callback_walk_bitwise():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        z, codebook = tie_heavy_case(rng)
+        D = int(rng.integers(1, 5))
+        grid = (rvq_quantize_frames(z, codebook, D).grid if rng.random() < 0.5
+                else rng.integers(0, len(codebook), (len(z), D)))  # not the argmin
+        eps, alpha = rng.choice([0.0, 0.1, 2.0]), rng.choice([0.0, 0.1, 0.9])
+        want = callback_soft_targets(z, grid, codebook, eps, alpha)
+        got = soft_target_distributions(z, grid, codebook, eps, alpha)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_quantizer_at_a_temperature_matches_the_callback_walk_bitwise():
+    """Temperature 0 is the argmin walk; a positive one the Boltzmann walk
+    with the same draws from the same seed."""
+    rng = np.random.default_rng(13)
+    for case in range(200):
+        z, codebook = tie_heavy_case(rng)
+        D = int(rng.integers(1, 5))
+        np.testing.assert_array_equal(
+            rvq_quantize_frames(z, codebook, D).grid,
+            callback_walk(z, codebook, D, lambda _, d2: np.argmin(d2, axis=1)))
+        tau = float(rng.choice([1e-3, 0.05, 1.0])) * float(np.abs(codebook).max() + 1) ** 2
+        draws = np.random.default_rng(case)
+        want = callback_walk(z, codebook, D,
+                             lambda _, d2: sample_categorical(-d2, tau, draws))
+        got = rvq_quantize_frames(z, codebook, D, tau, np.random.default_rng(case)).grid
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("stochastic,soft", [(True, False), (False, True), (True, True)])
+def test_train_ar_with_sampled_or_smoothed_targets(tiny_corpus, tiny_codec, stochastic, soft):
+    """One epoch per target mode: a finite history, the same bits twice."""
+    cfg = ARConfig(code_dim=6, codebook_size=8, depth=3, width=8, audio_dim=4,
+                   motion_dim=12, heads=2, depth_layers=1, epochs=1, batch=8, seed=4,
+                   stochastic_targets=stochastic, soft_targets=soft)
+    (m1, h1), (m2, h2) = (train_ar(tiny_codec, tiny_corpus, cfg) for _ in range(2))
+    assert np.isfinite([row["loss"] for row in h1]).all() and h1 == h2
+    for name, p in m1.parameters().items():
+        assert p.data.tobytes() == m2.parameters()[name].data.tobytes(), name
 
 
 def test_soft_targets_are_distributions():

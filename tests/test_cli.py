@@ -238,6 +238,19 @@ def test_exit_code_config_errors(artifacts, tmp_path):
     assert not (tmp_path / "a.ckpt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-codec", "--codebook-size", "0"], ["train-codec", "--code-dim", "0"],
+    ["train-codec", "--batch", "0"], ["train-style", "--batch", "0"],
+    ["train-style", "--emb-dim", "0"], ["train-style", "--width", "0"],
+    ["train-sync", "--window", "0"], ["train-sync", "--width", "0"],
+    ["train-sync", "--emb-dim", "0"]])
+def test_zero_sizes_are_refused_before_the_corpus_is_read(tmp_path, capsys, argv):
+    name = argv[1][2:]
+    assert main(argv + ["--data", str(tmp_path / "nowhere"),
+                        "--out", str(tmp_path / "x.ckpt")]) == EXIT_CONFIG
+    assert f"{name.replace('-', '_')} must be positive" in capsys.readouterr().err
+
+
 def test_entry_point_reports_config_error_without_traceback(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvqsynth.armodel import soft_target_distributions, stochastic_grid
-from rvqsynth.codec import (Codec, CodecConfig, reconstruction_mse,
-                            rvq_quantize_frames, rvq_recursion,
-                            sample_categorical, train_codec, write_grid)
+from rvqsynth.armodel import soft_target_distributions
+from rvqsynth.codec import (Codec, CodecConfig, grid_residuals, reconstruction_mse,
+                            rvq_quantize_frames, sample_categorical, train_codec,
+                            write_grid)
 from rvqsynth.nn import DivergenceError
 from rvqsynth.tensor import ShapeError
 
@@ -67,13 +67,24 @@ def test_quantizer_residual_norms_non_increasing():
     codebook = np.concatenate([np.zeros((1, 4)),
                                rng.normal(0.0, 1.0, (7, 4))])
     z = rng.normal(0.0, 1.0, (10, 4))
-    norms = rvq_quantize_frames(z, codebook, 5).residual_norms
+    res = rvq_quantize_frames(z, codebook, 5)
+    residuals = grid_residuals(z, codebook, res.grid)
+    norms = np.linalg.norm(np.concatenate([residuals[:, 1:], (z - res.quantized)[:, None]],
+                                          axis=1), axis=2)
     assert np.all(np.diff(norms, axis=1) <= 1e-12)
 
 
 def test_quantizer_rejects_bad_depth():
     with pytest.raises(ValueError):
         rvq_quantize_frames(np.zeros((2, 3)), np.zeros((4, 3)), 0)
+
+
+def test_quantizer_refuses_a_temperature_it_cannot_draw_at():
+    z, codebook, rng = np.zeros((2, 3)), np.eye(4, 3), np.random.default_rng(0)
+    for temperature, draws in ((-0.1, rng), (np.nan, rng), (np.inf, rng), (0.5, None)):
+        with pytest.raises(ValueError, match="temperature"):
+            rvq_quantize_frames(z, codebook, 2, temperature, draws)
+    assert rvq_quantize_frames(z, codebook, 2, 0.5, rng).grid.shape == (2, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -94,6 +105,15 @@ def small_codec(tiny_corpus):
                       epochs=6, seed=0)
     codec, history = train_codec(tiny_corpus, cfg)
     return codec, history
+
+
+def test_training_without_truncated_depths_is_finite_and_repeatable(tiny_corpus):
+    cfg = CodecConfig(input_dim=12, depth=3, codebook_size=8, code_dim=6,
+                      epochs=1, recon_all_depths=False, seed=2)
+    (c1, h1), (c2, h2) = (train_codec(tiny_corpus, cfg) for _ in range(2))
+    assert np.isfinite([row["loss"] for row in h1]).all() and h1 == h2
+    for name, p in c1.parameters().items():
+        assert p.data.tobytes() == c2.parameters()[name].data.tobytes(), name
 
 
 def test_training_reduces_reconstruction_loss(small_codec):
@@ -129,16 +149,15 @@ def test_decode_refuses_a_grid_deeper_than_the_codec_or_not_integer():
 
 def test_quantizers_refuse_latents_of_another_width():
     """Latents (T, 5) against a codebook of N_C = 4 raise ShapeError before
-    the depth loop, through every quantizer built on ``rvq_recursion``."""
+    the depth loop, through every function that walks the residuals."""
     codec = Codec(CodecConfig(input_dim=12, depth=4, codebook_size=8, code_dim=4))
     codebook, z = codec.codebook.data, np.zeros((3, 5))
     rng = np.random.default_rng(0)
     for call in (lambda: codec.quantize(z),
                  lambda: rvq_quantize_frames(z, codebook, 2),
-                 lambda: stochastic_grid(z, codebook, 2, 0.05, rng),
+                 lambda: rvq_quantize_frames(z, codebook, 2, 0.05, rng),
                  lambda: soft_target_distributions(z, np.zeros((3, 2), dtype=np.int64),
-                                                   codebook, 0.1, 0.1),
-                 lambda: rvq_recursion(z, codebook, 2, None)):  # choose never runs
+                                                   codebook, 0.1, 0.1)):
         with pytest.raises(ShapeError, match=r"latents must be \(T, 4\)"):
             call()
     assert codec.quantize(np.zeros((3, 4))).grid.shape == (3, 4)

@@ -36,6 +36,23 @@ def test_lip_error_input_validation():
         lip_vertex_error(np.zeros((2, 9)), np.zeros((2, 9)), [])
 
 
+def test_lip_errors_refuse_a_motion_without_frames_or_a_lip_index_beyond_it():
+    """A 1-D motion failed in a reshape, and a lip index >= V indexed past the
+    vertices; both, and a motion without frames, are refused at the entry."""
+    x = np.zeros((2, 9))
+    for call in (lambda: lip_vertex_error(np.zeros(9), np.zeros(9), [0]),
+                 lambda: coverage_error(np.zeros(9), [np.zeros(9)], [0]),
+                 lambda: mean_estimate_error(np.zeros(9), [np.zeros(9)], [0]),
+                 lambda: lip_vertex_error(np.zeros((0, 9)), np.zeros((0, 9)), [0]),
+                 lambda: lip_vertex_error(np.zeros((2, 8)), np.zeros((2, 8)), [0])):
+        with pytest.raises(ShapeError, match=r"\(T >= 1, 3V\)"):
+            call()
+    for lip in ([3], [0, 5], [-1]):
+        with pytest.raises(ValueError, match=r"not in \[0, 3\)"):
+            lip_vertex_error(x, x, lip)
+    assert lip_vertex_error(x, x, [2]) == 0.0
+
+
 def test_errors_coincide_for_deterministic_generator():
     rng = np.random.default_rng(0)
     x = rng.normal(0.0, 1.0, (5, 12))
@@ -94,6 +111,14 @@ def test_gaussian_stats_validation():
         gaussian_stats(np.zeros((1, 3)))
     with pytest.raises(ShapeError):
         frechet_distance(np.zeros((5, 3)), np.zeros((5, 4)))
+
+
+def test_fd_refuses_one_dimensional_embeddings():
+    """1-D embeddings raised IndexError before the dims were compared."""
+    for a, b in ((np.zeros(5), np.zeros((5, 3))), (np.zeros((5, 3)), np.zeros(5)),
+                 (np.zeros(5), np.zeros(5))):
+        with pytest.raises(ValueError, match=r"need \(n >= 2, dim\) embeddings"):
+            frechet_distance(a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -350,6 +375,11 @@ def test_shift_detection_rate_range(tiny_corpus):
     net, _ = train_sync_net(tiny_corpus, 2, sync_cfg(2))
     rate = shift_detection_rate(net, tiny_corpus.split("val"), shift=1)
     assert 0.0 <= rate <= 1.0
+
+
+def test_shift_detection_rate_refuses_no_clips():
+    with pytest.raises(ValueError, match="no clips"):
+        shift_detection_rate(SyncNet(sync_cfg(2)), [])
 
 
 # -- style net -------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The package's API surface: no function takes a parameter its body never reads.
 
 A parameter that nothing reads is surface a caller can set to no effect, so
-every ``def`` in ``src/rvqsynth`` (methods' ``self`` and ``cls`` too) must read
-each of its parameters somewhere in its body, nested functions included.
-``ALLOWED`` names the parameters that a caller's signature fixes.
+every ``def`` and ``lambda`` in ``src/rvqsynth`` (methods' ``self`` and ``cls``
+too) must read each of its parameters somewhere in its body, nested functions
+included. ``ALLOWED`` names the parameters that a caller's signature fixes; a
+parameter named ``_`` says so itself, as in the ``lambda cfg, _:`` builders.
 """
 
 import ast
@@ -22,12 +23,15 @@ def parameters(node):
 
 
 def unread_parameters(tree):
-    """(function, parameter) of each parameter that its function never loads."""
+    """(function, parameter) of each parameter that its function or lambda
+    never loads, other than ``_``."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = [node.body] if isinstance(node, ast.Lambda) else node.body
+            read = {n.id for stmt in body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            yield from ((node.name, p) for p in parameters(node) if p not in read)
+            name = getattr(node, "name", "<lambda>")
+            yield from ((name, p) for p in parameters(node) if p not in read | {"_"})
 
 
 def package_trees():
@@ -51,6 +55,7 @@ def test_the_scan_finds_unread_parameters():
               "    b = a\n"
               "    def g(d):\n"
               "        return c + d\n"
-              "    return g\n")
+              "    h = lambda d, d2, _: d2\n"
+              "    return g, h\n")
     assert sorted(unread_parameters(ast.parse(source))) == [
-        ("f", "args"), ("f", "b"), ("f", "kw")]
+        ("<lambda>", "d"), ("f", "args"), ("f", "b"), ("f", "kw")]
