@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .config import check_positive, option
-from .codec import check_codes, grid_residuals, rvq_quantize_frames, squared_distances
+from .config import Annotated, Size, check, declared, option
+from .codec import CodebookSize, check_codes, grid_residuals, rvq_quantize_frames, squared_distances
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock,
                  affine, conv_layers, conv_stack, decode_step, fit, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
@@ -27,24 +27,24 @@ from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
 
 @dataclass
 class ARConfig:
-    code_dim: int = 16
-    codebook_size: int = 32
-    depth: int = 4
-    width: int = option(64, "model width")
-    audio_dim: int = 8
-    motion_dim: int = 60
-    max_frames: int = 256
-    depth_layers: int = option(2, "depth-model attention layers")
-    heads: int = option(4, "attention heads")
-    temporal: str = option("conv", "temporal model kind (conv|transformer)")
+    code_dim: Size = 16
+    codebook_size: CodebookSize = 32
+    depth: Size = 4
+    width: Size = option(64, "model width")
+    audio_dim: Size = 8
+    motion_dim: Size = 60
+    max_frames: Size = 256
+    depth_layers: Size = option(2, "depth-model attention layers")
+    heads: Size = option(4, "attention heads")
+    temporal: Annotated[str, ("conv", "transformer")] = option("conv", "temporal model kind")
     temporal_dilations: tuple = (1, 2, 4, 8)
-    temporal_layers: int = option(2, "transformer temporal layers")
-    audio_layers: int = 2
-    audio_kernel: int = 3
-    style_mode: str = option("depth", "style token target (depth|temporal)")
+    temporal_layers: Size = option(2, "transformer temporal layers")
+    audio_layers: Size = 2
+    audio_kernel: Size = 3
+    style_mode: Annotated[str, ("depth", "temporal")] = option("depth", "style token target")
     lr: float = option(1e-3, "Adam learning rate")
     epochs: int = option(40, "training epochs")
-    batch: int = option(16, "batch size")
+    batch: Size = option(16, "batch size")
     seed: int = option(0, "training seed")
     stochastic_targets: bool = option(
         False, "sample target grids from quantizer softmax")
@@ -55,13 +55,9 @@ class ARConfig:
 
     def __post_init__(self):
         self.temporal_dilations = tuple(self.temporal_dilations)
-        if self.temporal not in ("conv", "transformer"):
-            raise ValueError(f"unknown temporal model {self.temporal!r}")
-        if self.style_mode not in ("depth", "temporal"):
-            raise ValueError(f"unknown style mode {self.style_mode!r}")
-        check_positive(self, "code_dim", "codebook_size", "depth", "width", "audio_dim",
-                       "motion_dim", "max_frames", "depth_layers", "heads",
-                       "temporal_layers", "audio_layers", "audio_kernel", "batch")
+        check(vars(self), declared(ARConfig))
+        if self.width % self.heads:
+            raise ValueError(f"width {self.width} must be divisible by heads {self.heads}")
         if any(d < 1 for d in self.temporal_dilations):
             raise ValueError(f"temporal dilations must be positive, got "
                              f"{self.temporal_dilations}")
@@ -362,6 +358,10 @@ def soft_target_distributions(z: np.ndarray, grid: np.ndarray,
     """Label smoothing toward codes nearly as close as the selected one: at each
     depth of the (T, D) grid of latents z, the codes within (1 + eps) times its
     distance to the residual share ``alpha`` and it keeps the rest (all, if none)."""
+    grid = np.asarray(grid)
+    check_codes(grid, len(codebook))
+    if grid.ndim != 2 or len(grid) != len(z):
+        raise ShapeError(f"a (T, D) grid for {len(z)} frames of latents, not {grid.shape}")
     T, D = grid.shape
     residuals = grid_residuals(z, codebook, grid).reshape(T * D, -1)
     dist = np.sqrt(squared_distances(residuals, codebook))

@@ -3,9 +3,9 @@
 Every subcommand accepts ``--config FILE`` (flat key=value, ``include``
 supported) plus direct flags; flags override config values. The options are
 the ``config.option`` fields of the subcommand's config dataclass plus the
-CLI-only entries of ``_COMMANDS``; all are checked before any artifact is
-read. Each successful run with an output writes a resolved-config snapshot
-next to it.
+CLI-only entries of ``_COMMANDS``; each declares its valid values on its type,
+which ``--help`` shows, and all are checked before any artifact is read. Each
+successful run with an output writes a resolved-config snapshot next to it.
 Progress is logged as line-oriented ``key=value`` records. Exit codes: 0
 success, 2 config error (a negative, infinite or NaN number included), 3
 missing or malformed input artifact (checkpoint, sequence or audio file, a
@@ -27,14 +27,13 @@ from .metrics import run_evaluation
 from .armodel import ARConfig, ARModel, train_ar
 from .checkpoint import ContainerError, file_checksum, write_atomic
 from .codec import Codec, CodecConfig, train_codec, write_grid
-from .config import ConfigError, build, coerce, options, parse_config_file, \
-    write_snapshot
+from .config import ConfigError, Size, build, check, coerce, describe, options, \
+    parse_config_file, write_snapshot
 from .data import Corpus, MotionSequence, generate_corpus, load_corpus, \
     save_corpus, style_reference, write_sequence, CorpusConfig, \
     SequenceFormatError
 from .nn import DivergenceError
 from .sampling import SamplingConfig, distill, generate_batch
-from .tensor import ShapeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,15 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value config file")
-        for key, (_, default, help_text) in command_options(name).items():
+        for key, (kind, default, help_text) in command_options(name).items():
+            valid = f"{describe(kind)}; " if hasattr(kind, "__metadata__") else ""
             p.add_argument(f"--{key}", default=None,
-                           help=f"{help_text} (default {default})")
+                           help=f"{help_text} ({valid}default {default})")
     return parser
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge config-file values and CLI flags; flags win; validate all keys.
-    A path with no default is required."""
+    """Merge config-file values and CLI flags; flags win; validate all keys
+    and the CLI-only values. A path with no default is required."""
     opts = command_options(args.command)
     raw = {}
     if args.config is not None:
@@ -86,6 +86,8 @@ def resolve_options(args: argparse.Namespace) -> dict:
     for key, (kind, _, _) in opts.items():
         if kind is str and resolved[key] is None:
             raise ConfigError(f"missing required setting --{key}")
+    check(resolved, {key: kind for key, (kind, _, _) in _COMMANDS[args.command][2].items()
+                     if hasattr(kind, "__metadata__")})
     return resolved
 
 
@@ -189,8 +191,6 @@ def cmd_train_style(r: dict, cfg: metrics.StyleConfig) -> None:
 
 
 def cmd_generate(r: dict, scfg: SamplingConfig) -> None:
-    if r["samples"] < 1:
-        raise ConfigError(f"--samples must be at least 1, got {r['samples']}")
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     model = _load_ar(r["ar"], r["codec"])
@@ -242,8 +242,6 @@ def format_table(results: dict) -> str:
 
 
 def cmd_evaluate(r: dict, scfg: SamplingConfig) -> None:
-    if min(r["samples"], r["clips"]) < 1:
-        raise ConfigError(f"need a clip and a sample, got {r['clips']} and {r['samples']}")
     corpus = _load_corpus(r["data"])
     codec = _load_codec(r["codec"])
     model = _load_ar(r["ar"], r["codec"])
@@ -290,7 +288,7 @@ _COMMANDS = {
         **_DATA, **_CODEC, **_AR, **_SYNC,
         "out": (str, None, "output directory"),
         "clip": (int, 0, "index into the test split"),
-        "samples": (int, 1, "independent sequences to draw")}),
+        "samples": (Size, 1, "independent sequences to draw")}),
     "distill": (cmd_distill, SamplingConfig, {
         **_DATA, **_CODEC, "ar": (str, None, "teacher checkpoint"),
         "out": (str, None, "student checkpoint path"),
@@ -302,8 +300,8 @@ _COMMANDS = {
         "sync2": (str, "", "variant-2 sync checkpoint"),
         "style": (str, "", "style recognizer checkpoint"), **_SYNC,
         "out": (str, "", "directory for table.txt and metrics.kv"),
-        "samples": (int, 100, "sample-set size |S| per clip"),
-        "clips": (int, 8, "test clips to evaluate")}),
+        "samples": (Size, 100, "sample-set size |S| per clip"),
+        "clips": (Size, 8, "test clips to evaluate")}),
 }
 
 
@@ -320,9 +318,6 @@ def main(argv=None) -> int:
         if resolved["out"]:
             _snapshot(resolved["out"], resolved)
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ArtifactError, ContainerError, SequenceFormatError,
             FileNotFoundError) as exc:
         print(f"error: artifact: {exc}", file=sys.stderr)
@@ -330,7 +325,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, ShapeError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .config import check_positive, option
+from .config import Annotated, OptionalSize, Size, check, declared, option
 from .nn import Module, Parameter, conv_layers, conv_stack, fit
 from .tensor import ShapeError, Tensor, straight_through
 
 GRID_MAGIC = b"RVQJ"
+# A codebook of at most 65,536 codes, the most a u16 grid file can index.
+CodebookSize = Annotated[int, range(1, 65_537)]
 
 
 @dataclass
@@ -30,15 +32,15 @@ class QuantizationResult:
 
 @dataclass
 class CodecConfig:
-    input_dim: int = 60         # 3V
-    depth: int = option(4, "RVQ depth D")
-    codebook_size: int = option(32, "codebook size |C|")
-    code_dim: int = option(16, "code dimension N_C")
-    hidden: int | None = None   # defaults to 4 * code_dim
+    input_dim: Size = 60        # 3V
+    depth: Size = option(4, "RVQ depth D")
+    codebook_size: CodebookSize = option(32, "codebook size |C|")
+    code_dim: Size = option(16, "code dimension N_C")
+    hidden: OptionalSize = None  # defaults to 4 * code_dim
     beta: float = option(0.25, "commitment loss weight")
     lr: float = option(2e-3, "Adam learning rate")
     epochs: int = option(60, "training epochs")
-    batch: int = option(16, "batch size")
+    batch: Size = option(16, "batch size")
     recon_all_depths: bool = option(
         True, "also reconstruct at random truncated depths")
     seed: int = option(0, "training seed")
@@ -46,8 +48,7 @@ class CodecConfig:
     def __post_init__(self):
         if self.hidden is None:
             self.hidden = 4 * self.code_dim
-        check_positive(self, "input_dim", "depth", "codebook_size", "code_dim", "hidden",
-                       "batch")
+        check(vars(self), declared(CodecConfig))
 
 
 def squared_distances(x: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -264,6 +265,10 @@ def write_grid(grid: np.ndarray, codebook_size: int, path):
     """Write a (T, D) grid: magic ``RVQJ``, u32 T, D and |C|, then the
     indices row by row as little-endian u16."""
     grid = np.asarray(grid)
+    check({"codebook_size": codebook_size}, {"codebook_size": CodebookSize})
+    check_codes(grid, codebook_size)
+    if grid.ndim != 2:
+        raise ShapeError(f"a grid is (T, D), not {grid.shape}")
     T, D = grid.shape
     checkpoint.write_atomic(path, [
         GRID_MAGIC, struct.pack("<III", T, D, codebook_size),

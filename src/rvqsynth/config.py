@@ -4,15 +4,18 @@ Lines are ``key = value`` pairs; ``#`` starts a comment; ``include <path>``
 splices another file (relative to the including file). Later assignments win.
 Every run writes a resolved snapshot next to its outputs for reproducibility.
 A config dataclass declares each setting the command line reads as an
-:func:`option` field; :func:`options` turns those fields into options.
+:func:`option` field; :func:`options` turns those fields into options. A type
+``Annotated[type, value set]`` declares a range of ints or a tuple of choices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import typing
 from dataclasses import field, fields
+from typing import Annotated
 
 from .checkpoint import write_atomic
 
@@ -62,8 +65,9 @@ def coerce(raw: dict, schema: dict) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     out = {}
     for key, value in raw.items():
+        kind = getattr(schema[key], "__origin__", schema[key])  # Annotated[t, ...] is t
         try:
-            out[key] = number = _CONVERTERS[schema[key]](value)
+            out[key] = number = _CONVERTERS[kind](value)
             if isinstance(number, (int, float)) and not 0 <= number < math.inf:
                 raise ValueError("not a finite number >= 0")  # NaN fails both
         except (TypeError, ValueError) as exc:
@@ -111,16 +115,37 @@ def _option_fields(cls) -> dict:
 
 def options(cls) -> dict:
     """{option name: (type, default, help)} for ``cls``'s option fields."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {name: (hints[f.name], f.default, f.metadata["help"])
             for name, f in _option_fields(cls).items()}
 
 
-def check_positive(config, *names):
-    """Refuse a config whose named sizes are not positive, before any work."""
-    for name in names:
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
+POSITIVE = range(1, 2**63)  # the value set of a size; every declared range starts at 1
+Size = Annotated[int, POSITIVE]
+OptionalSize = Annotated[int | None, POSITIVE]
+
+# {field name: type} of a config class's fields that declare a value set, once per class
+declared = functools.cache(lambda cls: {
+    name: kind for name, kind in typing.get_type_hints(cls, include_extras=True).items()
+    if hasattr(kind, "__metadata__")})
+
+
+def describe(kind) -> str:
+    """The value set ``kind`` declares, as help and errors name it."""
+    valid = kind.__metadata__[0]
+    if isinstance(valid, tuple):
+        return "one of " + "|".join(map(str, valid))
+    return "positive" + ("" if valid.stop == POSITIVE.stop else f" and at most {valid.stop - 1}")
+
+
+def check(values: dict, kinds: dict):
+    """Refuse the first of ``values`` {name: value} outside the value set its
+    type in ``kinds`` declares; None passes where the type admits it."""
+    for name, kind in kinds.items():
+        valid, value = kind.__metadata__[0], values[name]
+        if not (value is None and type(None) in typing.get_args(kind.__origin__) or (
+                value in valid if isinstance(valid, tuple) else valid.start <= value < valid.stop)):
+            raise ValueError(f"{name} must be {describe(kind)}, got {value!r}")
 
 
 def build(cls, resolved: dict):

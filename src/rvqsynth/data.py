@@ -10,13 +10,13 @@ so that styles are separable and learnable.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import write_atomic
-from .config import option
+from .config import Size, check, declared, option
 
 SEQ_MAGIC = b"RVQM"
 AUDIO_MAGIC = b"RVQA"
@@ -76,20 +76,22 @@ class SequenceRecord:
 
 @dataclass
 class CorpusConfig:
-    num_speakers: int = option(64, "number of synthetic speakers", "speakers")
-    seqs_per_speaker: int = option(16, "sequences per speaker", "seqs")
-    frames: int = option(32, "frames per sequence")
-    vertices: int = option(20, "mesh vertices")
-    audio_dim: int = option(8, "driving-signal feature dim")
+    num_speakers: Size = option(64, "number of synthetic speakers", "speakers")
+    seqs_per_speaker: Size = option(16, "sequences per speaker", "seqs")
+    frames: Size = option(32, "frames per sequence")
+    vertices: Size = option(20, "mesh vertices")
+    audio_dim: Size = option(8, "driving-signal feature dim")
     upper_noise: float = option(1.0, "upper-region noise multiplier")
     seed: int = option(0, "corpus RNG seed")
+
+    def __post_init__(self):
+        check(vars(self), declared(CorpusConfig))
 
 
 @dataclass
 class Corpus:
     config: CorpusConfig
     records: list
-    profiles: dict = field(default_factory=dict)
 
     @property
     def vertices(self) -> int:
@@ -248,9 +250,6 @@ def sample_motion(profile: SpeakerProfile, signal: np.ndarray,
 
 def generate_corpus(config: CorpusConfig) -> Corpus:
     """Build the full corpus with disjoint speaker sets per split."""
-    if min(config.num_speakers, config.seqs_per_speaker, config.frames,
-           config.vertices, config.audio_dim) < 1:
-        raise ValueError("all corpus counts must be >= 1")
     rng = np.random.default_rng(config.seed)
     bases = shared_bases(config.vertices, config.audio_dim, rng)
     profiles = {i: make_speaker(i, config.upper_noise, rng, bases)
@@ -272,7 +271,7 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
             y = driving_signal(config.frames, config.audio_dim, rng)
             motion = sample_motion(profiles[sid], y, rng)
             records.append(SequenceRecord(sid, split_of[sid], y, motion))
-    return Corpus(config=config, records=records, profiles=profiles)
+    return Corpus(config=config, records=records)
 
 
 def style_reference(corpus: Corpus, record: SequenceRecord,
@@ -349,7 +348,7 @@ def read_audio(path) -> np.ndarray:
 
 
 def save_corpus(corpus: Corpus, out_dir):
-    """Write all sequences plus a manifest; speaker profiles stay in memory."""
+    """Write all sequences plus a manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lip = corpus.lip_indices
@@ -377,8 +376,9 @@ def load_corpus(corpus_dir) -> Corpus:
     vertex count and audio dim of the manifest header (or of the first clip)
     and the frame count of the first clip, with as many audio frames as
     motion frames; a clip that does not, an empty clip (no frames, vertices or
-    audio dims), a missing clip file, a negative speaker id, an unknown split
-    or a non-UTF-8 manifest raise ``SequenceFormatError``."""
+    audio dims), a missing clip file, a negative speaker id, an unknown split,
+    a header no ``CorpusConfig`` takes or a non-UTF-8 manifest raise
+    ``SequenceFormatError``."""
     root = Path(corpus_dir)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -441,9 +441,12 @@ def load_corpus(corpus_dir) -> Corpus:
                     f"{root / name} has {what} {have}, the corpus {want}")
         records.append(SequenceRecord(sid, split, audio, seq.deformations))
         speakers.add(sid)
-    n_spk = max(speakers) + 1 if speakers else 0
-    cfg = CorpusConfig(num_speakers=n_spk,
-                       seqs_per_speaker=len(records) // max(1, n_spk),
-                       frames=frames or 1, vertices=vertices or 1,
-                       audio_dim=audio_dim or 1, seed=seed)
-    return Corpus(config=cfg, records=records, profiles={})
+    n_spk = max(speakers, default=0) + 1
+    try:
+        cfg = CorpusConfig(num_speakers=n_spk,
+                           seqs_per_speaker=max(1, len(records) // n_spk),
+                           frames=frames or 1, vertices=vertices or 1,
+                           audio_dim=audio_dim or 1, seed=seed)
+    except ValueError as exc:
+        raise SequenceFormatError(f"{manifest}: {exc}") from None
+    return Corpus(config=cfg, records=records)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checkpoint
-from .config import check_positive, option
+from .config import Annotated, Size, check, declared, option
 from .data import SequenceFormatError, style_reference
 from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_layers, conv_stack,
                  fit, operand)
@@ -100,24 +100,23 @@ def _normalize_rows(t):
 
 @dataclass
 class SyncConfig:
-    variant: int = option(2, "1 = fusion scorer, 2 = cosine embeddings")
-    motion_dim: int = 60
-    audio_dim: int = 8
-    width: int = option(24, "conv width")
-    emb_dim: int = option(16, "embedding dimension")
+    variant: Annotated[int, (1, 2)] = option(2, "1 = fusion scorer, 2 = cosine embeddings")
+    motion_dim: Size = 60
+    audio_dim: Size = 8
+    width: Size = option(24, "conv width")
+    emb_dim: Size = option(16, "embedding dimension")
     temperature: float = 0.07
     lr: float = option(3e-3, "Adam learning rate")
     epochs: int = 12
-    batch: int = 64
-    clips_per_batch: int = 16
+    batch: Size = 64
+    clips_per_batch: Size = 16
     shifts: tuple = (0, 1, 2, 4)
-    window: int = option(20, "scoring window in frames")
+    window: Size = option(20, "scoring window in frames")
     seed: int = option(0, "training seed")
 
     def __post_init__(self):
         self.shifts = tuple(self.shifts)
-        check_positive(self, "motion_dim", "audio_dim", "width", "emb_dim", "batch",
-                       "clips_per_batch", "window")
+        check(vars(self), declared(SyncConfig))
         if self.clips_per_batch * len(self.shifts) != self.batch:
             raise ValueError("batch must equal clips_per_batch * len(shifts)")
 
@@ -134,8 +133,6 @@ class SyncNet(Module):
     """
 
     def __init__(self, config: SyncConfig, rng: np.random.Generator | None = None):
-        if config.variant not in (1, 2):
-            raise ValueError("variant must be 1 or 2")
         self.config = config
         rng = rng if rng is not None else np.random.default_rng(config.seed)
         c = config
@@ -333,19 +330,19 @@ def shift_detection_rate(net: SyncNet, records, shift: int = 1,
 
 @dataclass
 class StyleConfig:
-    motion_dim: int = 60
-    width: int = option(48, "conv width")
-    emb_dim: int = option(24, "embedding dimension")
+    motion_dim: Size = 60
+    width: Size = option(48, "conv width")
+    emb_dim: Size = option(24, "embedding dimension")
     margin: float = option(0.3, "angular margin")
     scale: float = option(16.0, "logit scale")
     lr: float = option(1e-3, "Adam learning rate")
     epochs: int = option(10, "training epochs")
-    batch: int = option(32, "batch size")
+    batch: Size = option(32, "batch size")
     seed: int = option(0, "training seed")
     num_classes: int = 0  # set on the trained net's copy of the config
 
     def __post_init__(self):
-        check_positive(self, "motion_dim", "width", "emb_dim", "batch")
+        check(vars(self), declared(StyleConfig))
 
 
 class StyleNet(Module):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .armodel import ARConfig, ARModel, TemporalStream, prepare_sequences
 from .codec import rvq_quantize_frames, sample_categorical
-from .config import option
+from .config import Annotated, OptionalSize, Size, check, declared, option
 from .nn import fit
 from .tensor import ShapeError, cross_entropy
 
@@ -24,27 +24,21 @@ STRATEGIES = ("default", "knn", "average", "syncnet-rejection")
 
 @dataclass
 class SamplingConfig:
-    strategy: str = option(
-        "default", f"sampling strategy ({'|'.join(STRATEGIES)})")
-    n: int = option(1, "candidate codes drawn per frame")
-    k: int = option(3, "neighborhood size for knn aggregation")
+    strategy: Annotated[str, STRATEGIES] = option("default", "sampling strategy")
+    n: Size = option(1, "candidate codes drawn per frame")
+    k: Size = option(3, "neighborhood size for knn aggregation")
     keep_fraction: float = option(1.0, "fraction kept by syncnet-rejection")
-    depth_limit: int | None = option(None, "truncate generation to d* depths")
+    depth_limit: OptionalSize = option(None, "truncate generation to d* depths")
     temperature: float = option(1.0, "sampling temperature (0 = greedy)")
     seed: int = option(0, "sampling seed")
 
     def __post_init__(self):
         """Every check that needs no model depth; see :meth:`validate`."""
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check(vars(self), declared(SamplingConfig))
         if self.strategy == "knn" and self.k > self.n:
             raise ValueError("k must be <= n")
         if not 0.0 < self.keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
-        if self.depth_limit is not None and self.depth_limit < 1:
-            raise ValueError("depth_limit must be >= 1")
         if not 0.0 <= self.temperature < np.inf:  # NaN fails both comparisons
             raise ValueError("temperature must be finite and >= 0")
 

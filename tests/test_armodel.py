@@ -35,7 +35,7 @@ def random_inputs(config, T, seed=1):
 def test_config_rejects_unknown_temporal_and_style_mode():
     with pytest.raises(ValueError, match="temporal"):
         ARConfig(temporal="bogus")
-    with pytest.raises(ValueError, match="style mode"):
+    with pytest.raises(ValueError, match="style_mode"):
         ARConfig(style_mode="bogus")
 
 

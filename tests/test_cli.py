@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rvqsynth.cli import (EXIT_ARTIFACT, EXIT_CONFIG, EXIT_OK, build_parser,
-                          command_options, main)
-from rvqsynth.config import coerce
+from rvqsynth.cli import (_COMMANDS, EXIT_ARTIFACT, EXIT_CONFIG, EXIT_OK,
+                          build_parser, command_options, main)
+from rvqsynth.config import POSITIVE, coerce, describe
 from rvqsynth.data import read_sequence, write_audio
 
 
@@ -263,6 +263,64 @@ def test_entry_point_reports_config_error_without_traceback(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("error: config:")
     assert "Traceback" not in proc.stderr
+
+
+def required_paths(command):
+    """Flags for the paths ``command`` requires, each named after its option."""
+    return [arg for k, (kind, default, _) in command_options(command).items()
+            if kind is str and default is None for arg in (f"--{k}", k)]
+
+
+def breaking_values(kind):
+    """Values just outside the value set ``kind`` declares: 0 below a range,
+    the stop of a bounded range, and a choice the set lacks."""
+    valid = kind.__metadata__[0]
+    if isinstance(valid, tuple):
+        return ["bogus" if isinstance(valid[0], str) else str(max(valid) + 1)]
+    return [str(valid.start - 1)] + ([] if valid.stop == POSITIVE.stop
+                                     else [str(valid.stop)])
+
+
+DECLARED = [(command, key, kind, bad)
+            for command in _COMMANDS
+            for key, (kind, _, _) in command_options(command).items()
+            if hasattr(kind, "__metadata__") for bad in breaking_values(kind)]
+
+
+@pytest.mark.parametrize("command, key, kind, bad", DECLARED,
+                         ids=[f"{c}--{k}={b}" for c, k, _, b in DECLARED])
+def test_every_declared_value_set_is_checked_before_any_artifact(
+        tmp_path, monkeypatch, capsys, command, key, kind, bad):
+    """Each option that declares its values refuses one just outside them
+    with exit 2, before the missing corpus is read and with no file written;
+    its help names the declared set."""
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *required_paths(command), f"--{key}", bad]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "must be" in err
+    assert list(tmp_path.iterdir()) == []
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.option_strings[0]: a.help for a in sub.choices[command]._actions}
+    assert f"({describe(kind)}; default " in helps[f"--{key}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-ar", "--heads", "3"], ["train-ar", "--width", "6"],
+    ["train-sync", "--variant", "3"],
+    ["generate", "--strategy", "knn", "--k", "0", "--n", "4"],
+    ["train-codec", "--codebook-size", "70000"]])
+def test_config_probes_exit_2_without_traceback(tmp_path, argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rvqsynth", *argv, *required_paths(argv[0])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("error: config:")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_snapshots_are_pinned(artifacts):

@@ -245,6 +245,33 @@ def test_grid_file_layout(tmp_path):
                                  + grid.astype("<u2").tobytes())
 
 
+@pytest.mark.parametrize("grid, codebook_size, message", [
+    ([[70000, 3]], 70001, "codebook_size must be positive and at most 65536"),
+    ([[70000, 3]], 65536, "code index out of range"),
+    ([[-1, 3]], 8, "code index out of range"),
+    ([[1.7, 3.0]], 8, "integer code indices"),
+    ([1, 3], 8, r"a grid is \(T, D\)"),
+])
+def test_write_grid_refuses_what_u16_cannot_store(tmp_path, grid, codebook_size,
+                                                  message):
+    path = tmp_path / "grid.rvqj"
+    with pytest.raises(ValueError, match=message):
+        write_grid(np.array(grid), codebook_size, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    (np.zeros((4, 2), dtype=np.int64), r"for 3 frames of latents, not \(4, 2\)"),
+    (np.full((3, 2), 8), r"code index out of range \[0, 8\)"),
+    (np.zeros((3, 2)), "integer code indices"),
+    (np.zeros(3, dtype=np.int64), r"for 3 frames of latents, not \(3,\)"),
+])
+def test_soft_targets_refuse_a_malformed_grid(grid, message):
+    codebook = np.random.default_rng(0).normal(0.0, 1.0, (8, 4))
+    with pytest.raises(ValueError, match=message):
+        soft_target_distributions(np.zeros((3, 4)), grid, codebook, 0.1, 0.1)
+
+
 class ConstantDraws:
     """An rng stub whose every uniform draw is ``u``."""
 

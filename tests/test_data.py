@@ -5,9 +5,9 @@ from rvqsynth.data import (BadMagicError, CorpusConfig, FormatVersionError,
                            MotionSequence, SequenceFormatError,
                            TruncatedPayloadError,
                            driving_signal, generate_corpus, load_corpus,
-                           read_audio, read_sequence, sample_motion,
-                           save_corpus, style_reference, write_audio,
-                           write_sequence)
+                           make_speaker, read_audio, read_sequence,
+                           sample_motion, save_corpus, shared_bases,
+                           style_reference, write_audio, write_sequence)
 
 CFG = CorpusConfig(num_speakers=8, seqs_per_speaker=4, frames=24, vertices=6,
                    audio_dim=4, seed=5)
@@ -16,6 +16,14 @@ CFG = CorpusConfig(num_speakers=8, seqs_per_speaker=4, frames=24, vertices=6,
 @pytest.fixture(scope="module")
 def corpus():
     return generate_corpus(CFG)
+
+
+def speaker_profile(cfg, speaker_id):
+    """The profile that ``generate_corpus(cfg)`` draws for ``speaker_id``."""
+    rng = np.random.default_rng(cfg.seed)
+    bases = shared_bases(cfg.vertices, cfg.audio_dim, rng)
+    return [make_speaker(i, cfg.upper_noise, rng, bases)
+            for i in range(speaker_id + 1)][-1]
 
 
 def test_corpus_shapes_and_counts(corpus):
@@ -42,9 +50,9 @@ def test_generation_is_deterministic():
         np.testing.assert_array_equal(ra.audio, rb.audio)
 
 
-def test_lower_face_is_deterministic_given_signal(corpus):
+def test_lower_face_is_deterministic_given_signal():
     """Same (speaker, signal) under different RNG draws: identical lips."""
-    profile = corpus.profiles[0]
+    profile = speaker_profile(CFG, 0)
     y = driving_signal(CFG.frames, CFG.audio_dim, np.random.default_rng(1))
     n_lip = 3 * (CFG.vertices // 2)
     m1 = sample_motion(profile, y, np.random.default_rng(2))
@@ -53,10 +61,10 @@ def test_lower_face_is_deterministic_given_signal(corpus):
     assert not np.array_equal(m1[:, n_lip:], m2[:, n_lip:])
 
 
-def test_upper_face_is_one_to_many(corpus):
+def test_upper_face_is_one_to_many():
     """Repeated draws for one (speaker, signal) differ: the conditional
     distribution is genuinely multimodal."""
-    profile = corpus.profiles[1]
+    profile = speaker_profile(CFG, 1)
     y = driving_signal(CFG.frames, CFG.audio_dim, np.random.default_rng(4))
     n_lip = 3 * (CFG.vertices // 2)
     draws = np.stack([sample_motion(profile, y, np.random.default_rng(s))
@@ -68,8 +76,7 @@ def test_upper_face_is_one_to_many(corpus):
 def test_upper_noise_zero_makes_motion_deterministic():
     cfg = CorpusConfig(num_speakers=4, seqs_per_speaker=2, frames=16,
                        vertices=4, audio_dim=4, upper_noise=0.0, seed=9)
-    corpus = generate_corpus(cfg)
-    profile = corpus.profiles[0]
+    profile = speaker_profile(cfg, 0)
     y = driving_signal(16, 4, np.random.default_rng(0))
     m1 = sample_motion(profile, y, np.random.default_rng(1))
     m2 = sample_motion(profile, y, np.random.default_rng(2))
@@ -277,3 +284,21 @@ def test_load_corpus_without_clips_keeps_header_shape(tmp_path):
     assert back.records == []
     assert (back.config.vertices, back.config.audio_dim, back.config.frames,
             back.config.seed) == (6, 4, 1, 3)
+
+
+def test_load_corpus_with_sparse_speaker_ids(tmp_path, corpus):
+    """Speaker ids far apart leave fewer clips than speakers; the corpus
+    still loads, and a header that cannot form a config is a format error."""
+    root = tmp_path / "corpus"
+    save_corpus(corpus, root)
+    manifest = root / "manifest.txt"
+    header, *clips = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header] + [
+        f"{1000 * int(sid)}\t{rest}"
+        for sid, rest in (clip.split("\t", 1) for clip in clips)]) + "\n")
+    back = load_corpus(root)
+    assert len(back.records) == len(corpus.records)
+    assert back.records[-1].speaker_id == 1000 * corpus.records[-1].speaker_id
+    manifest.write_text("# vertices=-6 audio_dim=4\n")
+    with pytest.raises(SequenceFormatError, match="vertices must be positive"):
+        load_corpus(root)

@@ -138,7 +138,7 @@ def test_sampling_config_validation():
     with pytest.raises(ValueError, match="depth_limit"):
         SamplingConfig(depth_limit=9).validate(4)
     # every check that needs no model depth runs when the config is built
-    for bad in [dict(strategy="magic"), dict(n=0), dict(strategy="knn", n=2, k=5),
+    for bad in [dict(strategy="magic"), dict(n=0), dict(k=0), dict(strategy="knn", n=2, k=5),
                 dict(keep_fraction=0.0), dict(depth_limit=0), dict(temperature=-1.0),
                 dict(temperature=float("nan")), dict(temperature=float("inf"))]:
         with pytest.raises(ValueError):
