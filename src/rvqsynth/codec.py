@@ -81,7 +81,10 @@ def check_codes(grid: np.ndarray, codebook_size: int):
 
 
 def _latents(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
-    """(T, N_C) float64 latents, or ShapeError for any other shape."""
+    """(T, N_C) float64 latents of a (|C| >= 1, N_C) codebook, or ShapeError
+    for any other shape of either."""
+    if np.ndim(codebook) != 2 or not len(codebook):
+        raise ShapeError(f"a codebook is (|C| >= 1, N_C), not {np.shape(codebook)}")
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if z.ndim != 2 or z.shape[1] != codebook.shape[1]:
         raise ShapeError(f"latents must be (T, {codebook.shape[1]}), got {z.shape}")
@@ -95,8 +98,8 @@ def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray, depth_limit: int,
     every frame draws a code from softmax(−d² / temperature) over its residual's
     squared distances d² to the codes (at 0 the nearest, the lowest index on
     ties; above 0 by ``rng``) and subtracts it from the residual."""
-    if not 1 <= depth_limit:
-        raise ValueError("depth_limit must be >= 1")
+    if not isinstance(depth_limit, (int, np.integer)) or depth_limit < 1:
+        raise ValueError(f"depth_limit must be an int >= 1, not {depth_limit!r}")
     if not 0 <= temperature < np.inf or (temperature > 0 and rng is None):
         raise ValueError(f"temperature {temperature} is not 0, or finite with an rng")
     residual = _latents(z, codebook)
@@ -112,8 +115,13 @@ def rvq_quantize_frames(z: np.ndarray, codebook: np.ndarray, depth_limit: int,
 
 def grid_residuals(z: np.ndarray, codebook: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The residuals (T, D, N_C) that the depths of a (T, D) ``grid`` quantize:
-    z, then z less each code in turn, subtracted in the quantizer's order."""
-    z = _latents(z, codebook)
+    z, then z less each code in turn, subtracted in the quantizer's order. A
+    grid of another shape, D = 0 included, or of codes outside the codebook
+    is refused."""
+    z, grid = _latents(z, codebook), np.asarray(grid)
+    check_codes(grid, len(codebook))
+    if grid.ndim != 2 or len(grid) != len(z) or not grid.shape[1]:
+        raise ShapeError(f"a (T, D >= 1) grid for {len(z)} frames of latents, not {grid.shape}")
     steps = np.concatenate([z[:, None], codebook[grid[:, :-1]]], axis=1)
     return np.subtract.accumulate(steps, axis=1)
 

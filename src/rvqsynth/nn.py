@@ -8,10 +8,15 @@ Decoding runs ``decode_step`` on a block's ``arrays`` over a ``KVCache``.
 
 Each layer has one forward. A ``Tensor`` input is recorded on the tape; an
 ``np.ndarray`` input runs the same code off the tape and returns an array,
-which is how inference calls the layers.
+which is how inference calls the layers. Their 2-D array products pick the
+BLAS entry by row count (``matmul_for``): ``ndarray.dot`` for the few decode
+rows, where matmul's ufunc dispatch is a quarter of a call, ``@`` above
+``DOT_ROWS`` rows and on every Tensor; the two give the same bits.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -105,9 +110,28 @@ class Dense(Module):
         return self.weight.data, self.bias.data
 
 
+DOT_ROWS = 24
+
+
+def matmul_for(x):
+    """The BLAS entry of ``x @ w`` for a 2-D ``w``: ``np.ndarray.dot`` when
+    ``x`` is a 2-D array of at most ``DOT_ROWS`` rows, else ``@``. The two run
+    the same OpenBLAS product with the same bits, but ``dot`` skips matmul's
+    ufunc dispatch, about 0.7 µs a call with one BLAS thread on a 2-vCPU
+    host: (4, 64) @ (64, 192) took 3.2 µs by ``@`` and 2.5 by ``dot``,
+    (4, 64) @ (64, 64) 1.6 and 1.0. The gap closes with the rows: the
+    (64, 192) product ties at 24 rows and ``dot`` is 1.06× slower at 32 and
+    1.01–1.08× on most products at 160, so wider blocks keep ``@``. N-D
+    operands keep it too, as ``dot`` on them contracts instead of
+    broadcasting, and so does a Tensor."""
+    few = type(x) is np.ndarray and x.ndim == 2 and len(x) <= DOT_ROWS
+    return np.ndarray.dot if few else operator.matmul
+
+
 def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """``dense`` of rows (N, C) on arrays: ``x @ weight``, then ``+= bias``."""
-    out = x @ weight
+    """``dense`` of rows (N, C) on arrays: ``x @ weight`` by ``matmul_for``, so
+    by ``dot`` at decode's few rows, then ``+= bias``."""
+    out = matmul_for(x)(x, weight)
     out += bias
     return out
 
@@ -180,10 +204,12 @@ class Conv1d(Module):
 
 def tap_sum(rows, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """The conv forward kernel: ``rows[tap] @ weight[tap]`` summed in tap
-    order, then the bias."""
-    out = rows[0] @ weight[0]
+    order, then the bias; the products by ``matmul_for``, so a stream's
+    (S, C) taps of a few rows call ``dot`` and (..., T, C) taps ``@``."""
+    mm = matmul_for(rows[0])
+    out = mm(rows[0], weight[0])
     for tap in range(1, len(rows)):
-        out = out + rows[tap] @ weight[tap]
+        out = out + mm(rows[tap], weight[tap])
     return out if bias is None else out + bias
 
 
@@ -264,12 +290,18 @@ class SelfAttention(Module):
 
 
 class KVCache:
-    """Preallocated keys and values ``k``, ``v`` (capacity, rows, W), heads
+    """Preallocated keys and values ``k``, ``v`` (capacity, rows ≥ 1, W), heads
     merged (each row the fused projection's column block), written below
     ``fill`` (set back to rewind); ``E`` is the (W, heads) 0/1 head
-    indicator, ``Et`` C-ordered, ``scale`` 1/√(W/heads), made once."""
+    indicator, ``Et`` C-ordered, ``scale`` 1/√(W/heads), made once; heads
+    must divide W. ``attend``'s products by ``E`` and ``Et`` have fill·B rows,
+    8–20 in a 4-sample depth step, where ``dot`` (``matmul_for``) took
+    0.6–1.2 µs against 1.3–2.1 µs for ``@``; 160 candidates' rows keep ``@``."""
 
     def __init__(self, capacity: int, rows: int, width: int, heads: int):
+        if rows < 1 or not 1 <= heads <= width or width % heads:
+            raise ShapeError(f"a KV cache needs rows >= 1 and heads dividing its "
+                             f"width, not {rows} rows, width {width}, {heads} heads")
         self.k, self.v = np.empty((2, capacity, rows, width))
         self.fill = 0
         self.E = np.repeat(np.eye(heads), width // heads, axis=0)
@@ -281,7 +313,7 @@ class KVCache:
         B, W = k.shape
         if v.shape != k.shape or W != self.k.shape[2]:
             raise ShapeError(f"KV cache width {self.k.shape[2]}: got {k.shape}, {v.shape}")
-        if self.k.shape[1] % B:
+        if not B or self.k.shape[1] % B:
             raise ShapeError(f"{B} rows do not divide the KV cache's {self.k.shape[1]}")
         if self.fill == len(self.k):
             raise ShapeError(f"KV cache is full ({len(self.k)} positions)")
@@ -301,13 +333,15 @@ class KVCache:
                              f"their (B, {3 * W}) qkv of an array, not {qkv.shape}")
         B = len(qkv)
         self.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
-        K = self.k[:self.fill, ::len(self.k[0]) // B]
-        V = self.v[:self.fill, ::len(self.v[0]) // B]
-        s = ((K * qkv[:, :W]).reshape(-1, W) @ self.E).reshape(len(K), B, heads)
+        K = self.k[:self.fill, ::self.k.shape[1] // B]
+        V = self.v[:self.fill, ::self.v.shape[1] // B]
+        s = (K * qkv[:, :W]).reshape(-1, W)  # rebound below, which frees it
+        mm = matmul_for(s)
+        s = mm(s, self.E).reshape(len(K), B, heads)
         s -= np.maximum.reduce(s, axis=0)
         a = np.exp(np.multiply(s, self.scale, out=s), out=s)
         a /= np.add.reduce(a, axis=0)
-        out = (a.reshape(-1, heads) @ self.Et).reshape(K.shape)
+        out = mm(a.reshape(-1, heads), self.Et).reshape(K.shape)
         return np.add.reduce(np.multiply(out, V, out=out), axis=0)
 
 
@@ -384,10 +418,25 @@ class TransformerBlock(Module):
 
 
 def decode_step(x: np.ndarray, cache: KVCache, arrays: tuple) -> np.ndarray:
-    """A ``TransformerBlock``'s step of decode rows (B, W) over ``cache`` on ``arrays``."""
-    qkv, wo, ff1, ff2 = arrays
-    x = x + affine(cache.attend(affine(x, *qkv)), *wo)
-    return x + affine(leaky_relu(affine(x, *ff1)), *ff2)
+    """A ``TransformerBlock``'s step of decode rows (B, W) over ``cache`` on
+    ``arrays``: its layers' ``affine``s and ``leaky_relu`` written out with
+    their bits, the products by one ``matmul_for``. One name holds each
+    temporary in turn, so none outlives the next product: at 160 rows, the
+    same step written as three expressions, which keep them longer, ran 7%
+    slower."""
+    (wqkv, bqkv), (wo, bo), (w1, b1), (w2, b2) = arrays
+    mm = matmul_for(x)
+    h = mm(x, wqkv)
+    h += bqkv
+    h = cache.attend(h)
+    h = mm(h, wo)
+    h += bo
+    x = x + h
+    h = mm(x, w1)
+    h += b1
+    h = mm(np.maximum(h, 0.1 * h), w2)
+    h += b2
+    return x + h
 
 
 def conv_layers(dims, kernels, rng: np.random.Generator, mode: str = "same") -> list:

@@ -10,7 +10,7 @@ from rvqsynth.armodel import (ARConfig, ARModel, TemporalStream, prepare_sequenc
 from rvqsynth.codec import (CodecConfig, rvq_quantize_frames, sample_categorical,
                             squared_distances, train_codec)
 from rvqsynth import sampling
-from rvqsynth.nn import Dense, KVCache, operand, tap_sum
+from rvqsynth.nn import DOT_ROWS, Dense, KVCache, operand, tap_sum
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
                              cross_entropy, leaky_relu, log_softmax)
 
@@ -444,19 +444,25 @@ def oracle_model(temporal, style_mode, D=3):
     return model
 
 
+# (R, n): R = 2 keeps the ids of n alone; the others put the R·n rows of
+# every product on both sides of ``DOT_ROWS``
+ROWS_AND_CANDIDATES = [pytest.param(2, n, id=str(n)) for n in (1, 3)] + [
+    pytest.param(R, 1, id=f"R{R}-1") for R in (1, DOT_ROWS, DOT_ROWS + 1, 160)]
+
+
 @pytest.mark.parametrize("temporal", ["conv", "transformer"])
 @pytest.mark.parametrize("style_mode", ["depth", "temporal"])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("R,n", ROWS_AND_CANDIDATES)
 @pytest.mark.parametrize("d_star", [1, 3])
 @pytest.mark.parametrize("temperature", [1.0, 0.0])
 def test_bound_depth_step_matches_the_layer_composed_oracle(
-        monkeypatch, temporal, style_mode, n, d_star, temperature):
+        monkeypatch, temporal, style_mode, R, n, d_star, temperature):
     """Candidates drawn through ``depth_step`` on the arrays bound by
     ``depth_caches`` against the layer-composed oracle over caches of their
     own: every call's logits, the KVCache contents after each frame, the rows
     drawn and ``depth_row_count``, bit for bit."""
     model = oracle_model(temporal, style_mode)
-    R, H = 2, model.config.width
+    H = model.config.width
     style = np.random.default_rng(1).normal(0.0, 1.0, (1, H))
     frames = np.random.default_rng(2).normal(0.0, 1.0, (4, R, H))
     bound = model.depth_step
@@ -488,13 +494,20 @@ def test_bound_depth_step_matches_the_layer_composed_oracle(
     assert got[3] == want[3] == len(frames) * R * (1 + n * (d_star - 1))
 
 
-@pytest.mark.parametrize("temporal", ["conv", "transformer"])
+# (temporal, S): S = 3 keeps the ids of the temporal kind alone; the others
+# put the S rows on both sides of ``DOT_ROWS``
+TEMPORAL_AND_SAMPLES = [pytest.param(kind, 3, id=kind) for kind in ("conv", "transformer")] + [
+    pytest.param(kind, S, id=f"{kind}-S{S}") for kind in ("conv", "transformer")
+    for S in (1, DOT_ROWS, DOT_ROWS + 1, 160)]
+
+
+@pytest.mark.parametrize("temporal,S", TEMPORAL_AND_SAMPLES)
 @pytest.mark.parametrize("style_mode", ["depth", "temporal"])
-def test_bound_stream_matches_the_layer_composed_oracle(temporal, style_mode):
+def test_bound_stream_matches_the_layer_composed_oracle(temporal, S, style_mode):
     """``TemporalStream.step`` on the arrays bound at its construction
     against the layer-composed oracle: every frame's rows, bit for bit."""
     model = oracle_model(temporal, style_mode)
-    S, T = 3, 9
+    T = 9
     audio, style = model.context_features(*random_inputs(model.config, T))
     stream, oracle = TemporalStream(model, audio, style, S), layer_composed_stream(
         model, audio, style, S)
@@ -558,6 +571,8 @@ def test_context_and_style_prefix_refuse_inputs_of_another_rank():
             model.depth_prefix(bad)
         with pytest.raises(ShapeError, match=r"\(B, width\)"):
             model.depth_caches(bad, 2, TINY_AR.depth)
+    with pytest.raises(ShapeError, match="rows >= 1"):
+        model.depth_caches(style[None], 0, TINY_AR.depth)
 
 
 def test_stream_conv_memory_does_not_grow_with_frames():

@@ -79,6 +79,36 @@ def test_quantizer_rejects_bad_depth():
         rvq_quantize_frames(np.zeros((2, 3)), np.zeros((4, 3)), 0)
 
 
+@pytest.mark.parametrize("codebook", [np.zeros(4), np.zeros((0, 3)), np.zeros((2, 2, 3))])
+def test_quantizer_refuses_a_malformed_codebook(codebook):
+    """A codebook that is not (|C| >= 1, N_C) raises ShapeError at the entry,
+    not an IndexError or numpy's argmin of an empty sequence."""
+    with pytest.raises(ShapeError, match=r"codebook is \(\|C\| >= 1, N_C\)"):
+        rvq_quantize_frames(np.zeros((2, 3)), codebook, 2)
+
+
+@pytest.mark.parametrize("depth_limit", [2.5, "2", None])
+def test_quantizer_refuses_a_depth_limit_not_an_int(depth_limit):
+    with pytest.raises(ValueError, match="depth_limit must be an int >= 1"):
+        rvq_quantize_frames(np.zeros((2, 3)), np.eye(4, 3), depth_limit)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (np.zeros(3, dtype=np.int64), r"for 3 frames of latents, not \(3,\)"),
+    (np.zeros((3, 2)), "integer code indices"),
+    (np.full((3, 2), 99), r"code index out of range \[0, 8\)"),
+    (np.zeros((4, 2), dtype=np.int64), r"for 3 frames of latents, not \(4, 2\)"),
+    (np.zeros((3, 0), dtype=np.int64), r"D >= 1\) grid for 3 frames of latents, not \(3, 0\)"),
+])
+def test_grid_residuals_refuses_a_malformed_grid(grid, message):
+    """A 1-D grid, a float grid, a code past the codebook, another T or no
+    depths raise a typed error naming the fault at the entry."""
+    codebook = np.random.default_rng(0).normal(0.0, 1.0, (8, 4))
+    error = ShapeError if "frames" in message else ValueError
+    with pytest.raises(error, match=message):
+        grid_residuals(np.zeros((3, 4)), codebook, grid)
+
+
 def test_quantizer_refuses_a_temperature_it_cannot_draw_at():
     z, codebook, rng = np.zeros((2, 3)), np.eye(4, 3), np.random.default_rng(0)
     for temperature, draws in ((-0.1, rng), (np.nan, rng), (np.inf, rng), (0.5, None)):
@@ -265,6 +295,7 @@ def test_write_grid_refuses_what_u16_cannot_store(tmp_path, grid, codebook_size,
     (np.full((3, 2), 8), r"code index out of range \[0, 8\)"),
     (np.zeros((3, 2)), "integer code indices"),
     (np.zeros(3, dtype=np.int64), r"for 3 frames of latents, not \(3,\)"),
+    (np.zeros((3, 0), dtype=np.int64), r"for 3 frames of latents, not \(3, 0\)"),
 ])
 def test_soft_targets_refuse_a_malformed_grid(grid, message):
     codebook = np.random.default_rng(0).normal(0.0, 1.0, (8, 4))

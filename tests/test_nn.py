@@ -7,7 +7,7 @@ from rvqsynth.nn import (Conv1d, Dense, DivergenceError, Module, Parameter,
                          SelfAttention, TransformerBlock, adam_step,
                          conv_stack, decode_step, finite_difference_grad, fit)
 from rvqsynth import nn
-from rvqsynth.nn import attend, dense
+from rvqsynth.nn import DOT_ROWS, attend, dense
 from rvqsynth.tensor import ShapeError, Tensor, concat, leaky_relu, softmax
 
 
@@ -98,13 +98,22 @@ ARRAY_LAYERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ARRAY_LAYERS))
-def test_array_call_matches_tensor_call(name):
+# (layer, rows): None is the (3, 7, 6) input and keeps the layer's id; a row
+# count R gives a conv (R, 6) rows and a folding layer (1, R, 6), on both
+# sides of ``DOT_ROWS``
+LAYERS_AND_ROWS = [pytest.param(name, None, id=name) for name in sorted(ARRAY_LAYERS)] + [
+    pytest.param(name, R, id=f"{name}-rows{R}") for name in sorted(ARRAY_LAYERS)
+    for R in (1, DOT_ROWS, DOT_ROWS + 1, 160)]
+
+
+@pytest.mark.parametrize("name,rows", LAYERS_AND_ROWS)
+def test_array_call_matches_tensor_call(name, rows):
     """One forward per layer: an array runs off the tape and gives an
     array equal to the Tensor call's data."""
     make, folds = ARRAY_LAYERS[name]
     layer = make()
-    x = np.random.default_rng(1).normal(0.0, 1.0, (3, 7, 6))
+    shape = (3, 7, 6) if rows is None else (1, rows, 6) if folds else (rows, 6)
+    x = np.random.default_rng(1).normal(0.0, 1.0, shape)
     out = layer(x)
     assert type(out) is np.ndarray
     want = layer(Tensor(x)).data
@@ -415,6 +424,16 @@ def test_kv_cache_strided_rows_write_to_their_candidates(R, n, nh):
                           attend(qkv[:, None], nh, False, past)[:, 0])
 
 
+@pytest.mark.parametrize("capacity,rows,width,heads", [
+    (3, 4, 8, 3), (3, 0, 8, 2), (3, 4, 8, 0), (3, 4, 0, 1)])
+def test_kv_cache_refuses_a_shape_it_cannot_serve(capacity, rows, width, heads):
+    """No rows, or heads that do not divide the width (0 heads and a width
+    of 0 included), raise ShapeError at construction, not numpy's error at
+    the first ``attend``."""
+    with pytest.raises(ShapeError, match="rows >= 1 and heads dividing"):
+        nn.KVCache(capacity, rows, width, heads)
+
+
 def test_kv_cache_refuses_a_write_past_capacity():
     cache = nn.KVCache(2, 3, 4, 2)
     for _ in range(2):
@@ -431,7 +450,7 @@ def test_kv_cache_append_refuses_rows_not_dividing_its_rows():
     divide the cache's rows with ``ShapeError`` before anything is written."""
     cache = nn.KVCache(3, 6, 4, 2).append(np.ones((2, 4)), np.ones((2, 4)))
     keys, values = cache.k.copy(), cache.v.copy()
-    for B in (4, 5, 7):
+    for B in (0, 4, 5, 7):
         with pytest.raises(ShapeError, match="divide"):
             cache.append(np.zeros((B, 4)), np.zeros((B, 4)))
     assert cache.fill == 1
@@ -484,13 +503,19 @@ def attend_cached_reference(qkv, heads, cache):
     return np.multiply(out, V, out=out).sum(axis=0)
 
 
+# (n, B): B = 3 keeps the ids of n alone; the others put the fill·B rows of
+# the head-indicator products on both sides of ``DOT_ROWS``
+CANDIDATES_AND_ROWS = [pytest.param(n, 3, id=str(n)) for n in (1, 4)] + [
+    pytest.param(1, B, id=f"1-B{B}") for B in (1, DOT_ROWS, DOT_ROWS + 1, 160)]
+
+
 @pytest.mark.parametrize("nh", [1, 2, 4])
-@pytest.mark.parametrize("n", [1, 4])
-def test_kv_cache_attend_matches_method_reference(n, nh):
+@pytest.mark.parametrize("n,B", CANDIDATES_AND_ROWS)
+def test_kv_cache_attend_matches_method_reference(n, B, nh):
     """B rows over a cache of n·B rows against the reference kernel on its
     own cache: outputs and cache contents bit for bit at every fill from 1
     to capacity; then a full cache raises ShapeError and keeps ``fill``."""
-    B, capacity, dh = 3, 5, 4
+    capacity, dh = 5, 4
     W = nh * dh
     steps = np.random.default_rng(9).normal(0.0, 1.0, (capacity, B, 3 * W))
     cache, ref = nn.KVCache(capacity, n * B, W, nh), nn.KVCache(capacity, n * B, W, nh)
@@ -508,11 +533,11 @@ def test_kv_cache_attend_matches_method_reference(n, nh):
 @pytest.mark.parametrize("qkv", [Tensor(np.zeros((3, 12))),
                                  np.zeros((3, 2, 12)), np.zeros((2, 12)),
                                  np.zeros((3, 1, 12)), np.zeros(()),
-                                 np.zeros((3, 9))])
+                                 np.zeros((3, 9)), np.zeros((0, 12))])
 def test_kv_cache_takes_one_row_of_arrays_dividing_its_rows(qkv):
     """A KVCache takes an array (B, 3W) whose B divides its rows: a Tensor,
-    a sequence (B, L, 3W), even of one row, a 0-d array, another width or a
-    B that does not divide is refused before anything is written."""
+    a sequence (B, L, 3W), even of one row, a 0-d array, another width, no
+    rows or a B that does not divide is refused before anything is written."""
     cache = nn.KVCache(4, 3, 4, 2)
     with pytest.raises(ShapeError):
         cache.attend(qkv)
