@@ -218,11 +218,13 @@ class ARModel(Module):
     def depth_caches(self, style_emb: np.ndarray, rows: int, depths: int) -> "DepthCaches":
         """One ``KVCache`` per depth layer for ``rows`` rows and ``depths``
         steps, slot 0 holding the ``depth_prefix`` of one style embedding
-        (1, H) in every row, with the arrays ``depth_step`` runs on, read now:
-        once per call, as Adam rebinds them."""
+        (1, H) in every row, written here, with the arrays ``depth_step`` runs
+        on, read now: once per call, as Adam rebinds them."""
         caches = DepthCaches(KVCache(1 + depths, rows, self.config.width, self.config.heads)
-                             .append(*np.split(kv[0], 2, axis=1))
-                             for kv in self.depth_prefix(style_emb))
+                             for _ in self.depth_blocks)
+        for cache, kv in zip(caches, self.depth_prefix(style_emb)):
+            cache.k[0], cache.v[0] = np.split(kv[0], 2, axis=1)
+            cache.fill = 1
         caches.blocks = [block.arrays() for block in self.depth_blocks]
         caches.prefix_proj, caches.head, caches.pos = (
             self.prefix_proj.arrays(), self.head.arrays(), self.depth_pos.data)

@@ -160,8 +160,8 @@ class Codec(Module):
             raise ShapeError(f"expected a (..., T, D) grid with D <= "
                              f"{self.config.depth}, got {grid.shape}")
         d = grid.shape[-1] if depth_limit is None else depth_limit
-        if not 1 <= d <= grid.shape[-1]:
-            raise ValueError(f"depth_limit must be in [1, {grid.shape[-1]}]")
+        if not isinstance(d, (int, np.integer)) or not 1 <= d <= grid.shape[-1]:
+            raise ValueError(f"depth_limit must be an int in [1, {grid.shape[-1]}], not {d!r}")
         check_codes(grid, self.config.codebook_size)
         zq = self.codebook.data[grid[..., :d]].sum(axis=-2)  # (..., T, N_C)
         return conv_stack(zq, self.dec_layers)

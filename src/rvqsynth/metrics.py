@@ -20,40 +20,40 @@ from .tensor import ShapeError, Tensor, cross_entropy, leaky_relu, mean
 # -- lip vertex errors ---------------------------------------------------------
 
 
-def _lip_deltas(x: np.ndarray, xhat: np.ndarray, lip_indices) -> np.ndarray:
+def _lip_deltas(x: np.ndarray, samples, lip_indices, mean: bool = False) -> np.ndarray:
+    """Lip vertex errors (S, T, |lip|) against x (T ≥ 1, 3V) of samples (S, T, 3V),
+    or (1, T, |lip|) of their mean if ``mean``; the lip metrics' one check, before
+    any reduction, refuses an empty, ragged or misshapen sample set."""
     x = np.asarray(x, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"sequence shapes differ: {x.shape} vs {xhat.shape}")
     if x.ndim != 2 or not len(x) or x.shape[1] % 3:
         raise ShapeError(f"motions must be (T >= 1, 3V), got {x.shape}")
+    try:
+        xhat = np.asarray(samples, dtype=np.float64)
+    except ValueError:  # a ragged list, refused below
+        xhat = np.empty(0)
+    if xhat.shape[1:] != x.shape or not len(xhat):
+        raise ShapeError(f"samples must be (S >= 1, {len(x)}, {x.shape[1]}), got {xhat.shape}")
     lip = np.asarray(lip_indices, dtype=np.int64)
     if lip.size == 0 or not 0 <= lip.min() <= lip.max() < x.shape[1] // 3:
         raise ValueError(f"lip vertex set is empty or not in [0, {x.shape[1] // 3})")
-    diff = (x - xhat).reshape(len(x), -1, 3)
-    return np.sqrt((diff[:, lip, :] ** 2).sum(axis=2))
+    xhat = np.mean(xhat, axis=0, keepdims=True) if mean else xhat
+    diff = (x - xhat).reshape(*xhat.shape[:2], -1, 3)
+    return np.sqrt((diff[..., lip, :] ** 2).sum(axis=-1))
 
 
 def lip_vertex_error(x: np.ndarray, xhat: np.ndarray, lip_indices) -> float:
-    """Max over frames and lip vertices of the Euclidean position error."""
-    return float(_lip_deltas(x, xhat, lip_indices).max())
+    """Max lip vertex error over frames of one motion ``xhat`` (T, 3V), not a stack."""
+    return float(_lip_deltas(x, [xhat], lip_indices).max())
 
 
 def coverage_error(x: np.ndarray, samples, lip_indices) -> float:
-    """Smallest lip vertex error over a sample set."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("sample set must be nonempty")
-    return min(lip_vertex_error(x, s, lip_indices) for s in samples)
+    """Smallest lip vertex error over a sample set (S, T, 3V)."""
+    return float(_lip_deltas(x, samples, lip_indices).max(axis=(1, 2)).min())
 
 
 def mean_estimate_error(x: np.ndarray, samples, lip_indices) -> float:
-    """Lip vertex error of the framewise mean of the sample set."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("sample set must be nonempty")
-    mean = np.mean(np.stack(samples), axis=0)
-    return lip_vertex_error(x, mean, lip_indices)
+    """Lip vertex error of the framewise mean of a sample set (S, T, 3V)."""
+    return float(_lip_deltas(x, samples, lip_indices, mean=True).max())
 
 
 # -- Fréchet distance ----------------------------------------------------------
@@ -197,15 +197,11 @@ class SyncNet(Module):
                 @ self._window_embed(audio_f, self.audio_proj).swapaxes(0, 1))
 
     def score(self, x: np.ndarray, y: np.ndarray):
-        """Synchronization score of one (T, 3V) motion against one (T, A)
-        audio window, a float; or of each of B motions (B, T, 3V) against
-        the same window, an array (B,).
-
-        The audio stack runs once, and the mesh stack and the projection
-        once for all B motions. A batched score equals the score of its
-        pair on its own to rounding: the projection is one GEMM over B
-        rows instead of one over a single row.
-        """
+        """Synchronization score of one (T, 3V) motion against one (T, A) audio
+        window, a float, or of each of B motions (B, T, 3V), an array (B,): the
+        audio stack runs once, the mesh stack and projection once for all B, and
+        ``score_matrix`` scores them. A batched score equals its pair's on its
+        own to rounding, as the projection is one GEMM over B rows."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (2, 3) or not x.shape[-2] or np.ndim(y) != 2:
             raise ShapeError(f"expected (T, 3V) or (B, T, 3V) motion, T >= 1, and (T, A) "
@@ -214,11 +210,7 @@ class SyncNet(Module):
             raise ShapeError("motion and audio must be frame-aligned")
         mesh_f = conv_stack(self._fit_window(x.reshape((-1,) + x.shape[-2:])), self.mesh_convs)
         audio_f = conv_stack(self._fit_window(y)[None], self.audio_convs)
-        if self.config.variant == 1:
-            scores = self._fused_scores(mesh_f, audio_f)[:, 0]
-        else:
-            scores = (self._window_embed(mesh_f, self.mesh_proj)
-                      * self._window_embed(audio_f, self.audio_proj)).sum(axis=-1)
+        scores = self.score_matrix(mesh_f, audio_f)[:, 0]
         return float(scores[0]) if x.ndim == 2 else scores
 
     def save(self, path, seed: int = 0):

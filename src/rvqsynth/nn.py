@@ -291,12 +291,13 @@ class SelfAttention(Module):
 
 class KVCache:
     """Preallocated keys and values ``k``, ``v`` (capacity, rows ≥ 1, W), heads
-    merged (each row the fused projection's column block), written below
-    ``fill`` (set back to rewind); ``E`` is the (W, heads) 0/1 head
-    indicator, ``Et`` C-ordered, ``scale`` 1/√(W/heads), made once; heads
-    must divide W. ``attend``'s products by ``E`` and ``Et`` have fill·B rows,
-    8–20 in a 4-sample depth step, where ``dot`` (``matmul_for``) took
-    0.6–1.2 µs against 1.3–2.1 µs for ``@``; 160 candidates' rows keep ``@``."""
+    merged (each row the fused projection's column block), written at ``fill``
+    (set back to rewind) by ``attend`` alone; ``ARModel.depth_caches`` sets slot
+    0. Two buffers: one (capacity, rows, 2W) block ran ``average`` 5% slower.
+    ``E`` is the (W, heads) 0/1 head indicator, ``Et`` C-ordered, ``scale``
+    1/√(W/heads), made once; heads must divide W. ``attend``'s products by
+    ``E`` and ``Et`` have fill·B rows, 8–20 in a 4-sample depth step, so
+    ``matmul_for`` gives them ``dot``, and 160 candidates' rows ``@``."""
 
     def __init__(self, capacity: int, rows: int, width: int, heads: int):
         if rows < 1 or not 1 <= heads <= width or width % heads:
@@ -308,33 +309,25 @@ class KVCache:
         self.Et = self.E.T.copy()
         self.scale = 1.0 / np.sqrt(width // heads)
 
-    def append(self, k: np.ndarray, v: np.ndarray) -> "KVCache":
-        """Write the next keys and values (B, W), row i to rows/B rows."""
-        B, W = k.shape
-        if v.shape != k.shape or W != self.k.shape[2]:
-            raise ShapeError(f"KV cache width {self.k.shape[2]}: got {k.shape}, {v.shape}")
-        if not B or self.k.shape[1] % B:
-            raise ShapeError(f"{B} rows do not divide the KV cache's {self.k.shape[1]}")
-        if self.fill == len(self.k):
-            raise ShapeError(f"KV cache is full ({len(self.k)} positions)")
-        self.k[self.fill].reshape(B, -1, W)[:] = k[:, None]
-        self.v[self.fill].reshape(B, -1, W)[:] = v[:, None]
-        self.fill += 1
-        return self
-
     def attend(self, qkv: np.ndarray) -> np.ndarray:
         """Attention (B, W) of decode rows, an array (B, 3W) whose keys and values
-        go to rows/B rows each, over the rows read every (rows/B)-th, K, V (P, B,
-        W): s = ((K ⊙ q) E)·``scale``, a softmax across the P slabs, and ((a Eᵀ)
-        ⊙ V) summed over them, reduced by the ufuncs (see ``sample_categorical``)."""
+        go to slot ``fill`` once every check has passed, rows/B rows each, over
+        the rows read every (rows/B)-th, K, V (P, B, W): s = ((K ⊙ q) E)·``scale``,
+        a softmax across the P slabs, and ((a Eᵀ) ⊙ V) summed over them, reduced
+        by the ufuncs (see ``sample_categorical``)."""
         W, heads = self.k.shape[2], self.E.shape[1]
         if isinstance(qkv, Tensor) or qkv.shape[1:] != (3 * W,):
             raise ShapeError(f"a KVCache of width {W} expects (B, {W}) decode rows, "
                              f"their (B, {3 * W}) qkv of an array, not {qkv.shape}")
-        B = len(qkv)
-        self.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
-        K = self.k[:self.fill, ::self.k.shape[1] // B]
-        V = self.v[:self.fill, ::self.v.shape[1] // B]
+        B, rows = len(qkv), self.k.shape[1]
+        if not B or rows % B:
+            raise ShapeError(f"{B} rows do not divide the KV cache's {rows}")
+        if self.fill == len(self.k):
+            raise ShapeError(f"KV cache is full ({len(self.k)} positions)")
+        self.k[self.fill].reshape(B, -1, W)[:] = qkv[:, None, W:2 * W]
+        self.v[self.fill].reshape(B, -1, W)[:] = qkv[:, None, 2 * W:]
+        self.fill += 1
+        K, V = self.k[:self.fill, ::rows // B], self.v[:self.fill, ::rows // B]
         s = (K * qkv[:, :W]).reshape(-1, W)  # rebound below, which frees it
         mm = matmul_for(s)
         s = mm(s, self.E).reshape(len(K), B, heads)

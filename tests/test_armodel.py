@@ -365,12 +365,32 @@ def test_depth_caches_spread_depth_zero_to_the_candidates():
             np.testing.assert_array_equal(a[:2], np.repeat(b[:2], n, axis=1))
 
 
+@pytest.mark.parametrize("style_mode", ["depth", "temporal"])
+@pytest.mark.parametrize("R,n", [(1, 1), (3, 4), (8, 20)])
+def test_depth_caches_hold_the_style_prefix_in_slot_zero(R, n, style_mode):
+    """``depth_caches(style, R·n, D)`` writes each layer's ``depth_prefix``
+    keys and values to slot 0 of its cache in every row, bit for bit, with
+    ``fill`` at 1 and room for D more slots."""
+    model = make_model(replace(TINY_AR, depth_layers=2, style_mode=style_mode))
+    style = np.random.default_rng(10).normal(0.0, 1.0, (1, TINY_AR.width))
+    caches = model.depth_caches(style, R * n, TINY_AR.depth)
+    prefix = model.depth_prefix(style)
+    assert len(caches) == len(prefix) == 2
+    for cache, kv in zip(caches, prefix):
+        assert cache.fill == 1 and len(cache.k) == len(cache.v) == 1 + TINY_AR.depth
+        keys, values = np.split(kv[0], 2, axis=1)
+        assert cache.k[0].tobytes() == np.repeat(keys, R * n, axis=0).tobytes()
+        assert cache.v[0].tobytes() == np.repeat(values, R * n, axis=0).tobytes()
+
+
 def decode_attention_reference(qkv, heads, cache):
     """The attention-decode kernel as ``attend`` ran it over a ``KVCache``
-    before the decode state was bound: the cache's ``append``, its rows read
-    every (rows/B)-th, the ufunc reductions."""
+    before the decode state was bound: the keys and values written to the
+    next slot, its rows read every (rows/B)-th, the ufunc reductions."""
     B, W = len(qkv), qkv.shape[1] // 3
-    cache.append(qkv[:, W:2 * W], qkv[:, 2 * W:])
+    cache.k[cache.fill].reshape(B, -1, W)[:] = qkv[:, None, W:2 * W]
+    cache.v[cache.fill].reshape(B, -1, W)[:] = qkv[:, None, 2 * W:]
+    cache.fill += 1
     K = cache.k[:cache.fill, ::len(cache.k[0]) // B]
     V = cache.v[:cache.fill, ::len(cache.v[0]) // B]
     s = ((K * qkv[:, :W]).reshape(-1, W) @ cache.E).reshape(len(K), B, heads)

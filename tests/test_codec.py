@@ -177,6 +177,18 @@ def test_decode_refuses_a_grid_deeper_than_the_codec_or_not_integer():
     assert codec.decode(np.zeros((4, 4), dtype=np.int64)).shape == (4, 12)
 
 
+@pytest.mark.parametrize("depth_limit", [1.5, np.float64(2.0), "2", 0, 5, -1])
+def test_decode_refuses_a_depth_limit_not_an_int_in_range(depth_limit):
+    """``decode``'s ``depth_limit`` follows ``rvq_quantize_frames``' rule, an
+    int >= 1, and is at most the grid's depth: a float or a string raised a
+    TypeError in the slice or the comparison."""
+    codec = Codec(CodecConfig(input_dim=12, depth=4, codebook_size=8, code_dim=4))
+    grid = np.zeros((3, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match=r"depth_limit must be an int in \[1, 4\]"):
+        codec.decode(grid, depth_limit)
+    np.testing.assert_array_equal(codec.decode(grid, np.int64(2)), codec.decode(grid, 2))
+
+
 def test_quantizers_refuse_latents_of_another_width():
     """Latents (T, 5) against a codebook of N_C = 4 raise ShapeError before
     the depth loop, through every function that walks the residuals."""

@@ -30,8 +30,9 @@ def test_lip_vertex_error_manual_case():
 
 
 def test_lip_error_input_validation():
-    with pytest.raises(ShapeError):
-        lip_vertex_error(np.zeros((2, 9)), np.zeros((3, 9)), [0])
+    for xhat in (np.zeros((3, 9)), np.zeros((1, 2, 9)), [np.zeros((2, 9))] * 3):
+        with pytest.raises(ShapeError):  # another T, or a stack
+            lip_vertex_error(np.zeros((2, 9)), xhat, [0])
     with pytest.raises(ValueError):
         lip_vertex_error(np.zeros((2, 9)), np.zeros((2, 9)), [])
 
@@ -74,6 +75,47 @@ def test_coverage_error_monotone_under_sample_growth():
         cur = coverage_error(x, samples[:n], lip)
         assert cur <= prev
         prev = cur
+
+
+def old_coverage_error(x, samples, lip):
+    """``coverage_error`` as it was, one ``lip_vertex_error`` per sample."""
+    return min(lip_vertex_error(x, s, lip) for s in list(samples))
+
+
+def old_mean_estimate_error(x, samples, lip):
+    """``mean_estimate_error`` as it was, over ``np.stack`` of the list."""
+    return lip_vertex_error(x, np.mean(np.stack(list(samples)), axis=0), lip)
+
+
+@pytest.mark.parametrize("S", [1, 2, 7, 8, 9, 40])
+def test_lip_errors_of_a_stack_keep_the_per_sample_bits(S):
+    """A sample set as one (S, T, 3V) array or as a list gives the bits of the
+    per-sample minimum and of the mean of the stacked list, at S on both
+    sides of numpy's pairwise blocks."""
+    rng = np.random.default_rng(S)
+    for case in range(20):
+        x = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (5, 12))
+        stack = x + rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (S, 5, 12))
+        lip = rng.choice(4, size=rng.integers(1, 5), replace=False)
+        for samples in (stack, list(stack)):
+            assert coverage_error(x, samples, lip) == old_coverage_error(x, stack, lip)
+            assert (mean_estimate_error(x, samples, lip)
+                    == old_mean_estimate_error(x, stack, lip))
+
+
+@pytest.mark.parametrize("samples", [
+    [], np.zeros((0, 2, 9)), [np.zeros((2, 9)), np.zeros((3, 9))],
+    [np.zeros((2, 9)), np.zeros(9)], np.zeros((3, 9)), np.zeros((2, 3, 6)),
+    np.zeros((1, 1, 2, 9))], ids=["empty", "no-samples", "ragged", "ragged-rank",
+                                  "one-motion", "other-width", "extra-axis"])
+def test_lip_errors_refuse_a_sample_set_not_a_stack_of_the_motion(samples):
+    """An empty, ragged or misshapen sample set raises ShapeError from the
+    one check in ``_lip_deltas``, before numpy reduces anything (an empty
+    mean warned, and a ragged one failed in ``np.stack``)."""
+    x = np.zeros((2, 9))
+    for error in (coverage_error, mean_estimate_error):
+        with pytest.raises(ShapeError, match=r"samples must be \(S >= 1, 2, 9\)"):
+            error(x, samples, [0])
 
 
 # -- Fréchet distance ------------------------------------------------------------
@@ -165,6 +207,25 @@ def test_sync_variant2_score_is_cosine(tiny_corpus):
     a = _normalize_rows(net._window_embed(a_f, net.audio_proj)).data[0]
     assert abs(score - float(m @ a)) < 1e-12
     assert -1.0 - 1e-9 <= score <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("variant", [1, 2])
+@pytest.mark.parametrize("B", [1, 5])
+def test_sync_score_is_the_score_matrix_column(tiny_corpus, variant, B):
+    """``score`` is column 0 of ``score_matrix`` over the one audio window,
+    bit for bit; variant 2 agrees with the multiply-sum it ran before to
+    rounding."""
+    net = sync1_net() if variant == 1 else SyncNet(sync_cfg(2))
+    motions = np.random.default_rng(B).normal(0.0, 1.0, (B, 10, 12))
+    y = tiny_corpus.records[0].audio[:10]
+    mesh_f = conv_stack(net._fit_window(motions), net.mesh_convs)
+    audio_f = conv_stack(net._fit_window(y)[None], net.audio_convs)
+    want = net.score_matrix(mesh_f, audio_f)[:, 0]
+    assert net.score(motions, y).tobytes() == want.tobytes()
+    if variant == 2:
+        old = (net._window_embed(mesh_f, net.mesh_proj)
+               * net._window_embed(audio_f, net.audio_proj)).sum(axis=-1)
+        np.testing.assert_allclose(want, old, rtol=0, atol=1e-15)
 
 
 def sync1_net():

@@ -375,6 +375,16 @@ def slots(block):
     return np.split(block.swapaxes(0, 1), 2, axis=-1)
 
 
+def write(cache, k, v):
+    """Keys and values (B, W) into a KVCache's next slot, row i to rows/B
+    rows, by the two assignments ``KVCache.attend`` makes; the cache."""
+    B, W = k.shape
+    cache.k[cache.fill].reshape(B, -1, W)[:] = k[:, None]
+    cache.v[cache.fill].reshape(B, -1, W)[:] = v[:, None]
+    cache.fill += 1
+    return cache
+
+
 @pytest.mark.parametrize("nh", [1, 2, 4])
 @pytest.mark.parametrize("B", [1, 3, 160])
 def test_kv_cache_attend_matches_list_cache(B, nh):
@@ -409,8 +419,7 @@ def test_kv_cache_strided_rows_write_to_their_candidates(R, n, nh):
     W = nh * dh
     rng_ = np.random.default_rng(8)
     style = rng_.normal(0.0, 1.0, (2, 1, W))  # one row's keys and values
-    cache = nn.KVCache(3, R * n, W, nh)
-    cache.append(*style)
+    cache = write(nn.KVCache(3, R * n, W, nh), *style)
     past = np.broadcast_to(np.concatenate(style, axis=1), (R, 1, 2 * W))
     qkv = rng_.normal(0.0, 1.0, (R, 3 * W))
     assert_close_relative(cache.attend(qkv),
@@ -438,34 +447,38 @@ def test_kv_cache_refuses_a_write_past_capacity():
     cache = nn.KVCache(2, 3, 4, 2)
     for _ in range(2):
         cache.attend(np.ones((3, 12)))
-    keys = cache.k.copy()
+    keys, values = cache.k.copy(), cache.v.copy()
     with pytest.raises(ShapeError, match="full"):
         cache.attend(np.zeros((3, 12)))
     assert cache.fill == 2
     np.testing.assert_array_equal(cache.k, keys)
+    np.testing.assert_array_equal(cache.v, values)
 
 
-def test_kv_cache_append_refuses_rows_not_dividing_its_rows():
-    """Called directly, ``append`` refuses a block (B, W) whose B does not
-    divide the cache's rows with ``ShapeError`` before anything is written."""
-    cache = nn.KVCache(3, 6, 4, 2).append(np.ones((2, 4)), np.ones((2, 4)))
+def test_kv_cache_attend_refuses_rows_not_dividing_its_rows():
+    """``attend`` refuses decode rows (B, 3W) whose B does not divide the
+    cache's rows, B = 0 included, with ``ShapeError`` before anything is
+    written."""
+    cache = nn.KVCache(3, 6, 4, 2)
+    cache.attend(np.ones((2, 12)))
     keys, values = cache.k.copy(), cache.v.copy()
     for B in (0, 4, 5, 7):
         with pytest.raises(ShapeError, match="divide"):
-            cache.append(np.zeros((B, 4)), np.zeros((B, 4)))
+            cache.attend(np.zeros((B, 12)))
     assert cache.fill == 1
     np.testing.assert_array_equal(cache.k, keys)
     np.testing.assert_array_equal(cache.v, values)
 
 
-@pytest.mark.parametrize("k_width,v_width", [(6, 6), (8, 6)])
-def test_kv_cache_append_refuses_a_width_not_its_own(k_width, v_width):
-    """Keys or values (B, W') with W' not the cache's width raise ShapeError
-    before anything is written, even when only the values are wrong."""
+@pytest.mark.parametrize("qkv_width", [18, 22, 8])
+def test_kv_cache_attend_refuses_a_width_not_its_own(qkv_width):
+    """Decode rows (B, 3W') with W' not the cache's width, rows (B, 2W + W')
+    whose values alone are of another width, or rows (B, W) raise ShapeError
+    before anything is written."""
     cache = nn.KVCache(3, 4, 8, 2)
     keys, values = cache.k.tobytes(), cache.v.tobytes()
     with pytest.raises(ShapeError, match="width 8"):
-        cache.append(np.zeros((2, k_width)), np.zeros((2, v_width)))
+        cache.attend(np.zeros((2, qkv_width)))
     assert cache.fill == 0
     assert cache.k.tobytes() == keys and cache.v.tobytes() == values
 
@@ -550,7 +563,7 @@ def test_attention_over_a_kv_cache_takes_decode_rows_of_arrays(x, match):
     """Through a block's ``decode_step`` too: a sequence (B, L, W), even of
     one row, or a Tensor raises ShapeError and leaves ``fill`` as it was."""
     arrays = TransformerBlock(4, 2, rng()).arrays()
-    cache = nn.KVCache(4, 3, 4, 2).append(np.ones((1, 4)), np.ones((1, 4)))
+    cache = write(nn.KVCache(4, 3, 4, 2), np.ones((1, 4)), np.ones((1, 4)))
     with pytest.raises(ShapeError, match=match):
         decode_step(x, cache, arrays)
     assert cache.fill == 1
@@ -563,7 +576,7 @@ def test_layers_refuse_a_kv_cache(tape):
     raises ShapeError (not AttributeError) and leaves ``fill`` as it was.
     Decode rows go through ``KVCache.attend`` and ``decode_step``."""
     block = TransformerBlock(4, 2, rng())
-    cache = nn.KVCache(4, 3, 4, 2).append(np.ones((1, 4)), np.ones((1, 4)))
+    cache = write(nn.KVCache(4, 3, 4, 2), np.ones((1, 4)), np.ones((1, 4)))
     x, qkv = np.ones((3, 1, 4)), np.ones((3, 1, 12))
     if tape:
         x, qkv = Tensor(x, requires_grad=True), Tensor(qkv, requires_grad=True)

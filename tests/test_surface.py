@@ -1,19 +1,35 @@
-"""The package's API surface: no function takes a parameter its body never reads.
+"""The package's API surface: no function takes a parameter its body never
+reads, and no public function, class or method serves the tests alone.
 
 A parameter that nothing reads is surface a caller can set to no effect, so
 every ``def`` and ``lambda`` in ``src/rvqsynth`` (methods' ``self`` and ``cls``
 too) must read each of its parameters somewhere in its body, nested functions
 included. ``ALLOWED`` names the parameters that a caller's signature fixes; a
 parameter named ``_`` says so itself, as in the ``lambda cfg, _:`` builders.
+
+A public function, class or method (of a public class) must be named in
+``src/rvqsynth`` or in the benchmark's modules (``perfbench/*.py``, whose
+span table names methods in strings) somewhere outside its own definition: a
+helper only the tests call is deleted, not kept. A word in another
+definition's docstring counts, as the ``nn`` module docstring names the
+layers' ``spec``, which criterion 1 reads. ``UNNAMED_ALLOWED`` holds the
+acceptance gate's helpers, which only the tests call by design.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rvqsynth"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rvqsynth"
 
 # (function, parameter): ``fit`` calls ``end_epoch(epoch)``
 ALLOWED = {("reseed_dead_codes", "epoch")}
+# the acceptance criteria's gradient check, reconstruction curve, scoring and
+# sync shift test
+UNNAMED_ALLOWED = {"finite_difference_grad", "reconstruction_mse", "sequence_log_prob",
+                   "shift_detection_rate"}
 
 
 def parameters(node):
@@ -59,3 +75,72 @@ def test_the_scan_finds_unread_parameters():
               "    return g, h\n")
     assert sorted(unread_parameters(ast.parse(source))) == [
         ("<lambda>", "d"), ("f", "args"), ("f", "b"), ("f", "kw")]
+
+
+def public_definitions(tree):
+    """(name, node) of each public function and class of a module, and of each
+    public method of its public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((sub.name, sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+
+
+def names(tree) -> Counter:
+    """How often each identifier is named under ``tree``: as a name, an
+    attribute, an import or a word of a string (docstrings included)."""
+    found = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.name.rpartition(".")[2]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.update(re.findall(r"\w+", n.value))
+    return found
+
+
+def unnamed_definitions(defining: dict, others=()) -> list:
+    """Public definitions of the ``defining`` trees (file name -> tree) that
+    no tree there or in ``others`` names outside the definition itself."""
+    named = sum((names(t) for t in (*defining.values(), *others)), Counter())
+    return [f"{file}:{name}" for file, tree in defining.items()
+            for name, node in public_definitions(tree) if named[name] <= names(node)[name]]
+
+
+def package_unnamed():
+    benchmark = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    return unnamed_definitions(package_trees(), benchmark)
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    assert [u for u in package_unnamed() if u.partition(":")[2] not in UNNAMED_ALLOWED] == []
+
+
+def test_the_unnamed_allowlist_names_definitions_that_exist_unnamed():
+    assert UNNAMED_ALLOWED <= {u.partition(":")[2] for u in package_unnamed()}
+
+
+def test_the_scan_finds_unnamed_definitions():
+    source = ("def used():\n"
+              "    \"Calls ``used`` only within itself.\"\n"
+              "    return used()\n"
+              "def caller():\n"
+              "    return used\n"
+              "class Box:\n"
+              "    def open(self):\n"
+              "        return self.shut()\n"
+              "    def shut(self):\n"
+              "        return 0\n"
+              "    def _hidden(self):\n"
+              "        return 0\n"
+              "def _private():\n"
+              "    return 0\n")
+    other = ast.parse("SPANS = [('box', 'Box.open')]\n")
+    module = {"m.py": ast.parse(source)}
+    assert unnamed_definitions(module) == ["m.py:caller", "m.py:Box", "m.py:open"]
+    assert unnamed_definitions(module, [other]) == ["m.py:caller"]
