@@ -19,8 +19,8 @@ import numpy as np
 from . import checkpoint
 from .config import Annotated, Size, check, declared, option
 from .codec import CodebookSize, check_codes, grid_residuals, rvq_quantize_frames, squared_distances
-from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock, affine,
-                 conv_layers, conv_stack, decode_step, fit, matmul_for, operand, tap_sum)
+from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock, affine, conv_layers,
+                 conv_stack, decode_step, fit, matmul_for, minibatches, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
                      leaky_relu, log_softmax, mean)
 
@@ -410,20 +410,13 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
     prepared = prepare_sequences(codec, corpus, corpus.split("train"), rng)
     C = config.codebook_size
 
-    def batches():
-        order = rng.permutation(len(prepared))
-        for start in range(0, len(prepared), config.batch):
-            batch = [prepared[i] for i in order[start:start + config.batch]]
-            if config.stochastic_targets:
-                grids = np.stack([rvq_quantize_frames(
-                    p.latents, model.codebook.data, config.depth,
-                    config.stochastic_tau, rng).grid for p in batch])
-            else:
-                grids = np.stack([p.grid for p in batch])
-            yield batch, grids
-
-    def step(batch_grids):
-        batch, grids = batch_grids
+    def step(batch):
+        if config.stochastic_targets:
+            grids = np.stack([rvq_quantize_frames(
+                p.latents, model.codebook.data, config.depth,
+                config.stochastic_tau, rng).grid for p in batch])
+        else:
+            grids = np.stack([p.grid for p in batch])
         y = np.stack([p.audio for p in batch])
         s = np.stack([p.style for p in batch])
         logits = model.forward_logits(y, s, grids)
@@ -435,5 +428,5 @@ def train_ar(codec, corpus, config: ARConfig, log=None,
         return {"loss": cross_entropy(logits.reshape(-1, C), grids.reshape(-1))}
 
     history = fit(model.trainable_parameters(), config.epochs, config.lr,
-                  batches, step, log)
+                  lambda: minibatches(rng, prepared, config.batch), step, log)
     return model, history

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checkpoint
 from .config import Annotated, OptionalSize, Size, check, declared, option
-from .nn import Module, Parameter, conv_layers, conv_stack, fit
+from .nn import Module, Parameter, conv_layers, conv_stack, fit, minibatches
 from .tensor import ShapeError, Tensor, straight_through
 
 GRID_MAGIC = b"RVQJ"
@@ -204,14 +204,8 @@ def train_codec(corpus, config: CodecConfig, log=None):
     D = config.depth
     usage = np.zeros(config.codebook_size, dtype=np.int64)
 
-    def batches():
-        order = rng.permutation(len(records))
-        for start in range(0, len(records), config.batch):
-            yield np.stack([records[i].motion
-                            for i in order[start:start + config.batch]])
-
-    def step(motion):
-        x = Tensor(motion)
+    def step(batch):
+        x = Tensor(np.stack([rec.motion for rec in batch]))
         z = conv_stack(x, codec.enc_layers)
         B, T, NC = z.shape
         flat = z.data.reshape(B * T, NC)
@@ -252,8 +246,8 @@ def train_codec(corpus, config: CodecConfig, log=None):
                 0.0, 1e-3, (dead.size, config.code_dim))
         usage[:] = 0
 
-    history = fit(codec.parameters(), config.epochs, config.lr, batches, step,
-                  log, reseed_dead_codes)
+    history = fit(codec.parameters(), config.epochs, config.lr,
+                  lambda: minibatches(rng, records, config.batch), step, log, reseed_dead_codes)
     return codec, history
 
 

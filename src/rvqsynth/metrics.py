@@ -12,7 +12,7 @@ from . import checkpoint
 from .config import Annotated, Size, check, declared, option
 from .data import SequenceFormatError, style_reference
 from .nn import (Conv1d, Dense, Module, Parameter, conv1d, conv_layers, conv_stack,
-                 fit, operand)
+                 fit, minibatches, operand)
 from .sampling import generate_batch
 from .tensor import ShapeError, Tensor, cross_entropy, leaky_relu, mean
 
@@ -23,7 +23,8 @@ from .tensor import ShapeError, Tensor, cross_entropy, leaky_relu, mean
 def _lip_deltas(x: np.ndarray, samples, lip_indices, mean: bool = False) -> np.ndarray:
     """Lip vertex errors (S, T, |lip|) against x (T ≥ 1, 3V) of samples (S, T, 3V),
     or (1, T, |lip|) of their mean if ``mean``; the lip metrics' one check, before
-    any reduction, refuses an empty, ragged or misshapen sample set."""
+    any reduction, refuses an empty, ragged or misshapen sample set and a lip set
+    that is not integer vertex indices (floats, a boolean mask)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or not len(x) or x.shape[1] % 3:
         raise ShapeError(f"motions must be (T >= 1, 3V), got {x.shape}")
@@ -33,9 +34,10 @@ def _lip_deltas(x: np.ndarray, samples, lip_indices, mean: bool = False) -> np.n
         xhat = np.empty(0)
     if xhat.shape[1:] != x.shape or not len(xhat):
         raise ShapeError(f"samples must be (S >= 1, {len(x)}, {x.shape[1]}), got {xhat.shape}")
-    lip = np.asarray(lip_indices, dtype=np.int64)
-    if lip.size == 0 or not 0 <= lip.min() <= lip.max() < x.shape[1] // 3:
-        raise ValueError(f"lip vertex set is empty or not in [0, {x.shape[1] // 3})")
+    lip = np.asarray(lip_indices)
+    if (lip.dtype.kind not in "iu" or lip.size == 0
+            or not 0 <= lip.min() <= lip.max() < x.shape[1] // 3):
+        raise ValueError(f"lip vertex set is empty, not integers or not in [0, {x.shape[1] // 3})")
     xhat = np.mean(xhat, axis=0, keepdims=True) if mean else xhat
     diff = (x - xhat).reshape(*xhat.shape[:2], -1, 3)
     return np.sqrt((diff[..., lip, :] ** 2).sum(axis=-1))
@@ -289,16 +291,10 @@ def train_sync_net(corpus, variant: int, config: SyncConfig | None = None,
         raise ValueError("batch larger than corpus")
     rng = np.random.default_rng(cfg.seed)
     net = SyncNet(cfg, rng)
-    steps_per_epoch = max(1, len(records) // cfg.clips_per_batch)
-
-    def batches():
-        for _ in range(steps_per_epoch):
-            yield infonce_batch(records, cfg, rng)
-
-    def step(batch):
-        return {"loss": infonce_loss(net, *batch)}
-
-    history = fit(net.parameters(), cfg.epochs, cfg.lr, batches, step, log)
+    steps = range(max(1, len(records) // cfg.clips_per_batch))
+    history = fit(net.parameters(), cfg.epochs, cfg.lr,
+                  lambda: (infonce_batch(records, cfg, rng) for _ in steps),
+                  lambda batch: {"loss": infonce_loss(net, *batch)}, log)
     return net, history
 
 
@@ -395,19 +391,13 @@ def train_style_net(corpus, config: StyleConfig | None = None, log=None):
     rng = np.random.default_rng(cfg.seed)
     net = StyleNet(cfg, rng)
 
-    def batches():
-        order = rng.permutation(len(records))
-        for start in range(0, len(records), cfg.batch):
-            batch = [records[i] for i in order[start:start + cfg.batch]]
-            yield (np.stack([r.motion for r in batch]),
-                   np.array([class_of[r.speaker_id] for r in batch]))
-
     def step(batch):
-        x, labels = batch
-        emb = net.embed(Tensor(x))
+        labels = np.array([class_of[r.speaker_id] for r in batch])
+        emb = net.embed(Tensor(np.stack([r.motion for r in batch])))
         return {"loss": cross_entropy(net.margin_logits(emb, labels), labels)}
 
-    history = fit(net.parameters(), cfg.epochs, cfg.lr, batches, step, log)
+    history = fit(net.parameters(), cfg.epochs, cfg.lr,
+                  lambda: minibatches(rng, records, cfg.batch), step, log)
     return net, speakers, history
 
 

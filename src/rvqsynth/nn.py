@@ -446,17 +446,26 @@ def conv_stack(x, convs):
     return x
 
 
+def minibatches(rng: np.random.Generator, items, size: int):
+    """Lists of ``size`` items (the last may be shorter) in the order of one
+    ``rng.permutation(len(items))``, drawn when the first list is asked for."""
+    order = rng.permutation(len(items))
+    for start in range(0, len(items), size):
+        yield [items[i] for i in order[start:start + size]]
+
+
 def fit(params, epochs: int, lr: float, batches, step, log=None,
         end_epoch=None) -> list:
     """The epoch/batch/Adam loop shared by every trainer.
 
-    ``params`` maps names to the Parameters to train. ``batches()`` yields
-    the batches of one epoch and ``step(batch)`` returns the batch's named
-    loss parts (Tensors), ``"loss"`` first; ``"loss"`` is minimized.
-    ``end_epoch(epoch)`` runs after the epoch's last step. Each history row
-    is ``{"epoch", *parts}`` with parts averaged over batches. A non-finite
-    loss restores the parameters from the start of the epoch and raises
-    ``DivergenceError``. Adam's moments and step count live for the fit alone.
+    ``params`` maps names to the Parameters to train. ``batches()`` yields one
+    epoch's batches (``minibatches``, or the sync nets' generator expression
+    of draws) and ``step(batch)`` returns the batch's named loss parts
+    (Tensors), ``"loss"`` first; ``"loss"`` is minimized. ``end_epoch(epoch)``
+    runs after the epoch's last step. Each history row is ``{"epoch", *parts}``
+    with parts averaged over batches. A non-finite loss restores the parameters
+    from the start of the epoch and raises ``DivergenceError``. Adam's moments
+    and step count live for the fit alone.
     """
     params = list(params.values())
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]

@@ -16,7 +16,7 @@ import numpy as np
 from .armodel import ARConfig, ARModel, TemporalStream, prepare_sequences
 from .codec import rvq_quantize_frames, sample_categorical
 from .config import Annotated, OptionalSize, Size, check, declared, option
-from .nn import fit
+from .nn import fit, minibatches
 from .tensor import ShapeError, cross_entropy
 
 STRATEGIES = ("default", "knn", "average", "syncnet-rejection")
@@ -239,19 +239,15 @@ def distill(teacher: ARModel, codec, corpus, sampling_config: SamplingConfig,
     targets = relabel_grids(teacher, codec, prepared, sampling_config, rng)
     C = cfg.codebook_size
 
-    def batches():
-        order = rng.permutation(len(prepared))
-        for start in range(0, len(prepared), cfg.batch):
-            yield order[start:start + cfg.batch]
-
-    def step(take):
-        y = np.stack([prepared[i].audio for i in take])
-        s = np.stack([prepared[i].style for i in take])
-        gt = np.stack([prepared[i].grid for i in take])
-        tgt = np.stack([targets[i] for i in take])
+    def step(batch):
+        y = np.stack([p.audio for p, _ in batch])
+        s = np.stack([p.style for p, _ in batch])
+        gt = np.stack([p.grid for p, _ in batch])
+        tgt = np.stack([t for _, t in batch])
         logits = student.forward_logits(y, s, tgt, temporal_grids=gt)
         return {"loss": cross_entropy(logits.reshape(-1, C), tgt.reshape(-1))}
 
+    pairs = list(zip(prepared, targets))
     history = fit(student.trainable_parameters(), cfg.epochs, cfg.lr,
-                  batches, step, log)
+                  lambda: minibatches(rng, pairs, cfg.batch), step, log)
     return student, history

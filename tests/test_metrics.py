@@ -29,6 +29,19 @@ def test_lip_vertex_error_manual_case():
     assert lip_vertex_error(x, xhat, [0]) == 0.0
 
 
+@pytest.mark.parametrize("lip", [[0.9], [1.0], np.array([True, False, False]),
+                                 [True], np.array([1], dtype=object)])
+def test_lip_errors_refuse_indices_that_are_not_integers(lip):
+    """A float index was truncated ([0.9] read vertex 0) and a boolean mask
+    read as indices ([True, False, False] as [1, 0, 0]); both are refused."""
+    x = np.zeros((2, 9))
+    xhat = np.zeros((2, 9))
+    xhat[1, 3:6] = [3.0, 4.0, 0.0]
+    with pytest.raises(ValueError, match="not integers"):
+        lip_vertex_error(x, xhat, lip)
+    assert lip_vertex_error(x, xhat, np.array([1], dtype=np.uint8)) == 5.0
+
+
 def test_lip_error_input_validation():
     for xhat in (np.zeros((3, 9)), np.zeros((1, 2, 9)), [np.zeros((2, 9))] * 3):
         with pytest.raises(ShapeError):  # another T, or a stack

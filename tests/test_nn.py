@@ -779,6 +779,25 @@ def test_fit_counts_adam_steps_across_epochs_and_starts_each_fit_afresh():
     assert p.data.tobytes() == reference_adam(want, grads(1), 0.1).tobytes()
 
 
+@pytest.mark.parametrize("n, size", [(12, 4), (10, 4), (3, 4), (1, 1), (0, 2)])
+def test_minibatches_walk_one_permutation_drawn_at_the_first_batch(n, size):
+    """Creating the walk draws nothing; one epoch draws exactly one
+    ``permutation(n)``, yields every item once in its order, in lists of
+    ``size`` and a shorter last one."""
+    items = [f"item{i}" for i in range(n)]
+    gen, fresh = np.random.default_rng(3), np.random.default_rng(3)
+    walk = nn.minibatches(gen, items, size)
+    assert gen.bit_generator.state == fresh.bit_generator.state
+    order = fresh.permutation(n)
+    first = next(walk, [])
+    assert gen.bit_generator.state == fresh.bit_generator.state
+    batches = [first, *walk] if n else list(walk)
+    assert gen.bit_generator.state == fresh.bit_generator.state
+    assert sum(batches, []) == [items[i] for i in order]
+    want = [size] * (n // size) + ([n % size] if n % size else [])
+    assert [len(b) for b in batches] == want
+
+
 def test_conv_stack_puts_leaky_relu_between_layers():
     convs = [Conv1d(2, 3, 1, rng(), mode="same"),
              Conv1d(3, 2, 3, rng(), mode="causal")]

@@ -1,5 +1,5 @@
 """The package's API surface: no function takes a parameter its body never
-reads, and no public function, class or method serves the tests alone.
+reads, and no function, class or method serves the tests alone, or nothing.
 
 A parameter that nothing reads is surface a caller can set to no effect, so
 every ``def`` and ``lambda`` in ``src/rvqsynth`` (methods' ``self`` and ``cls``
@@ -7,10 +7,11 @@ too) must read each of its parameters somewhere in its body, nested functions
 included. ``ALLOWED`` names the parameters that a caller's signature fixes; a
 parameter named ``_`` says so itself, as in the ``lambda cfg, _:`` builders.
 
-A public function, class or method (of a public class) must be named in
-``src/rvqsynth`` or in the benchmark's modules (``perfbench/*.py``, whose
-span table names methods in strings) somewhere outside its own definition: a
-helper only the tests call is deleted, not kept. A word in another
+A module-level function or class, and a method of such a class, public or
+private (dunders aside), must be named in ``src/rvqsynth`` or in the
+benchmark's modules (``perfbench/*.py``, whose span table names methods in
+strings) somewhere outside its own definition: a helper only the tests call,
+or that nothing calls, is deleted, not kept. A word in another
 definition's docstring counts, as the ``nn`` module docstring names the
 layers' ``spec``, which criterion 1 reads. ``UNNAMED_ALLOWED`` holds the
 acceptance gate's helpers, which only the tests call by design.
@@ -77,15 +78,19 @@ def test_the_scan_finds_unread_parameters():
         ("<lambda>", "d"), ("f", "args"), ("f", "b"), ("f", "kw")]
 
 
-def public_definitions(tree):
-    """(name, node) of each public function and class of a module, and of each
-    public method of its public classes."""
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree):
+    """(name, node) of each function and class of a module, and of each method
+    of its classes, other than dunders."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not dunder(node.name):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
                 yield from ((sub.name, sub) for sub in node.body
-                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"))
+                            if isinstance(sub, ast.FunctionDef) and not dunder(sub.name))
 
 
 def names(tree) -> Counter:
@@ -105,11 +110,11 @@ def names(tree) -> Counter:
 
 
 def unnamed_definitions(defining: dict, others=()) -> list:
-    """Public definitions of the ``defining`` trees (file name -> tree) that
-    no tree there or in ``others`` names outside the definition itself."""
+    """Definitions of the ``defining`` trees (file name -> tree) that no tree
+    there or in ``others`` names outside the definition itself."""
     named = sum((names(t) for t in (*defining.values(), *others)), Counter())
     return [f"{file}:{name}" for file, tree in defining.items()
-            for name, node in public_definitions(tree) if named[name] <= names(node)[name]]
+            for name, node in definitions(tree) if named[name] <= names(node)[name]]
 
 
 def package_unnamed():
@@ -117,7 +122,7 @@ def package_unnamed():
     return unnamed_definitions(package_trees(), benchmark)
 
 
-def test_every_public_definition_is_named_outside_the_tests():
+def test_every_definition_is_named_outside_the_tests():
     assert [u for u in package_unnamed() if u.partition(":")[2] not in UNNAMED_ALLOWED] == []
 
 
@@ -130,17 +135,25 @@ def test_the_scan_finds_unnamed_definitions():
               "    \"Calls ``used`` only within itself.\"\n"
               "    return used()\n"
               "def caller():\n"
-              "    return used\n"
+              "    return used, _helper\n"
               "class Box:\n"
+              "    def __init__(self):\n"
+              "        self.n = self._count()\n"
               "    def open(self):\n"
               "        return self.shut()\n"
               "    def shut(self):\n"
               "        return 0\n"
+              "    def _count(self):\n"
+              "        return 0\n"
               "    def _hidden(self):\n"
               "        return 0\n"
               "def _private():\n"
+              "    \"A dead helper: only ``_private`` names itself.\"\n"
+              "    return _private\n"
+              "def _helper():\n"
               "    return 0\n")
     other = ast.parse("SPANS = [('box', 'Box.open')]\n")
     module = {"m.py": ast.parse(source)}
-    assert unnamed_definitions(module) == ["m.py:caller", "m.py:Box", "m.py:open"]
-    assert unnamed_definitions(module, [other]) == ["m.py:caller"]
+    assert unnamed_definitions(module) == [
+        "m.py:caller", "m.py:Box", "m.py:open", "m.py:_hidden", "m.py:_private"]
+    assert unnamed_definitions(module, [other]) == ["m.py:caller", "m.py:_hidden", "m.py:_private"]
