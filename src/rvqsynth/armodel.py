@@ -22,7 +22,7 @@ from .codec import CodebookSize, check_codes, grid_residuals, rvq_quantize_frame
 from .nn import (Conv1d, Dense, KVCache, Module, Parameter, TransformerBlock, affine, conv_layers,
                  conv_stack, decode_step, fit, matmul_for, minibatches, operand, tap_sum)
 from .tensor import (ShapeError, Tensor, broadcast_to, concat, cross_entropy,
-                     leaky_relu, log_softmax, mean)
+                     leaky_relu, leaky_relu_, log_softmax, mean)
 
 
 @dataclass
@@ -142,8 +142,8 @@ class ARModel(Module):
         if self.config.style_mode == "temporal" and style_emb is not None:
             h = h + self.style_proj(style_emb).reshape(-1, 1, H)
         if self.config.temporal == "conv":
-            for conv in self.temporal_convs:
-                h = h + leaky_relu(conv(h))
+            for conv in self.temporal_convs:  # not c += h: leaky's backward reads c
+                h = h + leaky_relu_(conv(h))
         else:
             if T > self.config.max_frames:
                 raise ShapeError(f"{T} frames exceed the transformer temporal "
@@ -165,7 +165,7 @@ class ARModel(Module):
             codes = np.cumsum(self.codebook.data[grids][:, :, :D - 1], axis=2)
             v = concat([v, self.prefix_proj(operand(v, codes.reshape(B * T, D - 1, -1)))],
                        axis=1)
-        v = v + operand(v, self.depth_pos)[1:].reshape(1, D, H)
+        v = v + operand(v, self.depth_pos)[1:].reshape(1, D, H)  # no +=: at D = 1, v views h_av
         for block, kv in zip(self.depth_blocks, cache):
             v = block(v, kv)
         return self.head(v).reshape(B, T, D, C)

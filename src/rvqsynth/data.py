@@ -288,13 +288,15 @@ def style_reference(corpus: Corpus, record: SequenceRecord,
 
 
 def write_sequence(seq: MotionSequence, path):
-    T, width = seq.deformations.shape
-    if width != 3 * seq.num_vertices:
+    (T, width), V = seq.deformations.shape, seq.num_vertices
+    if width != 3 * V:
         raise ValueError("deformation width must equal 3 * num_vertices")
-    lip = np.asarray(seq.lip_indices, dtype="<u4")
-    header = struct.pack("<IIII", SEQ_VERSION, T, seq.num_vertices, lip.size)
+    lip = np.asarray(seq.lip_indices)
+    if lip.size and (lip.dtype.kind not in "iu" or not 0 <= lip.min() <= lip.max() < V):
+        raise ValueError(f"lip indices must be integers in [0, {V})")
+    header = struct.pack("<IIII", SEQ_VERSION, T, V, lip.size)
     write_atomic(path, [
-        SEQ_MAGIC, header, lip.tobytes(),
+        SEQ_MAGIC, header, lip.astype("<u4").tobytes(),
         np.ascontiguousarray(seq.deformations, dtype="<f8").tobytes()])
 
 

@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, leaky_relu, softmax
+from .tensor import ShapeError, Tensor, leaky_relu_, softmax
 
 
 class DivergenceError(RuntimeError):
@@ -216,10 +216,10 @@ def tap_sum(rows, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
 def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
     """Convolve axis -2 of ``x`` (..., T, C) with ``weight`` (k, C, O).
 
-    The forward is ``tap_sum`` over the padded taps; an array ``x`` (with
-    array weights) returns it, a Tensor makes one tape node. Its backward
-    lowers the taps to im2col columns (N*T, k*C): the weight gradient is one
-    GEMM over them, the input gradient one GEMM followed by k slice-adds.
+    The forward is ``tap_sum`` over the padded taps; an array ``x`` (with array
+    weights) returns it, a Tensor makes one tape node. Its backward pads ``x``
+    again and lowers the taps to im2col columns (N*T, k*C): the weight gradient
+    is one GEMM over them, the input gradient one GEMM followed by k slice-adds.
     """
     k, C, O = weight.shape
     T = x.shape[-2]
@@ -228,25 +228,27 @@ def conv1d(x, weight, bias=None, dilation: int = 1, mode: str = "causal"):
         before, after = (k - 1) * d, 0
     else:
         before = after = (k - 1) // 2 * d
-    tape = isinstance(x, Tensor)
-    padded = np.zeros(x.shape[:-2] + (before + T + after, x.shape[-1]))
-    padded[..., before:before + T, :] = x.data if tape else x
-    taps = [padded[..., tap * d:tap * d + T, :] for tap in range(k)]
-    if not tape:
-        return tap_sum(taps, weight, bias)
-    out = tap_sum(taps, weight.data, None if bias is None else bias.data)
+
+    def taps(xd):  # the k shifted windows of xd, zero-padded
+        padded = np.zeros(xd.shape[:-2] + (before + T + after, C))
+        padded[..., before:before + T, :] = xd
+        return [padded[..., tap * d:tap * d + T, :] for tap in range(k)]
+
+    if not isinstance(x, Tensor):
+        return tap_sum(taps(x), weight, bias)
+    out = tap_sum(taps(x.data), weight.data, None if bias is None else bias.data)
 
     def backward(g):
         g2 = g.reshape(-1, O)
         if weight.requires_grad:
-            cols = np.concatenate(taps, axis=-1).reshape(-1, k * C)
+            cols = np.concatenate(taps(x.data), axis=-1).reshape(-1, k * C)
             weight._accumulate((cols.T @ g2).reshape(k, C, O))
         if bias is not None:
             bias._accumulate(g2.sum(axis=0))
         if x.requires_grad:
             gcols = (g2 @ weight.data.reshape(k * C, O).T).reshape(
                 x.shape[:-1] + (k * C,))
-            gpad = np.zeros(padded.shape)
+            gpad = np.zeros(x.shape[:-2] + (before + T + after, C))
             for tap in range(k):
                 gpad[..., tap * d:tap * d + T, :] += gcols[..., tap * C:(tap + 1) * C]
             x._accumulate(gpad[..., before:before + T, :])
@@ -402,8 +404,11 @@ class TransformerBlock(Module):
 
     def __call__(self, x, cache=None):
         """``cache``: None or earlier rows' keys and values (B, P, 2W)."""
-        x = x + self.attn(x, cache)
-        return x + self.ff2(leaky_relu(self.ff1(x)))
+        h = self.attn(x, cache)
+        h += x
+        f = self.ff2(leaky_relu_(self.ff1(h)))
+        f += h
+        return f
 
     def arrays(self) -> tuple:
         """``Dense.arrays`` of wqkv, wo, ff1 and ff2, for ``decode_step``."""
@@ -438,11 +443,10 @@ def conv_layers(dims, kernels, rng: np.random.Generator, mode: str = "same") -> 
 
 
 def conv_stack(x, convs):
-    """Apply ``convs`` in order with a leaky ReLU between consecutive layers."""
-    for i, conv in enumerate(convs):
-        if i:
-            x = leaky_relu(x)
-        x = conv(x)
+    """Apply ``convs`` in order with an in-place leaky ReLU between consecutive layers."""
+    x = convs[0](x)
+    for conv in convs[1:]:
+        x = conv(leaky_relu_(x))
     return x
 
 
@@ -464,10 +468,11 @@ def fit(params, epochs: int, lr: float, batches, step, log=None,
     (Tensors), ``"loss"`` first; ``"loss"`` is minimized. ``end_epoch(epoch)``
     runs after the epoch's last step. Each history row is ``{"epoch", *parts}``
     with parts averaged over batches. A non-finite loss restores the parameters
-    from the start of the epoch and raises ``DivergenceError``. Adam's moments
-    and step count live for the fit alone.
+    from the start of the epoch and raises ``DivergenceError``; a non-finite
+    gradient raises it before the step, naming the epoch, the batch and the
+    first such parameter. Adam's moments and step count live for the fit alone.
     """
-    params = list(params.values())
+    names, params = list(params), list(params.values())
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
     history, t = [], 0
     for epoch in range(epochs):
@@ -490,7 +495,12 @@ def fit(params, epochs: int, lr: float, batches, step, log=None,
             # step's forward and backward (and through ``end_epoch``)
             del parts, loss
             t += 1
-            adam_step(params, moments, t, lr)
+            try:
+                adam_step(params, moments, t, lr)
+            except DivergenceError:
+                bad = next(n for n, p in zip(names, params) if not np.isfinite(p.grad).all())
+                raise DivergenceError(f"non-finite gradient of {bad} at epoch {epoch}, "
+                                      f"batch {n_batches}; step aborted") from None
             n_batches += 1
         if end_epoch is not None:
             end_epoch(epoch)

@@ -131,8 +131,8 @@ def generate_batch(model: ARModel, codec, y: np.ndarray, s: np.ndarray,
 
     Returns (motions (S, T, 3V), grids (S, T, d*)).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an int >= 1, not {n_samples!r}")
     if np.ndim(y) < 1 or len(y) < 1:
         raise ShapeError(f"the driving signal has no frames: shape {np.shape(y)}")
     if not (np.isfinite(y).all() and np.isfinite(s).all()):

@@ -4,6 +4,9 @@ Everything runs in double precision with a fixed reduction order so that
 repeated runs with the same seed are bit-identical. ``backward`` releases
 each interior node's gradient once that node's backward has consumed it;
 leaves (Parameters and user Tensors with ``requires_grad``) keep theirs.
+``+=`` and ``leaky_relu_`` write into a fresh op output that no backward reads,
+never into a leaf, a view or a caller's array (on the tape those raise
+``ValueError``), with the bits of ``+`` and ``leaky_relu`` and their gradients.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class Tensor:
 
     # -- arithmetic -------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, out=None):
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
 
@@ -115,9 +118,12 @@ class Tensor:
                 if t.requires_grad:
                     t._accumulate(_unbroadcast(g, t.data.shape))
 
-        return Tensor._make(a.data + b.data, (a, b), backward)
+        return Tensor._make(np.add(a.data, b.data, out=out), (a, b), backward)
 
     __radd__ = __add__
+
+    def __iadd__(self, other):  # into the buffer of self (see the module docstring)
+        return self.__add__(other, out=_buffer(self))
 
     def __neg__(self):
         a = self
@@ -268,19 +274,31 @@ def mean(t, axis=None, keepdims: bool = False):
     return t.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def leaky_relu(t):
-    """``t`` where positive, else ``0.1 * t``; an array gives an array. As
-    ``max(t, 0.1·t)`` it needs no mask and has the bits of
-    ``t·where(t > 0, 1, 0.1)`` (±0, ±inf and NaN too)."""
+def _buffer(t: Tensor):
+    """The buffer an in-place op on ``t`` writes, None (a new one) if it needs no grad."""
+    if t.requires_grad and (t._backward is None or t.data.base is not None):
+        raise ValueError(f"an in-place op needs a fresh op output, not a leaf or a view: {t!r}")
+    return t.data if t.requires_grad else None
+
+
+def leaky_relu(t, out=None):
+    """``t`` where positive, else ``0.1 * t``, into ``out`` if given; an
+    array gives an array. As ``max(t, 0.1·t)`` it needs no mask and has the
+    bits of ``t·where(t > 0, 1, 0.1)`` (±0, ±inf and NaN too)."""
     x = t.data if isinstance(t, Tensor) else t
-    out = np.maximum(x, 0.1 * x)
+    out = np.maximum(x, 0.1 * x, out=out)
     if not isinstance(t, Tensor):
         return out
 
-    def backward(g):  # max(x > 0, 0.1) is where(x > 0, 1, 0.1), 4x faster
-        t._accumulate(g * np.maximum(x > 0.0, 0.1))
+    def backward(g):  # out > 0 is x > 0; max(m, .1) is where(m, 1, .1), 4x faster
+        t._accumulate(g * np.maximum(out > 0.0, 0.1))
 
     return Tensor._make(out, (t,), backward)
+
+
+def leaky_relu_(t):
+    """``leaky_relu`` written into the buffer of ``t`` (see the module docstring)."""
+    return leaky_relu(t, _buffer(t) if isinstance(t, Tensor) else t)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -9,8 +9,9 @@ from rvqsynth.armodel import (ARConfig, ARModel, TemporalStream, prepare_sequenc
                               soft_target_distributions, train_ar)
 from rvqsynth.codec import (CodecConfig, rvq_quantize_frames, sample_categorical,
                             squared_distances, train_codec)
-from rvqsynth import sampling
-from rvqsynth.nn import DOT_ROWS, Dense, KVCache, operand, tap_sum
+from rvqsynth import armodel, nn, sampling
+from rvqsynth.codec import Codec
+from rvqsynth.nn import DOT_ROWS, Dense, KVCache, TransformerBlock, conv_stack, operand, tap_sum
 from rvqsynth.tensor import (ShapeError, Tensor, broadcast_to, concat,
                              cross_entropy, leaky_relu, log_softmax)
 
@@ -858,3 +859,213 @@ def test_train_ar_peak_memory_is_bounded(tiny_corpus, tiny_codec):
     finally:
         tracemalloc.stop()
     assert peak < 28e6, peak
+
+
+# -- in-place residuals and activations ----------------------------------------
+
+
+def out_of_place_block(block, x, cache=None):
+    """Reference oracle: ``TransformerBlock.__call__`` composed out of place,
+    each residual and the leaky ReLU in a new buffer."""
+    x = x + block.attn(x, cache)
+    return x + block.ff2(leaky_relu(block.ff1(x)))
+
+
+def out_of_place_conv_stack(x, convs):
+    """Reference oracle: ``conv_stack`` with the out-of-place leaky ReLU."""
+    for i, conv in enumerate(convs):
+        x = conv(leaky_relu(x) if i else x)
+    return x
+
+
+def out_of_place(monkeypatch):
+    """Run the model's own code out of place: ``+=`` on a Tensor falls back to
+    ``+``, ``leaky_relu_`` is ``leaky_relu`` and the blocks run
+    ``out_of_place_block``."""
+    monkeypatch.delattr(Tensor, "__iadd__")
+    for module in (nn, armodel):
+        monkeypatch.setattr(module, "leaky_relu_", leaky_relu)
+    monkeypatch.setattr(TransformerBlock, "__call__", out_of_place_block)
+
+
+def value_and_leaf_grads(run, leaves):
+    """The bytes of ``run()``'s value and of the gradient each of ``leaves``
+    (None if it gets none) takes from a weighted sum of it."""
+    for leaf in leaves:
+        leaf.grad = None
+    out = run()
+    weights = np.random.default_rng(7).normal(0.0, 1.0, out.shape)
+    (out * Tensor(weights)).sum().backward()
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                   for t in leaves]
+
+
+def leaf(rng, *shape):
+    return Tensor(rng.normal(0.0, 1.0, shape), requires_grad=True)
+
+
+def in_place_cases():
+    """(name, model, a function of a fresh rng giving (run, leaves))."""
+    conv, transformer = oracle_model("conv", "temporal"), oracle_model("transformer", "temporal")
+    B, T, H = 3, 7, 8
+
+    def block(cached):
+        def case(rng):
+            blk = conv.depth_blocks[0]
+            x, cache = leaf(rng, B, T, H), leaf(rng, B, 2, 2 * H) if cached else None
+            return (lambda: blk(x, cache)), [x] + ([cache] if cached else [])
+        return case
+
+    def temporal(model):
+        def case(rng):
+            audio, style = leaf(rng, B, T, H), leaf(rng, B, H)
+            embs = rng.normal(0.0, 1.0, (B, T, model.config.code_dim))
+            return (lambda: model.temporal_context(audio, embs, style)), [audio, style]
+        return case
+
+    def depth(D):
+        model = oracle_model("conv", "depth", D=D)
+
+        def case(rng):
+            h_av, style = leaf(rng, B, T, H), leaf(rng, B, H)
+            grids = rng.integers(0, model.config.codebook_size, (B, T, D))
+            return (lambda: model.depth_logits_full(h_av, style, grids)), [h_av, style]
+        return model, case
+
+    def stack(rng):
+        x = leaf(rng, B, T, conv.config.motion_dim)
+        return (lambda: conv_stack(x, conv.style_convs)), [x]
+
+    def forward(model):
+        def case(rng):
+            y, s = rng.normal(0.0, 1.0, (B, T, 4)), rng.normal(0.0, 1.0, (B, 5, 12))
+            grids = rng.integers(0, model.config.codebook_size, (B, T, model.config.depth))
+            return (lambda: model.forward_logits(y, s, grids)), []
+        return case
+
+    return [pytest.param(model, case, id=name) for name, model, case in (
+        ("block", conv, block(False)), ("block-cache", conv, block(True)),
+        ("temporal-conv", conv, temporal(conv)),
+        ("temporal-transformer", transformer, temporal(transformer)),
+        ("depth-D1", *depth(1)), ("depth-D4", *depth(4)), ("conv_stack", conv, stack),
+        ("forward-conv", conv, forward(conv)),
+        ("forward-transformer", transformer, forward(transformer)))]
+
+
+@pytest.mark.parametrize("model,case", in_place_cases())
+def test_in_place_tape_has_the_bits_of_the_out_of_place_composition(monkeypatch, model, case):
+    """The layers' in-place residual adds and leaky ReLUs against the same
+    code run out of place (``out_of_place``): the value and the gradient of
+    every input leaf and every parameter, bit for bit. Adding the residual
+    into the leaky ReLU's buffer (``c = leaky_relu_(conv(h)); c += h``) moves
+    the temporal stage's gradients: its backward reads the mask from there."""
+    params = list(model.trainable_parameters().values())
+    runs = []
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                out_of_place(patch)
+            run, leaves = case(np.random.default_rng(11))
+            runs.append(value_and_leaf_grads(run, leaves + params))
+    got, want = runs
+    assert all(g is not None for g in got[:1 + len(leaves)])
+    assert len(got) == len(want) and got[0] == want[0]
+    for i, (a, b) in enumerate(zip(got[1:], want[1:])):
+        assert a == b, f"leaf {i}" if i < len(leaves) else f"parameter {i - len(leaves)}"
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_transformer_block_matches_the_out_of_place_oracle(cached):
+    """``TransformerBlock`` on arrays and on Tensors against
+    ``out_of_place_block``: values and leaf gradients bit for bit, and the
+    caller's arrays unchanged."""
+    model = oracle_model("conv", "depth")
+    blk = model.depth_blocks[1]
+    rng = np.random.default_rng(12)
+    x, cache = rng.normal(0.0, 1.0, (3, 4, 8)), rng.normal(0.0, 1.0, (3, 2, 16))
+    args = (x, cache) if cached else (x,)
+    copies = [a.copy() for a in args]
+    assert blk(*args).tobytes() == out_of_place_block(blk, *args).tobytes()
+    for a, c in zip(args, copies):
+        assert a.tobytes() == c.tobytes()
+    params = list(blk.parameters().values())
+    runs = []
+    for call in (blk, lambda *ts: out_of_place_block(blk, *ts)):
+        leaves = [Tensor(a, requires_grad=True) for a in args]
+        runs.append(value_and_leaf_grads(lambda: call(*leaves), leaves + params))
+    assert runs[0] == runs[1]
+    for a, c in zip(args, copies):
+        assert a.tobytes() == c.tobytes()
+
+
+def test_conv_stack_matches_the_out_of_place_oracle():
+    model = oracle_model("conv", "depth")
+    x = np.random.default_rng(13).normal(0.0, 1.0, (2, 6, model.config.motion_dim))
+    copy = x.copy()
+    convs = model.style_convs
+    assert conv_stack(x, convs).tobytes() == out_of_place_conv_stack(x, convs).tobytes()
+    assert x.tobytes() == copy.tobytes()
+    params = [p for conv in convs for p in conv.parameters().values()]
+    runs = []
+    for stack in (conv_stack, out_of_place_conv_stack):
+        t = Tensor(x, requires_grad=True)
+        runs.append(value_and_leaf_grads(lambda: stack(t, convs), [t] + params))
+    assert runs[0] == runs[1]
+    assert x.tobytes() == copy.tobytes()
+
+
+@pytest.mark.parametrize("D", [1, 4])
+def test_in_place_layers_leave_the_callers_arrays_as_they_were(D):
+    """Arrays handed to ``conv_stack``, ``Codec.encode``,
+    ``sequence_log_probs``, ``temporal_context`` and ``depth_logits_full`` (at
+    D = 1 its first rows are a view of ``h_av``) are not written, off the
+    tape and on it."""
+    model = oracle_model("conv", "temporal", D=D)
+    rng = np.random.default_rng(14)
+    B, T, H = 2, 6, 8
+    y, s = random_inputs(model.config, T)
+    grids = rng.integers(0, model.config.codebook_size, (3, T, D))
+    h_av, style = rng.normal(0.0, 1.0, (B, T, H)), rng.normal(0.0, 1.0, (B, H))
+    motion = rng.normal(0.0, 1.0, (B, T, 12))
+    embs = rng.normal(0.0, 1.0, (B, T, model.config.code_dim))
+    codec = Codec(CodecConfig(input_dim=12, depth=D, codebook_size=5, code_dim=4))
+    arrays = (y, s, grids, h_av, style, motion, embs)
+    copies = [a.copy() for a in arrays]
+    conv_stack(motion, model.style_convs)
+    codec.encode(motion)
+    model.sequence_log_probs(grids, y, s)
+    model.temporal_context(h_av, embs, style)
+    model.depth_logits_full(h_av, style, grids[:B])
+    conv_stack(Tensor(motion), model.style_convs)
+    model.temporal_context(Tensor(h_av), embs, Tensor(style))
+    model.depth_logits_full(Tensor(h_av, requires_grad=True), Tensor(style), grids[:B])
+    for a, c in zip(arrays, copies):
+        assert a.tobytes() == c.tobytes()
+
+
+def test_benchmark_shape_ar_step_peak_memory_is_bounded():
+    """tracemalloc sees numpy's buffers: one AR step at the benchmark's shape
+    (B = 16 clips of T = 32 frames, so 512 depth rows of 4 tokens, width 64)
+    peaked 53.9 MB over ``forward_logits`` and its backward while the tape
+    held each block's ``wo`` and ``ff2`` outputs and ``ff1``'s pre-activation
+    and each conv its padded input, none of which a backward reads, and
+    40.9 MB with the residuals and leaky ReLUs written in place and the
+    padding rebuilt in backward."""
+    cfg = ARConfig(audio_dim=8, motion_dim=60)
+    model = make_model(cfg)
+    rng = np.random.default_rng(0)
+    B, T = 16, 32
+    y = rng.normal(0.0, 1.0, (B, T, cfg.audio_dim))
+    s = rng.normal(0.0, 1.0, (B, T, cfg.motion_dim))
+    grids = rng.integers(0, cfg.codebook_size, (B, T, cfg.depth))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        logits = model.forward_logits(y, s, grids)
+        loss = cross_entropy(logits.reshape(-1, cfg.codebook_size), grids.reshape(-1))
+        del logits
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6, peak

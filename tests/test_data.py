@@ -173,12 +173,35 @@ def test_readers_refuse_bytes_after_the_payload(tmp_path, extra):
 
 
 def test_sequence_file_rejects_lip_index_beyond_vertices(tmp_path):
+    """The writer refuses such an index, so the file is written with index 3
+    and its last lip index (bytes 32 to 35) set to 4."""
     path = tmp_path / "clip.rvqm"
     write_sequence(MotionSequence(np.zeros((4, 12)), 4, np.arange(4)), path)
     assert read_sequence(path).lip_indices.max() == 3
-    write_sequence(MotionSequence(np.zeros((4, 12)), 4, np.array([0, 4])), path)
+    raw = bytearray(path.read_bytes())
+    raw[32:36] = (4).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
     with pytest.raises(SequenceFormatError, match="lip index 4"):
         read_sequence(path)
+
+
+@pytest.mark.parametrize("lip", [[-1], [0, 4], [2**32 + 1], [0.7], [True, False],
+                                 np.array([1.0, 2.0])])
+def test_write_sequence_refuses_lip_indices_its_reader_refuses(tmp_path, lip):
+    """Lip indices that are not integers in [0, V) raise ValueError before any
+    file is made: -1 was written as 4294967295, an index of V or more as it
+    was, and a float index of 0.7 as vertex 0."""
+    path = tmp_path / "clip.rvqm"
+    with pytest.raises(ValueError, match=r"lip indices must be integers in \[0, 4\)"):
+        write_sequence(MotionSequence(np.zeros((4, 12)), 4, lip), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_sequence_takes_integer_lip_indices_of_any_width(tmp_path):
+    path = tmp_path / "clip.rvqm"
+    for lip in ([], np.array([3, 0], dtype=np.uint8), np.array([1], dtype=np.int32)):
+        write_sequence(MotionSequence(np.zeros((2, 12)), 4, lip), path)
+        np.testing.assert_array_equal(read_sequence(path).lip_indices, lip)
 
 
 def test_corpus_save_load_roundtrip(tmp_path, corpus):

@@ -849,6 +849,30 @@ def test_fit_nonfinite_loss_restores_epoch_start_and_raises():
     np.testing.assert_array_equal(p.data, at_end[0])
 
 
+def test_fit_names_the_epoch_batch_and_parameter_of_a_non_finite_gradient():
+    """A finite loss whose gradient is not: ``(p ** 0.5).sum()`` at p = 0 is 0,
+    its gradient inf. ``DivergenceError`` names the epoch, the batch and, by
+    ``fit``'s names, the first parameter whose gradient is not finite, and no
+    parameter takes the step."""
+    q, p, r = Parameter(np.ones(2)), Parameter(np.zeros(2)), Parameter(np.zeros(2))
+    calls, before = [], {}
+
+    def step(batch):
+        calls.append(batch)
+        loss = (q * q).sum()
+        if len(calls) < 4:  # p and r get zero gradients and stay at 0
+            return {"loss": loss}
+        before.update((name, t.data.copy()) for name, t in zip("qpr", (q, p, r)))
+        return {"loss": loss + (p ** 0.5).sum() + (r ** 0.5).sum()}
+
+    with np.errstate(divide="ignore"), pytest.raises(
+            DivergenceError, match=r"^non-finite gradient of p at epoch 1, batch 1; step aborted$"):
+        fit({"q": q, "p": p, "r": r}, 3, 0.1, lambda: iter(range(2)), step)
+    assert len(calls) == 4
+    for name, t in zip("qpr", (q, p, r)):
+        np.testing.assert_array_equal(t.data, before[name])
+
+
 def test_fit_holds_no_graph_at_end_epoch_or_after():
     """The step's graph is released before ``end_epoch`` runs and nothing of
     it outlives ``fit``: what tracemalloc still sees then is ``fit``'s Adam

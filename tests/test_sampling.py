@@ -235,6 +235,23 @@ def test_generate_batch_needs_a_sample(stack):
                        n_samples=0)
 
 
+@pytest.mark.parametrize("n_samples", [-1, 2.5, 1.0, np.float64(2.0), "2"])
+def test_generate_batch_needs_a_whole_number_of_samples(stack, n_samples):
+    """An ``n_samples`` that is not an int >= 1 raises ValueError at entry;
+    2.5 raised numpy's TypeError in ``TemporalStream``."""
+    codec, model, rec = stack
+    with pytest.raises(ValueError, match=r"n_samples must be an int >= 1"):
+        generate_batch(model, codec, rec.audio, rec.motion, SamplingConfig(),
+                       n_samples=n_samples)
+
+
+def test_generate_batch_takes_a_numpy_integer_sample_count(stack):
+    codec, model, rec = stack
+    motions, grids = generate_batch(model, codec, rec.audio, rec.motion,
+                                    SamplingConfig(seed=3), n_samples=np.int64(2))
+    assert motions.shape[0] == grids.shape[0] == 2
+
+
 def test_generate_batch_needs_a_frame(stack):
     codec, model, rec = stack
     for y in (rec.audio[:0], np.float64(0.5)):  # no frames; no frame axis

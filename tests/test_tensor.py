@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rvqsynth.nn import Conv1d, Dense, attend
+from rvqsynth.nn import Conv1d, Dense, Parameter, attend
 from rvqsynth.tensor import (ShapeError, Tensor, _unbroadcast, broadcast_to,
-                             concat, cross_entropy, leaky_relu, log_softmax,
-                             softmax, straight_through)
+                             concat, cross_entropy, leaky_relu, leaky_relu_,
+                             log_softmax, softmax, straight_through)
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -52,7 +52,9 @@ def bits(a):
 
 def test_leaky_relu_has_the_bits_of_the_mask_form():
     """``max(x, 0.1·x)`` against ``x · where(x > 0, 1, 0.1)``, and its
-    gradient against ``g · where(x > 0, 1, 0.1)``, bit for bit."""
+    gradient against ``g · where(x > 0, 1, 0.1)``, bit for bit; the in-place
+    form too, written into its operand's buffer, its backward reading the
+    mask from that buffer after the write."""
     rng = np.random.default_rng(4)
     x = np.concatenate([SPECIAL, rng.normal(0.0, 1.0, 40)])
     g = np.concatenate([SPECIAL[::-1], rng.normal(0.0, 1.0, 40)])
@@ -60,11 +62,61 @@ def test_leaky_relu_has_the_bits_of_the_mask_form():
     out = leaky_relu(x)
     assert type(out) is np.ndarray
     np.testing.assert_array_equal(bits(out), bits(x * mask))
-    t = Tensor(x, requires_grad=True)
-    node = leaky_relu(t)
-    np.testing.assert_array_equal(bits(node.data), bits(x * mask))
-    (node * Tensor(g)).sum().backward()
-    np.testing.assert_array_equal(bits(t.grad), bits(g * mask))
+    buf = x.copy()
+    assert leaky_relu_(buf) is buf
+    np.testing.assert_array_equal(bits(buf), bits(x * mask))
+    for in_place in (False, True):
+        t = Tensor(x, requires_grad=True)
+        fresh = t[:]  # a copy on the tape: an op output owning its buffer
+        node = leaky_relu_(fresh) if in_place else leaky_relu(fresh)
+        assert (node.data is fresh.data) == in_place
+        np.testing.assert_array_equal(bits(node.data), bits(x * mask))
+        (node * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(bits(t.grad), bits(g * mask))
+
+
+def test_in_place_add_has_the_bits_and_gradients_of_add():
+    """``h += b`` on an op output writes its buffer and gives the value and
+    the gradients of ``h + b``, a broadcast operand's summed back."""
+    rng = np.random.default_rng(5)
+    x, b = rng.normal(0.0, 1.0, (2, 3, 4)), rng.normal(0.0, 1.0, (1, 4))
+    g = rng.normal(0.0, 1.0, (2, 3, 4))
+    runs = []
+    for in_place in (False, True):
+        tx, tb = Tensor(x, requires_grad=True), Tensor(b, requires_grad=True)
+        h = tx * 2.0
+        buffer = h.data
+        if in_place:
+            h += tb
+        else:
+            h = h + tb
+        assert (h.data is buffer) == in_place
+        (h * Tensor(g)).sum().backward()
+        runs.append([h.data.tobytes(), tx.grad.tobytes(), tb.grad.tobytes()])
+    assert runs[0] == runs[1]
+
+
+def test_in_place_forms_refuse_a_leaf_or_a_view():
+    """On the gradient path ``+=`` and ``leaky_relu_`` refuse a Parameter, a
+    user Tensor with ``requires_grad`` and a view of an op output with
+    ValueError, before writing; a Tensor that needs no gradient gets a new
+    buffer, so a caller's array it wraps is never written."""
+    x = np.array([[-1.0, 2.0]])
+    view = (Tensor(x, requires_grad=True) * 2.0).reshape(2, 1)
+    for t in (Parameter(x.copy()), Tensor(x.copy(), requires_grad=True), view):
+        before = t.data.copy()
+        for op in (lambda: t.__iadd__(1.0), lambda: leaky_relu_(t)):
+            with pytest.raises(ValueError, match="not a leaf or a view"):
+                op()
+        np.testing.assert_array_equal(t.data, before)
+    caller = x.copy()
+    const = Tensor(caller)
+    summed = const
+    summed += 1.0
+    for out in (summed, leaky_relu_(const)):
+        assert out is not const and out.data is not caller
+    np.testing.assert_array_equal(caller, x)
+    np.testing.assert_array_equal(summed.data, x + 1.0)
 
 
 def test_matmul_and_shape_grads():
